@@ -15,29 +15,22 @@ from .model import (
     Trajectory,
     YState,
     ZState,
-    t_of_tau,
-    tau_of_t,
     validate_params,
 )
 from .integrate import (
     IntegrationConfig,
-    RhsSpec,
     convergence_order,
     integrate_coupled,
     integrate_y,
     integrate_z,
-    rk4_solve,
     ystate_at,
     zstate_at,
 )
 from .perturb import (
-    SeriesEval,
     ValidityWindow,
     alpha2_derivatives,
     equation_residual,
-    evaluate_series,
     g_of_t,
-    g_series,
     rho1,
     rho2,
     rho3,
@@ -46,7 +39,6 @@ from .perturb import (
 )
 from .invariant import (
     InvariantCoeffs,
-    InvariantSample,
     TubeFilament,
     drift_experiment,
     exact_drift_experiment,
@@ -82,11 +74,7 @@ __all__ = [
     "YState",
     "ZState",
     "validate_params",
-    "tau_of_t",
-    "t_of_tau",
     "IntegrationConfig",
-    "RhsSpec",
-    "rk4_solve",
     "integrate_y",
     "integrate_z",
     "integrate_coupled",
@@ -98,15 +86,11 @@ __all__ = [
     "rho3",
     "y_composite",
     "g_of_t",
-    "g_series",
     "alpha2_derivatives",
     "validity",
     "ValidityWindow",
-    "SeriesEval",
-    "evaluate_series",
     "equation_residual",
     "InvariantCoeffs",
-    "InvariantSample",
     "TubeFilament",
     "invariant_exact",
     "invariant_exact_series",

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    NonFinite,
     NonPositiveF,
     NonPositiveW,
     OutOfRange,
     PositivityViolationW,
 )
-from .integrate import IntegrationConfig
+from .integrate import IntegrationConfig, _drive
 from .model import Trajectory
 
 __all__ = [
@@ -143,7 +142,11 @@ class CubicSpline:
         return float(out) if scalar else out
 
     def eval_scalar(self, t: float) -> float:
-        """Fast scalar value for integration stage loops (uniform knots)."""
+        """Scalar value by a uniform-knot shortcut; same value as ``self(t)``.
+
+        Not used by the integrator, which tabulates ``self`` over arrays of
+        times; kept because ``bench/tracer.py`` wraps it by name.
+        """
         x0 = self.x[0]
         if self._uniform:
             i = int((t - x0) / self.h[0])
@@ -234,30 +237,18 @@ def integrate_ermakov(
     if config is None:
         config = IntegrationConfig(t_end=200.0)
     h = config.h
-    n_steps, n_intervals = config.plan()
-    rec = config.record_every
-    f_spline = build_driver(driver, n_steps * h)
-    f = f_spline.eval_scalar
+    half = 0.5 * h
+    sixth = h / 6.0
+    f = build_driver(driver, config.plan()[0] * h)
 
     if w0 is None:
         w0 = f(0.0) ** -0.25
     if not w0 > 0.0:
         raise NonPositiveW(f"w0 must be > 0, got {w0!r}")
 
-    out = np.empty((n_intervals + 1, 6))
-    z = float(z0)
-    p = float(p0)
-    w = float(w0)
-    dw = float(dw0)
-    out[0] = (0.0, f(0.0), z, p, w, dw)
+    def step(t, x, fc, fm, fe):
+        z, p, w, dw = x
 
-    half = 0.5 * h
-    sixth = h / 6.0
-
-    for k in range(n_steps):
-        t = k * h
-
-        fc = f(t)
         if w <= 0.0:
             raise PositivityViolationW(t, w)
         a1_z = p
@@ -265,12 +256,10 @@ def integrate_ermakov(
         a1_w = dw
         a1_dw = -fc * w + w**-3
 
-        tm = t + half
-        fm = f(tm)
         z2 = z + half * a1_z
         w2 = w + half * a1_w
         if w2 <= 0.0:
-            raise PositivityViolationW(tm, w2)
+            raise PositivityViolationW(t + half, w2)
         a2_z = p + half * a1_p
         a2_p = -fm * z2
         a2_w = dw + half * a1_dw
@@ -279,42 +268,34 @@ def integrate_ermakov(
         z3 = z + half * a2_z
         w3 = w + half * a2_w
         if w3 <= 0.0:
-            raise PositivityViolationW(tm, w3)
+            raise PositivityViolationW(t + half, w3)
         a3_z = p + half * a2_p
         a3_p = -fm * z3
         a3_w = dw + half * a2_dw
         a3_dw = -fm * w3 + w3**-3
 
-        te = t + h
-        fe = f(te)
         z4 = z + h * a3_z
         w4 = w + h * a3_w
         if w4 <= 0.0:
-            raise PositivityViolationW(te, w4)
+            raise PositivityViolationW(t + h, w4)
         a4_z = p + h * a3_p
         a4_p = -fe * z4
         a4_w = dw + h * a3_dw
         a4_dw = -fe * w4 + w4**-3
 
-        z += sixth * (a1_z + 2.0 * (a2_z + a3_z) + a4_z)
-        p += sixth * (a1_p + 2.0 * (a2_p + a3_p) + a4_p)
-        w += sixth * (a1_w + 2.0 * (a2_w + a3_w) + a4_w)
-        dw += sixth * (a1_dw + 2.0 * (a2_dw + a3_dw) + a4_dw)
+        return (
+            z + sixth * (a1_z + 2.0 * (a2_z + a3_z) + a4_z),
+            p + sixth * (a1_p + 2.0 * (a2_p + a3_p) + a4_p),
+            w + sixth * (a1_w + 2.0 * (a2_w + a3_w) + a4_w),
+            dw + sixth * (a1_dw + 2.0 * (a2_dw + a3_dw) + a4_dw),
+        )
 
-        kk = k + 1
-        if kk % rec == 0:
-            t_rec = kk * h
-            if not (
-                math.isfinite(z) and math.isfinite(p) and math.isfinite(w) and math.isfinite(dw)
-            ):
-                raise NonFinite(t_rec)
-            out[kk // rec] = (t_rec, f(t_rec), z, p, w, dw)
-
+    t, states, _ = _drive(step, f, (z0, p0, w0, dw0), config)
     return Trajectory(
         t0=0.0,
-        h=h * rec,
+        h=h * config.record_every,
         columns=("t", "f", "z", "p", "w", "dw"),
-        data=out,
+        data=np.column_stack([t, f(t), states]),
         meta={"system": "ermakov", "driver": driver, "config": config, "w0": w0, "dw0": dw0},
     )
 

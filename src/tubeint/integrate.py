@@ -1,9 +1,14 @@
-"""Deterministic fixed-step classical RK4 integration of the three systems.
+"""Deterministic fixed-step classical RK4 integration.
 
-The named integrators run hand-inlined scalar loops: a 500-unit run at
-h = 1e-3 is half a million steps, and plain-float stage arithmetic keeps that
-in the low seconds.  Identical inputs produce bit-identical trajectories;
-there is no adaptivity and no interpolation.
+One driver, ``_drive``, runs the three integrators here and the Ermakov pair
+in ``ermakov``.  Each system supplies a plain-float ``step`` that writes out
+its four RK4 stages, plus a vectorised time-only coefficient (the unit
+forcing profile, g(t) or the spline driver).  The driver evaluates that
+coefficient once per chunk of steps on the half-step grid t = (h/2) * i and
+hands each step its values at t, t + h/2 and t + h, so no coefficient is
+evaluated per stage in Python.  A 500-unit run at h = 1e-3 is half a million
+steps; identical inputs produce bit-identical trajectories, whatever the
+chunk size.  There is no adaptivity and no interpolation.
 
 Positivity of the coefficient solution is enforced at every RK4 stage: true
 solutions are strictly positive, so a nonpositive stage value signals a step
@@ -24,9 +29,7 @@ from .errors import Escape, NonFinite, PositivityViolation
 from .model import SystemParams, Trajectory, YState, ZState, validate_params
 
 __all__ = [
-    "RhsSpec",
     "IntegrationConfig",
-    "rk4_solve",
     "integrate_y",
     "integrate_z",
     "integrate_coupled",
@@ -35,13 +38,9 @@ __all__ = [
     "zstate_at",
 ]
 
-
-@dataclass(frozen=True)
-class RhsSpec:
-    """A first-order system x' = eval(t, x); eval must be pure and deterministic."""
-
-    dimension: int
-    eval: Callable[[float, np.ndarray], np.ndarray]
+#: Steps per coefficient table.  It bounds the table memory of long runs;
+#: results do not depend on it.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,10 @@ class IntegrationConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError(f"h must be > 0, got {self.h!r}")
-        if not self.t_end > 0.0:
-            raise ValueError(f"t_end must be > 0, got {self.t_end!r}")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise ValueError(f"h must be finite and > 0, got {self.h!r}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end!r}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every!r}")
 
@@ -73,60 +72,68 @@ class IntegrationConfig:
         return intervals * self.record_every, intervals
 
 
-def rk4_solve(
-    rhs: RhsSpec,
-    x0,
-    config: IntegrationConfig,
-    t0: float = 0.0,
-    columns: tuple[str, ...] | None = None,
-) -> Trajectory:
-    """Generic fixed-step RK4 driver for an arbitrary RhsSpec.
+def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None = None):
+    """Run ``step`` over ``config.plan()`` and record every record_every steps.
 
-    The named systems below use specialized loops; this driver serves ad hoc
-    systems and keeps the same recording and finiteness semantics.
+    ``step(t, x, c0, cm, c1)`` advances the state tuple x by one RK4 step from
+    t, given the coefficient at t, t + h/2 and t + h.  ``coef`` maps an array
+    of times to coefficient values (a scalar broadcasts).  With escape_index
+    set, the run stops as soon as |x[escape_index]| exceeds config.escape_z;
+    escape before two samples exist raises Escape.
+
+    Returns (recorded times, recorded states, escape time or None).
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (rhs.dimension,):
-        raise ValueError(f"x0 must have shape ({rhs.dimension},)")
-    f = rhs.eval
+    x = tuple(float(v) for v in x0)
+    if not all(map(math.isfinite, x)):
+        raise ValueError(f"initial state must be finite, got {x!r}")
     h = config.h
+    rec = config.record_every
+    limit = config.escape_z
     n_steps, n_intervals = config.plan()
-    out = np.empty((n_intervals + 1, rhs.dimension))
+    out = np.empty((n_intervals + 1, len(x)))
     out[0] = x
-    for k in range(n_steps):
-        t = t0 + k * h
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = f(t + h, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if (k + 1) % config.record_every == 0:
-            if not np.all(np.isfinite(x)):
-                raise NonFinite(t0 + (k + 1) * h)
-            out[(k + 1) // config.record_every] = x
-    if columns is None:
-        columns = tuple(f"x{i}" for i in range(rhs.dimension))
-    return Trajectory(
-        t0=t0,
-        h=h * config.record_every,
-        columns=columns,
-        data=out,
-        meta={"config": config, "system": "generic"},
-    )
-
-
-def _forcing_setup(params: SystemParams) -> tuple[float, float, float]:
-    """(eps1, eps2, eps): forcing in rescaled time is (eps1 cos + eps2 sin) y^(-5/2)."""
-    w3 = params.omega**3
-    eps1 = (params.c1 or 0.0) / w3
-    eps2 = (params.c2 or 0.0) / w3
-    return eps1, eps2, params.epsilon
+    rows = 1
+    escape_t = None
+    for start in range(0, n_steps, _CHUNK):
+        stop = min(start + _CHUNK, n_steps)
+        times = 0.5 * h * np.arange(2 * start, 2 * stop + 1)
+        c = np.broadcast_to(np.asarray(coef(times), dtype=float), times.shape).tolist()
+        for k, c0, cm, c1 in zip(range(start, stop), c[0::2], c[1::2], c[2::2]):
+            x = step(k * h, x, c0, cm, c1)
+            kk = k + 1
+            if escape_index is not None and abs(x[escape_index]) > limit:
+                escape_t = kk * h
+                break
+            if kk % rec == 0:
+                if not all(map(math.isfinite, x)):
+                    raise NonFinite(kk * h)
+                out[rows] = x
+                rows += 1
+        if escape_t is not None:
+            break
+    if escape_t is not None and rows < 2:
+        raise Escape(escape_t)
+    return np.arange(rows) * rec * h, out[:rows], escape_t
 
 
 def _resolved(params: SystemParams) -> SystemParams:
     if params.epsilon is None or params.c1 is None or params.c2 is None:
         return validate_params(params)
     return params
+
+
+def _profile(params: SystemParams) -> Callable[[np.ndarray], np.ndarray]:
+    """Unit forcing profile w(tau); the forcing in rescaled time is eps * w(tau).
+
+    w is (c1 cos + c2 sin) / (eps omega^3), and cos(tau) when unforced.
+    """
+    eps = params.epsilon
+    if eps == 0.0:
+        a, b = 1.0, 0.0
+    else:
+        w3 = params.omega**3
+        a, b = params.c1 / w3 / eps, params.c2 / w3 / eps
+    return lambda tau: a * np.cos(tau) + b * np.sin(tau)
 
 
 def integrate_y(params: SystemParams, config: IntegrationConfig) -> Trajectory:
@@ -138,94 +145,68 @@ def integrate_y(params: SystemParams, config: IntegrationConfig) -> Trajectory:
     the final rescaled time.
     """
     params = _resolved(params)
-    eps1, eps2, eps = _forcing_setup(params)
+    eps = params.epsilon
     h = config.h
-    n_steps, n_intervals = config.plan()
-    rec = config.record_every
-
-    out = np.empty((n_intervals + 1, 5))
-    y = params.y0
-    dy = params.yp0
-    ddy = params.ypp0
-    J = 0.0
-    out[0] = (0.0, y, dy, ddy, J)
-
     half = 0.5 * h
     sixth = h / 6.0
-    inv_eps = 1.0 / eps if eps > 0.0 else 0.0
-    canonical_profile = eps == 0.0  # unit profile defaults to cos(tau) when unforced
 
-    for k in range(n_steps):
-        tau = k * h
+    def step(tau, x, c0, cm, c1):
+        y, dy, ddy, J = x
 
-        c = math.cos(tau)
-        s = math.sin(tau)
         if y <= 0.0:
             raise PositivityViolation(tau, y)
         pw = y**-2.5
-        force = eps1 * c + eps2 * s
-        a1_y, a1_dy, a1_ddy = dy, ddy, force * pw - 4.0 * dy
-        a1_J = pw * (c if canonical_profile else force * inv_eps)
+        a1_y, a1_dy, a1_ddy = dy, ddy, eps * c0 * pw - 4.0 * dy
+        a1_J = pw * c0
 
-        tm = tau + half
-        c = math.cos(tm)
-        s = math.sin(tm)
         y2 = y + half * a1_y
         if y2 <= 0.0:
-            raise PositivityViolation(tm, y2)
+            raise PositivityViolation(tau + half, y2)
         pw = y2**-2.5
-        force = eps1 * c + eps2 * s
+        force = eps * cm
         a2_y = dy + half * a1_dy
         a2_dy = ddy + half * a1_ddy
         a2_ddy = force * pw - 4.0 * a2_y
-        a2_J = pw * (c if canonical_profile else force * inv_eps)
+        a2_J = pw * cm
 
         y3 = y + half * a2_y
         if y3 <= 0.0:
-            raise PositivityViolation(tm, y3)
+            raise PositivityViolation(tau + half, y3)
         pw = y3**-2.5
         a3_y = dy + half * a2_dy
         a3_dy = ddy + half * a2_ddy
         a3_ddy = force * pw - 4.0 * a3_y
-        a3_J = pw * (c if canonical_profile else force * inv_eps)
+        a3_J = pw * cm
 
-        te = tau + h
-        c = math.cos(te)
-        s = math.sin(te)
         y4 = y + h * a3_y
         if y4 <= 0.0:
-            raise PositivityViolation(te, y4)
+            raise PositivityViolation(tau + h, y4)
         pw = y4**-2.5
-        force = eps1 * c + eps2 * s
         a4_y = dy + h * a3_dy
         a4_dy = ddy + h * a3_ddy
-        a4_ddy = force * pw - 4.0 * a4_y
-        a4_J = pw * (c if canonical_profile else force * inv_eps)
+        a4_ddy = eps * c1 * pw - 4.0 * a4_y
+        a4_J = pw * c1
 
-        y += sixth * (a1_y + 2.0 * (a2_y + a3_y) + a4_y)
-        dy += sixth * (a1_dy + 2.0 * (a2_dy + a3_dy) + a4_dy)
-        ddy += sixth * (a1_ddy + 2.0 * (a2_ddy + a3_ddy) + a4_ddy)
-        J += sixth * (a1_J + 2.0 * (a2_J + a3_J) + a4_J)
+        return (
+            y + sixth * (a1_y + 2.0 * (a2_y + a3_y) + a4_y),
+            dy + sixth * (a1_dy + 2.0 * (a2_dy + a3_dy) + a4_dy),
+            ddy + sixth * (a1_ddy + 2.0 * (a2_ddy + a3_ddy) + a4_ddy),
+            J + sixth * (a1_J + 2.0 * (a2_J + a3_J) + a4_J),
+        )
 
-        kk = k + 1
-        if kk % rec == 0:
-            if not (
-                math.isfinite(y) and math.isfinite(dy) and math.isfinite(ddy) and math.isfinite(J)
-            ):
-                raise NonFinite(kk * h)
-            out[kk // rec] = (kk * h, y, dy, ddy, J)
-
+    x0 = (params.y0, params.yp0, params.ypp0, 0.0)
+    tau, states, _ = _drive(step, _profile(params), x0, config)
     return Trajectory(
         t0=0.0,
-        h=h * rec,
+        h=h * config.record_every,
         columns=("tau", "y", "dy", "ddy", "J"),
-        data=out,
+        data=np.column_stack([tau, states]),
         meta={"system": "y", "params": params, "config": config},
     )
 
 
 def integrate_z(
-    g: Callable[[float], float],
+    g: Callable[[np.ndarray], np.ndarray],
     z0: float,
     p0: float,
     omega: float,
@@ -233,35 +214,23 @@ def integrate_z(
 ) -> Trajectory:
     """Integrate the driven oscillator z'' + omega^2 z + g(t) z^2 = 0.
 
-    Stops early with a partial trajectory and meta["escaped"] = True when |z|
-    exceeds config.escape_z (the cubic potential is unbounded; detect rather
-    than overflow).  Raises Escape only if escape happens before two samples
-    exist.
+    g is vectorised: it maps an array of times to coefficient values, and a
+    constant (``lambda t: 0.0``) broadcasts.  Stops early with a partial
+    trajectory and meta["escaped"] = True when |z| exceeds config.escape_z
+    (the cubic potential is unbounded; detect rather than overflow).  Raises
+    Escape only if escape happens before two samples exist.
     """
     h = config.h
-    n_steps, n_intervals = config.plan()
-    rec = config.record_every
-    om2 = omega * omega
-
-    out = np.empty((n_intervals + 1, 2))
-    z = float(z0)
-    p = float(p0)
-    out[0] = (z, p)
-
     half = 0.5 * h
     sixth = h / 6.0
-    escaped = False
-    escape_t = None
-    rows = 1
-    g_here = g(0.0)
+    om2 = omega * omega
 
-    for k in range(n_steps):
-        t = k * h
+    def step(t, x, g0, gm, g1):
+        z, p = x
 
         a1_z = p
-        a1_p = -om2 * z - g_here * z * z
+        a1_p = -om2 * z - g0 * z * z
 
-        gm = g(t + half)
         z2 = z + half * a1_z
         a2_z = p + half * a1_p
         a2_p = -om2 * z2 - gm * z2 * z2
@@ -270,39 +239,26 @@ def integrate_z(
         a3_z = p + half * a2_p
         a3_p = -om2 * z3 - gm * z3 * z3
 
-        g_next = g(t + h)
         z4 = z + h * a3_z
         a4_z = p + h * a3_p
-        a4_p = -om2 * z4 - g_next * z4 * z4
+        a4_p = -om2 * z4 - g1 * z4 * z4
 
-        z += sixth * (a1_z + 2.0 * (a2_z + a3_z) + a4_z)
-        p += sixth * (a1_p + 2.0 * (a2_p + a3_p) + a4_p)
-        g_here = g_next
+        return (
+            z + sixth * (a1_z + 2.0 * (a2_z + a3_z) + a4_z),
+            p + sixth * (a1_p + 2.0 * (a2_p + a3_p) + a4_p),
+        )
 
-        if abs(z) > config.escape_z:
-            escaped = True
-            escape_t = (k + 1) * h
-            break
-
-        kk = k + 1
-        if kk % rec == 0:
-            if not (math.isfinite(z) and math.isfinite(p)):
-                raise NonFinite(kk * h)
-            out[kk // rec] = (z, p)
-            rows = kk // rec + 1
-
-    if escaped and rows < 2:
-        raise Escape(escape_t)
+    _, states, escape_t = _drive(step, g, (z0, p0), config, escape_index=0)
     return Trajectory(
         t0=0.0,
-        h=h * rec,
+        h=h * config.record_every,
         columns=("z", "p"),
-        data=out[:rows],
+        data=states,
         meta={
             "system": "z",
             "omega": omega,
             "config": config,
-            "escaped": escaped,
+            "escaped": escape_t is not None,
             "escape_t": escape_t,
         },
     )
@@ -322,69 +278,45 @@ def integrate_coupled(
     Times are physical; the tau column stores omega*t.
     """
     params = _resolved(params)
-    eps1, eps2, eps = _forcing_setup(params)
+    eps = params.epsilon
     om = params.omega
     om2 = om * om
     h = config.h
-    n_steps, n_intervals = config.plan()
-    rec = config.record_every
-
-    out = np.empty((n_intervals + 1, 7))
-    y = params.y0
-    dy = params.yp0
-    ddy = params.ypp0
-    J = 0.0
-    z = float(z0)
-    p = float(p0)
-    out[0] = (0.0, y, dy, ddy, J, z, p)
-
     half = 0.5 * h
     sixth = h / 6.0
-    inv_eps = 1.0 / eps if eps > 0.0 else 0.0
-    canonical_profile = eps == 0.0
-    escaped = False
-    escape_t = None
-    rows = 1
+    profile = _profile(params)
 
-    for k in range(n_steps):
-        t = k * h
+    def step(t, x, c0, cm, c1):
+        y, dy, ddy, J, z, p = x
 
-        tau = om * t
-        c = math.cos(tau)
-        s = math.sin(tau)
         if y <= 0.0:
             raise PositivityViolation(t, y)
         pw = y**-2.5
-        force = eps1 * c + eps2 * s
         a1_y = om * dy
         a1_dy = om * ddy
-        a1_ddy = om * (force * pw - 4.0 * dy)
-        a1_J = om * pw * (c if canonical_profile else force * inv_eps)
+        a1_ddy = om * (eps * c0 * pw - 4.0 * dy)
+        a1_J = om * pw * c0
         a1_z = p
         a1_p = -om2 * z - pw * z * z
 
-        tm = t + half
-        tau = om * tm
-        c = math.cos(tau)
-        s = math.sin(tau)
         y2 = y + half * a1_y
         if y2 <= 0.0:
-            raise PositivityViolation(tm, y2)
+            raise PositivityViolation(t + half, y2)
         pw = y2**-2.5
-        force = eps1 * c + eps2 * s
+        force = eps * cm
         dy2 = dy + half * a1_dy
         ddy2 = ddy + half * a1_ddy
         z2 = z + half * a1_z
         a2_y = om * dy2
         a2_dy = om * ddy2
         a2_ddy = om * (force * pw - 4.0 * dy2)
-        a2_J = om * pw * (c if canonical_profile else force * inv_eps)
+        a2_J = om * pw * cm
         a2_z = p + half * a1_p
         a2_p = -om2 * z2 - pw * z2 * z2
 
         y3 = y + half * a2_y
         if y3 <= 0.0:
-            raise PositivityViolation(tm, y3)
+            raise PositivityViolation(t + half, y3)
         pw = y3**-2.5
         dy3 = dy + half * a2_dy
         ddy3 = ddy + half * a2_ddy
@@ -392,68 +324,47 @@ def integrate_coupled(
         a3_y = om * dy3
         a3_dy = om * ddy3
         a3_ddy = om * (force * pw - 4.0 * dy3)
-        a3_J = om * pw * (c if canonical_profile else force * inv_eps)
+        a3_J = om * pw * cm
         a3_z = p + half * a2_p
         a3_p = -om2 * z3 - pw * z3 * z3
 
-        te = t + h
-        tau = om * te
-        c = math.cos(tau)
-        s = math.sin(tau)
         y4 = y + h * a3_y
         if y4 <= 0.0:
-            raise PositivityViolation(te, y4)
+            raise PositivityViolation(t + h, y4)
         pw = y4**-2.5
-        force = eps1 * c + eps2 * s
         dy4 = dy + h * a3_dy
         ddy4 = ddy + h * a3_ddy
         z4 = z + h * a3_z
         a4_y = om * dy4
         a4_dy = om * ddy4
-        a4_ddy = om * (force * pw - 4.0 * dy4)
-        a4_J = om * pw * (c if canonical_profile else force * inv_eps)
+        a4_ddy = om * (eps * c1 * pw - 4.0 * dy4)
+        a4_J = om * pw * c1
         a4_z = p + h * a3_p
         a4_p = -om2 * z4 - pw * z4 * z4
 
-        y += sixth * (a1_y + 2.0 * (a2_y + a3_y) + a4_y)
-        dy += sixth * (a1_dy + 2.0 * (a2_dy + a3_dy) + a4_dy)
-        ddy += sixth * (a1_ddy + 2.0 * (a2_ddy + a3_ddy) + a4_ddy)
-        J += sixth * (a1_J + 2.0 * (a2_J + a3_J) + a4_J)
-        z += sixth * (a1_z + 2.0 * (a2_z + a3_z) + a4_z)
-        p += sixth * (a1_p + 2.0 * (a2_p + a3_p) + a4_p)
+        return (
+            y + sixth * (a1_y + 2.0 * (a2_y + a3_y) + a4_y),
+            dy + sixth * (a1_dy + 2.0 * (a2_dy + a3_dy) + a4_dy),
+            ddy + sixth * (a1_ddy + 2.0 * (a2_ddy + a3_ddy) + a4_ddy),
+            J + sixth * (a1_J + 2.0 * (a2_J + a3_J) + a4_J),
+            z + sixth * (a1_z + 2.0 * (a2_z + a3_z) + a4_z),
+            p + sixth * (a1_p + 2.0 * (a2_p + a3_p) + a4_p),
+        )
 
-        if abs(z) > config.escape_z:
-            escaped = True
-            escape_t = (k + 1) * h
-            break
-
-        kk = k + 1
-        if kk % rec == 0:
-            t_rec = kk * h
-            if not (
-                math.isfinite(y)
-                and math.isfinite(dy)
-                and math.isfinite(ddy)
-                and math.isfinite(J)
-                and math.isfinite(z)
-                and math.isfinite(p)
-            ):
-                raise NonFinite(t_rec)
-            out[kk // rec] = (om * t_rec, y, dy, ddy, J, z, p)
-            rows = kk // rec + 1
-
-    if escaped and rows < 2:
-        raise Escape(escape_t)
+    x0 = (params.y0, params.yp0, params.ypp0, 0.0, z0, p0)
+    t, states, escape_t = _drive(
+        step, lambda t: profile(om * t), x0, config, escape_index=4
+    )
     return Trajectory(
         t0=0.0,
-        h=h * rec,
+        h=h * config.record_every,
         columns=("tau", "y", "dy", "ddy", "J", "z", "p"),
-        data=out[:rows],
+        data=np.column_stack([om * t, states]),
         meta={
             "system": "coupled",
             "params": params,
             "config": config,
-            "escaped": escaped,
+            "escaped": escape_t is not None,
             "escape_t": escape_t,
         },
     )
@@ -473,7 +384,7 @@ def convergence_order(
     t_end: float,
     z0: float = 0.2,
     p0: float = 0.0,
-    g: Callable[[float], float] | None = None,
+    g: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Richardson order estimate at t_end from runs at h, h/2, h/4.
 

@@ -16,11 +16,10 @@ import numpy as np
 from .errors import Escape, NonPositiveY, UnsupportedOmega
 from .integrate import IntegrationConfig, integrate_coupled, integrate_z, _resolved
 from .model import SystemParams, Trajectory, YState, ZState
-from .perturb import g_series, rho_sum
+from .perturb import g_of_t, rho_sum
 
 __all__ = [
     "InvariantCoeffs",
-    "InvariantSample",
     "TubeFilament",
     "invariant_exact",
     "invariant_exact_series",
@@ -34,15 +33,6 @@ __all__ = [
 
 #: |I(0)| below this switches drift reporting to absolute deviations.
 DRIFT_GUARD = 1e-12
-
-
-@dataclass(frozen=True)
-class InvariantSample:
-    """Invariant value at one time and its deviation from the initial value."""
-
-    t: float
-    value: float
-    drift_pct: float
 
 
 @dataclass(frozen=True)
@@ -208,14 +198,6 @@ def invariant_value(coeffs: InvariantCoeffs, z: float, p: float) -> float:
     )
 
 
-def invariant_samples(traj: Trajectory) -> list[InvariantSample]:
-    """Rows of a drift trajectory as InvariantSample records."""
-    return [
-        InvariantSample(t=float(t), value=float(v), drift_pct=float(d))
-        for t, v, d in traj.data
-    ]
-
-
 def drift_percent(values: np.ndarray, guard: float = DRIFT_GUARD) -> tuple[np.ndarray, bool]:
     """Deviation-from-initial series; percent of |I(0)|, or absolute when tiny.
 
@@ -249,7 +231,7 @@ def drift_experiment(
     if params.omega != 1.0:
         raise UnsupportedOmega(params.omega)
     cfg = IntegrationConfig(t_end=t_end, h=h, record_every=record_every)
-    ztraj = integrate_z(g_series(params, order), z0, p0, params.omega, cfg)
+    ztraj = integrate_z(lambda t: g_of_t(t, params, order), z0, p0, params.omega, cfg)
     if ztraj.meta.get("escaped"):
         raise Escape(ztraj.meta["escape_t"])
     t = ztraj.times

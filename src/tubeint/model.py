@@ -1,4 +1,4 @@
-"""Validated parameter and state records, and the tau <-> t rescaling.
+"""Validated parameter and state records, and the sampled trajectory.
 
 All records are frozen dataclasses: safe to share between threads, hashable
 where the fields allow it, and compared by value so validation is idempotent.
@@ -106,16 +106,6 @@ def validate_params(raw: SystemParams) -> SystemParams:
             stacklevel=2,
         )
     return SystemParams(omega=omega, c1=c1, c2=c2, epsilon=epsilon, y0=y0, yp0=yp0, ypp0=ypp0)
-
-
-def tau_of_t(t, params: SystemParams):
-    """Rescaled time tau = omega * t. Accepts scalars or arrays."""
-    return params.omega * t
-
-
-def t_of_tau(tau, params: SystemParams):
-    """Physical time t = tau / omega. Accepts scalars or arrays."""
-    return tau / params.omega
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,9 @@ __all__ = [
     "rho_sum",
     "y_composite",
     "g_of_t",
-    "g_series",
     "alpha2_derivatives",
     "validity",
     "ValidityWindow",
-    "SeriesEval",
-    "evaluate_series",
     "equation_residual",
 ]
 
@@ -154,61 +151,6 @@ def g_of_t(t, params: SystemParams, order: int = 3):
     return y_composite(params.omega * np.asarray(t, dtype=float), params, order) ** -2.5
 
 
-def g_series(params: SystemParams, order: int = 3):
-    """Scalar fast path for g(t), for use inside integration stage loops.
-
-    Returns a plain-float callable equivalent to ``g_of_t``; the harmonics are
-    built by angle-addition recurrences from one sin/cos pair per call.
-    """
-    params = _require_canonical(params)
-    y0 = params.y0
-    eps = params.epsilon
-    om = params.omega
-    a1 = eps * y0**-3.5
-    a2 = eps * eps * y0**-7.0
-    a3 = eps**3 / (2592.0 * y0**10.5)
-    if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2 or 3, got {order!r}")
-
-    def g(t: float) -> float:
-        tau = om * t
-        c1 = math.cos(tau)
-        s1 = math.sin(tau)
-        c2 = c1 * c1 - s1 * s1
-        s2 = 2.0 * s1 * c1
-        r = a1 * (s1 / 3.0 - s2 / 6.0)
-        if order >= 2:
-            c3 = c2 * c1 - s2 * s1
-            s3 = s2 * c1 + c2 * s1
-            c4 = c2 * c2 - s2 * s2
-            s4 = 2.0 * s2 * c2
-            r += a2 * (
-                -5.0 / 288.0
-                - c1 / 24.0
-                + 19.0 / 288.0 * c2
-                - c3 / 72.0
-                + c4 / 144.0
-                + 5.0 / 96.0 * tau * s2
-            )
-            if order >= 3:
-                c5 = c3 * c2 - s3 * s2
-                s5 = s3 * c2 + c3 * s2
-                s6 = s3 * c3 + c3 * s3
-                r += a3 * (
-                    tau
-                    * (-11.25 + 33.75 * c1 - 22.5 * c2 + 11.25 * c3 - 11.25 * c4)
-                    + 79.5 * s1
-                    - 81.75 * s2
-                    + 18.25 * s3
-                    + 8.625 * s4
-                    - 2.25 * s5
-                    + s6
-                )
-        return (y0 * math.exp(r)) ** -2.5
-
-    return g
-
-
 # Closed-form pieces of the once-integrated forcing term: the integral over
 # [0, tau] of the series-expanded y^(-5/2) times cos, by expansion level.
 def _volterra_level1(tau, y0):
@@ -282,46 +224,6 @@ def validity(params: SystemParams) -> ValidityWindow:
     y0 = params.y0
     tau_star = math.inf if eps == 0.0 else 96.0 * y0**6 / (5.0 * eps**2)
     return ValidityWindow(tau_star=tau_star, eps_eff=eps * y0**-3.5)
-
-
-@dataclass(frozen=True)
-class SeriesEval:
-    """Series terms, their derivatives, and the composite at one time point."""
-
-    tau: float
-    rho1: float
-    rho2: float
-    rho3: float
-    drho1: float
-    drho2: float
-    drho3: float
-    rho: float
-    y_comp: float
-
-
-def evaluate_series(tau: float, params: SystemParams, order: int = 3) -> SeriesEval:
-    params = _require_canonical(params)
-    y0 = params.y0
-    eps = params.epsilon
-    r1 = float(rho1(tau, y0))
-    r2 = float(rho2(tau, y0))
-    r3 = float(rho3(tau, y0))
-    rho = eps * r1
-    if order >= 2:
-        rho += eps**2 * r2
-    if order >= 3:
-        rho += eps**3 * r3
-    return SeriesEval(
-        tau=float(tau),
-        rho1=r1,
-        rho2=r2,
-        rho3=r3,
-        drho1=float(drho1(tau, y0)),
-        drho2=float(drho2(tau, y0)),
-        drho3=float(drho3(tau, y0)),
-        rho=rho,
-        y_comp=y0 * math.exp(rho),
-    )
 
 
 def equation_residual(tau, params: SystemParams, order: int = 3, dtau: float = 2e-3):

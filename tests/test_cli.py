@@ -210,3 +210,12 @@ def test_bad_arguments_exit_code_two():
 def test_validation_failure_exit_code_two(capsys):
     assert run(["simulate-y", "--y0", "-1", "--tau-max", "5", "--out", "-"]) == 2
     assert "NonPositive" in capsys.readouterr().err
+    for argv in (
+        ["simulate-y", "--tau-max", "inf"],
+        ["ermakov", "--z0", "nan"],
+        ["invariant-drift", "--mode", "exact", "--z0", "nan"],
+        ["invariant-drift", "--p0", "inf"],
+    ):
+        assert run(argv + ["--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1

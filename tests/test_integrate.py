@@ -3,19 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import tubeint.integrate
+from tubeint.ermakov import LogisticDriver, integrate_ermakov
 from tubeint.errors import Escape, PositivityViolation
 from tubeint.integrate import (
     IntegrationConfig,
-    RhsSpec,
     convergence_order,
     integrate_coupled,
     integrate_y,
     integrate_z,
-    rk4_solve,
     ystate_at,
     zstate_at,
 )
 from tubeint.model import SystemParams, validate_params
+from tubeint.perturb import g_of_t
 
 
 def params(eps=0.1, y0=1.0, omega=1.0, **kw):
@@ -139,6 +140,9 @@ def test_convergence_order_unforced_reports_exact():
 def test_convergence_order_harmonic_z():
     order = convergence_order("z", params(), 0.05, 10.0)
     assert abs(order - 4.0) < 0.3
+    p = params()
+    order = convergence_order("z", p, 0.05, 10.0, g=lambda t: g_of_t(t, p, 3))
+    assert abs(order - 4.0) < 0.3
 
 
 def test_convergence_order_coupled():
@@ -156,7 +160,28 @@ def test_state_record_accessors():
     assert zs.t == pytest.approx(traj.times[3])
 
 
-def test_generic_rk4_driver_exponential_decay():
-    rhs = RhsSpec(dimension=1, eval=lambda t, x: -x)
-    traj = rk4_solve(rhs, [1.0], IntegrationConfig(t_end=5.0, h=1e-2, record_every=10))
-    assert abs(traj.data[-1, 0] - math.exp(-5.0)) < 1e-9
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_coefficient_chunk_size_leaves_results_bit_identical(monkeypatch, chunk):
+    p = params(eps=0.1, y0=1.1)
+
+    def g(t):
+        return g_of_t(t, p, 3)
+
+    cfg = IntegrationConfig(t_end=0.5, h=1e-2, record_every=3)
+    escape_cfg = IntegrationConfig(t_end=50.0, h=1e-2, record_every=10, escape_z=1e3)
+
+    def runs():
+        return [
+            integrate_z(g, 0.2, 0.1, 1.0, cfg),
+            integrate_coupled(p, 0.2, 0.1, cfg),
+            integrate_ermakov(LogisticDriver(), config=cfg),
+            integrate_z(g, -5.0, 0.0, 1.0, escape_cfg),
+        ]
+
+    reference = runs()
+    monkeypatch.setattr(tubeint.integrate, "_CHUNK", chunk)
+    for ref, traj in zip(reference, runs()):
+        assert np.array_equal(ref.data, traj.data)
+        assert ref.meta.get("escape_t") == traj.meta.get("escape_t")
+    # the escape falls in a later chunk than the first at both chunk sizes
+    assert reference[-1].meta["escaped"] and reference[-1].meta["escape_t"] > 7 * 1e-2

@@ -9,8 +9,6 @@ from tubeint.model import (
     Trajectory,
     YState,
     ZState,
-    t_of_tau,
-    tau_of_t,
     validate_params,
 )
 
@@ -75,24 +73,6 @@ def test_nonzero_initial_derivatives_warn():
 def test_eps_eff():
     p = validate_params(SystemParams(epsilon=0.1, y0=2.0))
     assert p.eps_eff == pytest.approx(0.1 * 2.0**-3.5, rel=1e-15)
-
-
-def test_tau_of_t_identity_omega():
-    p = validate_params(SystemParams(omega=1.0, epsilon=0.0))
-    assert tau_of_t(2.0, p) == 2.0
-
-
-def test_tau_of_t_scaling():
-    p = validate_params(SystemParams(omega=3.0, epsilon=0.0))
-    assert tau_of_t(2.0, p) == 6.0
-
-
-def test_tau_round_trip_random():
-    p = validate_params(SystemParams(omega=math.pi, epsilon=0.0))
-    rng = np.random.default_rng(42)
-    t = rng.uniform(-100.0, 100.0, size=100)
-    back = t_of_tau(tau_of_t(t, p), p)
-    assert np.allclose(back, t, rtol=1e-15, atol=0.0)
 
 
 def test_ystate_positivity():

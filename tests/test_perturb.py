@@ -11,9 +11,7 @@ from tubeint.perturb import (
     drho2,
     drho3,
     equation_residual,
-    evaluate_series,
     g_of_t,
-    g_series,
     rho1,
     rho2,
     rho3,
@@ -87,16 +85,6 @@ def test_composite_positive_everywhere():
 def test_g_of_t_values():
     assert float(g_of_t(3.3, params(eps=0.0, y0=1.0), 3)) == 1.0
     assert float(g_of_t(0.7, params(eps=0.0, y0=4.0), 3)) == pytest.approx(1.0 / 32.0, rel=1e-14)
-
-
-def test_g_scalar_path_matches_vectorized():
-    p = params(eps=0.1, y0=1.2)
-    for order in (1, 2, 3):
-        g = g_series(p, order)
-        t = np.linspace(0.0, 30.0, 101)
-        vec = g_of_t(t, p, order)
-        scal = np.array([g(float(tt)) for tt in t])
-        assert np.max(np.abs(vec - scal)) < 1e-14
 
 
 def test_alpha2_derivatives_unforced():
@@ -194,12 +182,3 @@ def test_series_requires_canonical_orientation():
 def test_order_argument_validated():
     with pytest.raises(ValueError):
         y_composite(1.0, params(), 4)
-
-
-def test_evaluate_series_consistency():
-    p = params(eps=0.1, y0=1.2)
-    ev = evaluate_series(2.2, p, 3)
-    assert ev.rho == pytest.approx(
-        0.1 * ev.rho1 + 0.01 * ev.rho2 + 0.001 * ev.rho3, rel=1e-14
-    )
-    assert ev.y_comp == pytest.approx(float(y_composite(2.2, p, 3)), rel=1e-14)
