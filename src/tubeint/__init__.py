@@ -13,8 +13,6 @@ from .errors import TubeIntError
 from .model import (
     SystemParams,
     Trajectory,
-    YState,
-    ZState,
     validate_params,
 )
 from .integrate import (
@@ -23,8 +21,6 @@ from .integrate import (
     integrate_coupled,
     integrate_y,
     integrate_z,
-    ystate_at,
-    zstate_at,
 )
 from .perturb import (
     ValidityWindow,
@@ -38,14 +34,10 @@ from .perturb import (
     y_composite,
 )
 from .invariant import (
-    InvariantCoeffs,
     TubeFilament,
     drift_experiment,
     exact_drift_experiment,
-    invariant_coeffs,
-    invariant_exact,
     invariant_exact_series,
-    invariant_value,
     tube_surface_samples,
 )
 from .resonance import (
@@ -71,16 +63,12 @@ __all__ = [
     "TubeIntError",
     "SystemParams",
     "Trajectory",
-    "YState",
-    "ZState",
     "validate_params",
     "IntegrationConfig",
     "integrate_y",
     "integrate_z",
     "integrate_coupled",
     "convergence_order",
-    "ystate_at",
-    "zstate_at",
     "rho1",
     "rho2",
     "rho3",
@@ -90,12 +78,8 @@ __all__ = [
     "validity",
     "ValidityWindow",
     "equation_residual",
-    "InvariantCoeffs",
     "TubeFilament",
-    "invariant_exact",
     "invariant_exact_series",
-    "invariant_coeffs",
-    "invariant_value",
     "drift_experiment",
     "exact_drift_experiment",
     "tube_surface_samples",

@@ -4,12 +4,13 @@ Every experiment is a subcommand that emits CSV: `#`-prefixed key=value
 metadata lines, then a header row, then data rows.  Floats are written in
 shortest round-trip form, so identical flags produce byte-identical files and
 regression tests can diff them directly.  Flags override an optional
-line-oriented `key = value` config file given via --config.
+line-oriented `key = value` config file given via --config; each line is
+parsed exactly like the flag --key=value placed before the command-line flags.
 
-Exit codes: 0 success, 2 bad arguments or validation failure, 3 numerical
-failure (the message names the error and the time).  The environment variable
-TUBEINT_SEED is reserved; the deterministic core does not read it (the
-logistic seed is a flag).
+Exit codes: 0 success, 2 bad arguments, validation failure or an unwritable
+output path, 3 numerical failure (the message names the error and the time).
+The environment variable TUBEINT_SEED is reserved; the deterministic core
+does not read it (the logistic seed is a flag).
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ _USAGE_ERRORS = (
     InsufficientSamples,
     InsufficientWindows,
     ValueError,
+    OSError,
 )
 _NUMERICAL_ERRORS = (
     PositivityViolation,
@@ -71,6 +73,7 @@ _NUMERICAL_ERRORS = (
     NonPositiveF,
     NonPositiveW,
     NonPositiveY,
+    OverflowError,
 )
 
 
@@ -409,23 +412,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, table
 
 
-def _parse_config_value(text: str):
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def _load_config(path: str) -> dict[str, object]:
+def _config_tokens(path: str, sub: argparse.ArgumentParser, command: str) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` flags."""
     p = Path(path)
     if not p.is_file():
         raise MissingInput(f"config file not found: {path!r}")
-    values: dict[str, object] = {}
+    options = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    tokens, unknown = [], set()
     for raw in p.read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -433,8 +426,18 @@ def _load_config(path: str) -> dict[str, object]:
         if "=" not in line:
             raise ValueError(f"bad config line (expect key = value): {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = _parse_config_value(value)
-    return values
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            unknown.add(key)
+        elif action.nargs != 0:
+            tokens.append(f"{action.option_strings[-1]}={value}")
+        elif value.lower() == "true":
+            tokens.append(action.option_strings[-1])
+        elif value.lower() != "false":
+            raise ValueError(f"config key {key} takes true or false, got {value!r}")
+    if unknown:
+        raise ValueError(f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
+    return tokens
 
 
 def _find_config(argv: list[str]) -> str | None:
@@ -455,13 +458,8 @@ def main(argv: list[str] | None = None) -> int:
             command = next((tok for tok in argv if not tok.startswith("-")), None)
             if command not in table:
                 raise ValueError("--config requires a subcommand")
-            sub = table[command]
-            values = _load_config(config_path)
-            known = {action.dest for action in sub._actions}
-            unknown = sorted(set(values) - known)
-            if unknown:
-                raise ValueError(f"unknown config keys for {command}: {', '.join(unknown)}")
-            sub.set_defaults(**values)
+            at = argv.index(command) + 1
+            argv[at:at] = _config_tokens(config_path, table[command], command)
         args = parser.parse_args(argv)
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:

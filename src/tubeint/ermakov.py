@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    NonPositive,
     NonPositiveF,
     NonPositiveW,
     OutOfRange,
@@ -243,8 +244,8 @@ def integrate_ermakov(
 
     if w0 is None:
         w0 = f(0.0) ** -0.25
-    if not w0 > 0.0:
-        raise NonPositiveW(f"w0 must be > 0, got {w0!r}")
+    if not (math.isfinite(w0) and w0 > 0.0):
+        raise NonPositive("w0", w0)
 
     def step(t, x, fc, fm, fe):
         z, p, w, dw = x
@@ -290,10 +291,9 @@ def integrate_ermakov(
             dw + sixth * (a1_dw + 2.0 * (a2_dw + a3_dw) + a4_dw),
         )
 
-    t, states, _ = _drive(step, f, (z0, p0, w0, dw0), config)
+    t, states = _drive(step, f, (z0, p0, w0, dw0), config)
     return Trajectory(
-        t0=0.0,
-        h=h * config.record_every,
+        times=t,
         columns=("t", "f", "z", "p", "w", "dw"),
         data=np.column_stack([t, f(t), states]),
         meta={"system": "ermakov", "driver": driver, "config": config, "w0": w0, "dw0": dw0},

@@ -13,8 +13,11 @@ chunk size.  There is no adaptivity and no interpolation.
 Positivity of the coefficient solution is enforced at every RK4 stage: true
 solutions are strictly positive, so a nonpositive stage value signals a step
 too large or parameters outside the usable regime, and raises rather than
-clamps.  Escape of the oscillator is checked every step; finiteness is
-checked at record points (overflow between records surfaces at the next one).
+clamps.  Escape of the oscillator is checked every step and raises Escape
+with its time; finiteness is checked at record points (overflow between
+records surfaces at the next one).  Every trajectory takes its sample times
+from the driver, so a time column and ``Trajectory.times`` are the same
+numbers.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import Escape, NonFinite, PositivityViolation
-from .model import SystemParams, Trajectory, YState, ZState, validate_params
+from .model import SystemParams, Trajectory, validate_params
 
 __all__ = [
     "IntegrationConfig",
@@ -34,8 +37,6 @@ __all__ = [
     "integrate_z",
     "integrate_coupled",
     "convergence_order",
-    "ystate_at",
-    "zstate_at",
 ]
 
 #: Steps per coefficient table.  It bounds the table memory of long runs;
@@ -78,10 +79,10 @@ def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None =
     ``step(t, x, c0, cm, c1)`` advances the state tuple x by one RK4 step from
     t, given the coefficient at t, t + h/2 and t + h.  ``coef`` maps an array
     of times to coefficient values (a scalar broadcasts).  With escape_index
-    set, the run stops as soon as |x[escape_index]| exceeds config.escape_z;
-    escape before two samples exist raises Escape.
+    set, the run raises Escape at the first step where |x[escape_index]|
+    exceeds config.escape_z.
 
-    Returns (recorded times, recorded states, escape time or None).
+    Returns (recorded times, recorded states); sample i is at (i*record_every)*h.
     """
     x = tuple(float(v) for v in x0)
     if not all(map(math.isfinite, x)):
@@ -93,7 +94,6 @@ def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None =
     out = np.empty((n_intervals + 1, len(x)))
     out[0] = x
     rows = 1
-    escape_t = None
     for start in range(0, n_steps, _CHUNK):
         stop = min(start + _CHUNK, n_steps)
         times = 0.5 * h * np.arange(2 * start, 2 * stop + 1)
@@ -102,18 +102,13 @@ def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None =
             x = step(k * h, x, c0, cm, c1)
             kk = k + 1
             if escape_index is not None and abs(x[escape_index]) > limit:
-                escape_t = kk * h
-                break
+                raise Escape(kk * h)
             if kk % rec == 0:
                 if not all(map(math.isfinite, x)):
                     raise NonFinite(kk * h)
                 out[rows] = x
                 rows += 1
-        if escape_t is not None:
-            break
-    if escape_t is not None and rows < 2:
-        raise Escape(escape_t)
-    return np.arange(rows) * rec * h, out[:rows], escape_t
+    return np.arange(rows) * rec * h, out
 
 
 def _resolved(params: SystemParams) -> SystemParams:
@@ -195,10 +190,9 @@ def integrate_y(params: SystemParams, config: IntegrationConfig) -> Trajectory:
         )
 
     x0 = (params.y0, params.yp0, params.ypp0, 0.0)
-    tau, states, _ = _drive(step, _profile(params), x0, config)
+    tau, states = _drive(step, _profile(params), x0, config)
     return Trajectory(
-        t0=0.0,
-        h=h * config.record_every,
+        times=tau,
         columns=("tau", "y", "dy", "ddy", "J"),
         data=np.column_stack([tau, states]),
         meta={"system": "y", "params": params, "config": config},
@@ -215,10 +209,9 @@ def integrate_z(
     """Integrate the driven oscillator z'' + omega^2 z + g(t) z^2 = 0.
 
     g is vectorised: it maps an array of times to coefficient values, and a
-    constant (``lambda t: 0.0``) broadcasts.  Stops early with a partial
-    trajectory and meta["escaped"] = True when |z| exceeds config.escape_z
-    (the cubic potential is unbounded; detect rather than overflow).  Raises
-    Escape only if escape happens before two samples exist.
+    constant (``lambda t: 0.0``) broadcasts.  Raises Escape at the step where
+    |z| exceeds config.escape_z (the cubic potential is unbounded; detect
+    rather than overflow).
     """
     h = config.h
     half = 0.5 * h
@@ -248,19 +241,12 @@ def integrate_z(
             p + sixth * (a1_p + 2.0 * (a2_p + a3_p) + a4_p),
         )
 
-    _, states, escape_t = _drive(step, g, (z0, p0), config, escape_index=0)
+    t, states = _drive(step, g, (z0, p0), config, escape_index=0)
     return Trajectory(
-        t0=0.0,
-        h=h * config.record_every,
+        times=t,
         columns=("z", "p"),
         data=states,
-        meta={
-            "system": "z",
-            "omega": omega,
-            "config": config,
-            "escaped": escape_t is not None,
-            "escape_t": escape_t,
-        },
+        meta={"system": "z", "omega": omega, "config": config},
     )
 
 
@@ -275,7 +261,8 @@ def integrate_coupled(
     The coefficient subsystem advances in rescaled time tau = omega*t inside
     the same stages as (z, p) with g(t) = y(omega*t)^(-5/2), so the exact
     invariant can be evaluated from simultaneous state with no interpolation.
-    Times are physical; the tau column stores omega*t.
+    Times are physical; the tau column stores omega*t.  Raises Escape at the
+    step where |z| exceeds config.escape_z.
     """
     params = _resolved(params)
     eps = params.epsilon
@@ -352,21 +339,12 @@ def integrate_coupled(
         )
 
     x0 = (params.y0, params.yp0, params.ypp0, 0.0, z0, p0)
-    t, states, escape_t = _drive(
-        step, lambda t: profile(om * t), x0, config, escape_index=4
-    )
+    t, states = _drive(step, lambda t: profile(om * t), x0, config, escape_index=4)
     return Trajectory(
-        t0=0.0,
-        h=h * config.record_every,
+        times=t,
         columns=("tau", "y", "dy", "ddy", "J", "z", "p"),
         data=np.column_stack([om * t, states]),
-        meta={
-            "system": "coupled",
-            "params": params,
-            "config": config,
-            "escaped": escape_t is not None,
-            "escape_t": escape_t,
-        },
+        meta={"system": "coupled", "params": params, "config": config},
     )
 
 
@@ -406,8 +384,6 @@ def convergence_order(
             traj = integrate_z(g_fn, z0, p0, params.omega, cfg)
         else:
             traj = integrate_coupled(params, z0, p0, cfg)
-        if traj.meta.get("escaped"):
-            raise Escape(traj.meta["escape_t"])
         return np.array([traj.column(c)[-1] for c in _STATE_COLUMNS[system]])
 
     x1 = final_state(h)
@@ -420,16 +396,3 @@ def convergence_order(
     if d2 == 0.0:
         return math.inf
     return math.log2(d1 / d2)
-
-
-def ystate_at(traj: Trajectory, i: int) -> YState:
-    """Coefficient-state record at sample i of a y or coupled trajectory."""
-    r = traj.row(i)
-    return YState(tau=r["tau"], y=r["y"], dy=r["dy"], ddy=r["ddy"], volterra=r["J"])
-
-
-def zstate_at(traj: Trajectory, i: int) -> ZState:
-    """Oscillator record at sample i of a z or coupled trajectory."""
-    r = traj.row(i)
-    t = traj.t0 + traj.h * i
-    return ZState(t=t, z=r["z"], p=r["p"])

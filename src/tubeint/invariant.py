@@ -3,8 +3,11 @@
 The perturbative coefficient series below were re-derived symbolically from
 A4 = -alpha2' and A3 = alpha2 + alpha2''/2 (with alpha2'' reconstructed from
 the once-integrated form) and are used in that verified form; tests pin probe
-values of every block.  The cross-check invariant_coeffs vs the composite
-derivatives holds to O(eps^4).
+values of every block.  The cross-check of the coefficient series against
+the composite derivatives holds to O(eps^4).
+
+Each invariant is evaluated once, vectorised over a whole trajectory at the
+trajectory's own sample times.
 """
 
 from __future__ import annotations
@@ -13,18 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Escape, NonPositiveY, UnsupportedOmega
+from .errors import NonPositiveY, UnsupportedOmega
 from .integrate import IntegrationConfig, integrate_coupled, integrate_z, _resolved
-from .model import SystemParams, Trajectory, YState, ZState
+from .model import SystemParams, Trajectory
 from .perturb import g_of_t, rho_sum
 
 __all__ = [
-    "InvariantCoeffs",
     "TubeFilament",
-    "invariant_exact",
     "invariant_exact_series",
-    "invariant_coeffs",
-    "invariant_value",
     "drift_experiment",
     "exact_drift_experiment",
     "drift_percent",
@@ -33,18 +32,6 @@ __all__ = [
 
 #: |I(0)| below this switches drift reporting to absolute deviations.
 DRIFT_GUARD = 1e-12
-
-
-@dataclass(frozen=True)
-class InvariantCoeffs:
-    """The six time-dependent coefficients of the quadratic invariant."""
-
-    a1: float
-    a2: float
-    a3: float
-    a4: float
-    a5: float
-    a6: float
 
 
 def _alpha1(t, params: SystemParams):
@@ -56,40 +43,12 @@ def _dalpha1(t, params: SystemParams):
     return 0.5 * om * (-params.c1 * np.sin(om * t) + params.c2 * np.cos(om * t))
 
 
-def invariant_exact(ystate: YState, zstate: ZState, params: SystemParams) -> float:
-    """Evaluate the exact invariant from co-integrated state at one time.
+def invariant_exact_series(traj: Trajectory, params: SystemParams) -> np.ndarray:
+    """Exact invariant along a coupled trajectory, at its sample times.
 
     Coefficient derivatives come from the integrated state via the chain rule
-    (alpha2'(t) = omega * y'(tau), alpha2''(t) = omega^2 * y''(tau)); the two
-    records must refer to the same instant.
+    (alpha2'(t) = omega * y'(tau), alpha2''(t) = omega^2 * y''(tau)).
     """
-    params = _resolved(params)
-    om = params.omega
-    tau_expected = om * zstate.t
-    if abs(ystate.tau - tau_expected) > 1e-9 * max(1.0, abs(tau_expected)):
-        raise ValueError(
-            f"state records disagree in time: tau={ystate.tau!r} vs omega*t={tau_expected!r}"
-        )
-    if not ystate.y > 0.0:
-        raise NonPositiveY(f"y must be > 0, got {ystate.y!r}")
-    y = ystate.y
-    z = zstate.z
-    p = zstate.p
-    t = zstate.t
-    a1 = float(_alpha1(t, params))
-    da1 = float(_dalpha1(t, params))
-    return (
-        y * p * p
-        - om * ystate.dy * z * p
-        + a1 * p
-        + om * om * (y + 0.5 * ystate.ddy) * z * z
-        - da1 * z
-        + (2.0 / 3.0) * y**-1.5 * z**3
-    )
-
-
-def invariant_exact_series(traj: Trajectory, params: SystemParams) -> np.ndarray:
-    """Vectorized exact invariant along a coupled trajectory."""
     params = _resolved(params)
     om = params.omega
     t = traj.times
@@ -180,24 +139,6 @@ def _coeff_arrays(t, params: SystemParams, order: int):
     return a1, a2, a3, a4, a5, a6
 
 
-def invariant_coeffs(t: float, params: SystemParams, order: int = 3) -> InvariantCoeffs:
-    """Perturbative invariant coefficients at physical time t (omega = 1 only)."""
-    a = _coeff_arrays(t, params, order)
-    return InvariantCoeffs(*(float(v) for v in a))
-
-
-def invariant_value(coeffs: InvariantCoeffs, z: float, p: float) -> float:
-    """A1 z + A2 p + A3 z^2 + A4 z p + A5 p^2 + A6 z^3."""
-    return (
-        coeffs.a1 * z
-        + coeffs.a2 * p
-        + coeffs.a3 * z * z
-        + coeffs.a4 * z * p
-        + coeffs.a5 * p * p
-        + coeffs.a6 * z**3
-    )
-
-
 def drift_percent(values: np.ndarray, guard: float = DRIFT_GUARD) -> tuple[np.ndarray, bool]:
     """Deviation-from-initial series; percent of |I(0)|, or absolute when tiny.
 
@@ -209,6 +150,23 @@ def drift_percent(values: np.ndarray, guard: float = DRIFT_GUARD) -> tuple[np.nd
     if abs(i0) < guard:
         return dev, True
     return 100.0 * dev / abs(i0), False
+
+
+def _drift_trajectory(t: np.ndarray, values: np.ndarray, meta: dict) -> Trajectory:
+    """The (t, I, drift_pct) result of a drift experiment; meta gains the max
+    and final drift and the absolute-mode flag."""
+    drift, absolute = drift_percent(values)
+    return Trajectory(
+        times=t,
+        columns=("t", "I", "drift_pct"),
+        data=np.column_stack([t, values, drift]),
+        meta={
+            **meta,
+            "max_drift_pct": float(np.max(drift)),
+            "final_drift_pct": float(drift[-1]),
+            "absolute_mode": absolute,
+        },
+    )
 
 
 def drift_experiment(
@@ -232,30 +190,12 @@ def drift_experiment(
         raise UnsupportedOmega(params.omega)
     cfg = IntegrationConfig(t_end=t_end, h=h, record_every=record_every)
     ztraj = integrate_z(lambda t: g_of_t(t, params, order), z0, p0, params.omega, cfg)
-    if ztraj.meta.get("escaped"):
-        raise Escape(ztraj.meta["escape_t"])
-    t = ztraj.times
-    a1, a2, a3, a4, a5, a6 = _coeff_arrays(t, params, order)
+    a1, a2, a3, a4, a5, a6 = _coeff_arrays(ztraj.times, params, order)
     z = ztraj.column("z")
     p = ztraj.column("p")
     values = a1 * z + a2 * p + a3 * z * z + a4 * z * p + a5 * p * p + a6 * z**3
-    drift, absolute = drift_percent(values)
-    data = np.column_stack([t, values, drift])
-    return Trajectory(
-        t0=0.0,
-        h=ztraj.h,
-        columns=("t", "I", "drift_pct"),
-        data=data,
-        meta={
-            "mode": "perturbative",
-            "order": order,
-            "params": params,
-            "config": cfg,
-            "max_drift_pct": float(np.max(drift)),
-            "final_drift_pct": float(drift[-1]),
-            "absolute_mode": absolute,
-        },
-    )
+    meta = {"mode": "perturbative", "order": order, "params": params, "config": cfg}
+    return _drift_trajectory(ztraj.times, values, meta)
 
 
 def exact_drift_experiment(
@@ -274,25 +214,9 @@ def exact_drift_experiment(
     params = _resolved(params)
     cfg = IntegrationConfig(t_end=t_end, h=h, record_every=record_every)
     traj = integrate_coupled(params, z0, p0, cfg)
-    if traj.meta.get("escaped"):
-        raise Escape(traj.meta["escape_t"])
     values = invariant_exact_series(traj, params)
-    drift, absolute = drift_percent(values)
-    data = np.column_stack([traj.times, values, drift])
-    return Trajectory(
-        t0=0.0,
-        h=traj.h,
-        columns=("t", "I", "drift_pct"),
-        data=data,
-        meta={
-            "mode": "exact",
-            "params": params,
-            "config": cfg,
-            "max_drift_pct": float(np.max(drift)),
-            "final_drift_pct": float(drift[-1]),
-            "absolute_mode": absolute,
-        },
-    )
+    meta = {"mode": "exact", "params": params, "config": cfg}
+    return _drift_trajectory(traj.times, values, meta)
 
 
 @dataclass(frozen=True)
@@ -332,8 +256,6 @@ def tube_surface_samples(
     for z0 in z0_grid:
         for p0 in p0_grid:
             traj = integrate_coupled(params, float(z0), float(p0), cfg)
-            if traj.meta.get("escaped"):
-                raise Escape(traj.meta["escape_t"])
             values = invariant_exact_series(traj, params)
             K = float(values[0])
             filaments.append(

@@ -1,7 +1,8 @@
-"""Validated parameter and state records, and the sampled trajectory.
+"""Validated model parameters and the recorded trajectory.
 
-All records are frozen dataclasses: safe to share between threads, hashable
-where the fields allow it, and compared by value so validation is idempotent.
+Both are frozen dataclasses, safe to share between threads.  Parameters are
+compared by value, so validation is idempotent.  A trajectory holds the
+sample times exactly as the integrator produced them, next to its data.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InconsistentEpsilon, NonPositive, NonPositiveY
+from .errors import InconsistentEpsilon, NonPositive
 
 #: Relative tolerance for the epsilon == sqrt(c1^2+c2^2)/omega^3 consistency check.
 EPSILON_RTOL = 1e-12
@@ -36,11 +37,6 @@ class SystemParams:
     y0: float = 1.0
     yp0: float = 0.0
     ypp0: float = 0.0
-
-    @property
-    def forcing_amplitude(self) -> float:
-        """C = sqrt(c1^2 + c2^2). Requires a resolved record."""
-        return math.hypot(self.c1 or 0.0, self.c2 or 0.0)
 
     @property
     def eps_eff(self) -> float:
@@ -109,70 +105,34 @@ def validate_params(raw: SystemParams) -> SystemParams:
 
 
 @dataclass(frozen=True)
-class YState:
-    """Coefficient-subsystem state at one rescaled time.
-
-    ``volterra`` is the running history integral J(tau) of y^(-5/2) times the
-    unit forcing profile, carried as a first-class state component.
-    """
-
-    tau: float
-    y: float
-    dy: float
-    ddy: float
-    volterra: float
-
-    def __post_init__(self):
-        if not (self.y > 0.0):
-            raise NonPositiveY(f"y must be > 0, got {self.y!r} at tau={self.tau!r}")
-
-
-@dataclass(frozen=True)
-class ZState:
-    """Oscillator state (z, p = z') at one physical time."""
-
-    t: float
-    z: float
-    p: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.z) and math.isfinite(self.p)):
-            raise ValueError(f"non-finite oscillator state at t={self.t!r}")
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled time series.
+    """Time series recorded by an integrator.
 
-    ``data`` has one row per sample at t0 + k*h and one column per name in
-    ``columns``.  The array is made read-only; ``meta`` carries run metadata
-    (parameters, step size, flags) and never affects numerical content.
+    ``times`` holds the time of each sample (rescaled time for the
+    coefficient system); ``data`` has one row per sample and one column per
+    name in ``columns``.  Both arrays are made read-only; ``meta`` carries run
+    metadata (parameters, configuration) and never affects numerical content.
     """
 
-    t0: float
-    h: float
+    times: np.ndarray
     columns: tuple[str, ...]
     data: np.ndarray
     meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError(f"sample spacing must be > 0, got {self.h!r}")
         if self.data.ndim != 2 or self.data.shape[1] != len(self.columns):
             raise ValueError("data shape does not match columns")
         if len(self.data) < 2:
             raise ValueError("a trajectory needs at least 2 samples")
+        if self.times.shape != (len(self.data),):
+            raise ValueError("times must be 1-D with one entry per sample")
+        if not np.all(np.diff(self.times) > 0.0):
+            raise ValueError("times must be strictly increasing")
+        self.times.setflags(write=False)
         self.data.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.data)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(len(self.data))
-
     def column(self, name: str) -> np.ndarray:
         return self.data[:, self.columns.index(name)]
-
-    def row(self, i: int) -> dict[str, float]:
-        return dict(zip(self.columns, (float(v) for v in self.data[i])))

@@ -222,7 +222,8 @@ def validity(params: SystemParams) -> ValidityWindow:
     params = _resolved(params)
     eps = params.epsilon
     y0 = params.y0
-    tau_star = math.inf if eps == 0.0 else 96.0 * y0**6 / (5.0 * eps**2)
+    eps2 = eps**2  # zero also when eps^2 underflows; tau* is then beyond any float
+    tau_star = math.inf if eps2 == 0.0 else 96.0 * y0**6 / (5.0 * eps2)
     return ValidityWindow(tau_star=tau_star, eps_eff=eps * y0**-3.5)
 
 

@@ -213,10 +213,6 @@ class DefectSeries:
     def max(self) -> float:
         return float(np.max(self.defect))
 
-    def over(self, tau_min: float, tau_max: float) -> np.ndarray:
-        mask = (self.tau >= tau_min) & (self.tau <= tau_max)
-        return self.defect[mask]
-
 
 def periodicity_defect(
     traj: Trajectory,
@@ -234,7 +230,7 @@ def periodicity_defect(
     tau = traj.times if "tau" not in traj.columns else traj.column("tau")
     if tau[-1] - tau[0] < 2.0 * period:
         raise InsufficientSamples("trajectory must cover at least two periods")
-    h = traj.h
+    h = tau[1] - tau[0]
     m = round(period / h)
     n = len(tau)
     aligned = m >= 1 and abs(m * h - period) < 1e-9

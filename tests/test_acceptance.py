@@ -273,7 +273,7 @@ def test_criterion_7_periodicity_obstruction(runs):
     y = y0 * (1.0 + eps * rho1(tau, y0))
     dy = y0 * eps * drho1(tau, y0)
     ddy = y0 * eps * y0**-3.5 * (-np.sin(tau) / 3.0 + 2.0 * np.sin(2.0 * tau) / 3.0)
-    synth = Trajectory(t0=0.0, h=h, columns=("tau", "y", "dy", "ddy"),
+    synth = Trajectory(times=tau, columns=("tau", "y", "dy", "ddy"),
                        data=np.column_stack([tau, y, dy, ddy]))
     d1 = periodicity_defect(synth)
     truncation_ok = d1.max < 1e-13

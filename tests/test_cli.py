@@ -1,11 +1,24 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubeint.cli import main
 
 
 def run(argv):
     return main(argv)
+
+
+def exit_code(argv):
+    """main's return code, or the code of the SystemExit that argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_csv(path):
@@ -201,6 +214,32 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, line", [
+    ("invariant-drift", "mode = bogus"),
+    ("simulate-y", "record_every = 2.5"),
+    ("simulate-y", "emit_plot = maybe"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert exit_code([command, "--config", str(cfg), "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+
+
+def test_config_emit_plot_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("emit_plot = true\ntau_max = 10\n")
+    out = tmp_path / "y.csv"
+    assert run(["simulate-y", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (tmp_path / "y.csv.gp").exists()
+    cfg.write_text("emit_plot = false\ntau_max = 10\n")
+    out = tmp_path / "n.csv"
+    assert run(["simulate-y", "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.exists() and not (tmp_path / "n.csv.gp").exists()
+
+
 def test_bad_arguments_exit_code_two():
     with pytest.raises(SystemExit) as exc:
         run(["simulate-y", "--no-such-flag"])
@@ -208,8 +247,14 @@ def test_bad_arguments_exit_code_two():
 
 
 def test_validation_failure_exit_code_two(capsys):
-    assert run(["simulate-y", "--y0", "-1", "--tau-max", "5", "--out", "-"]) == 2
-    assert "NonPositive" in capsys.readouterr().err
+    for argv in (
+        ["simulate-y", "--y0", "-1", "--tau-max", "5"],
+        ["ermakov", "--w0", "-1", "--t-max", "1"],
+        ["ermakov", "--w0", "nan", "--t-max", "1"],
+    ):
+        assert run(argv + ["--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonPositive: ") and err.count("\n") == 1
     for argv in (
         ["simulate-y", "--tau-max", "inf"],
         ["ermakov", "--z0", "nan"],
@@ -219,3 +264,51 @@ def test_validation_failure_exit_code_two(capsys):
         assert run(argv + ["--out", "-"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+
+
+def test_unwritable_output_exit_code_two(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "x.csv"
+    assert run(["simulate-y", "--tau-max", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError: ") and err.count("\n") == 1
+
+
+def test_overflow_exit_code_three(capsys):
+    for argv in (
+        ["simulate-y", "--y0", "1e-250", "--eps", "0", "--tau-max", "0.001"],
+        ["simulate-y", "--y0", "1.2e249", "--tau-max", "1"],
+    ):
+        assert run(argv + ["--out", "-"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+
+
+def _num(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(repr)
+
+
+@st.composite
+def short_runs(draw):
+    """argv of a short simulate-y, invariant-drift (both modes) or ermakov run."""
+    command = draw(st.sampled_from(["simulate-y", "exact", "perturbative", "ermakov"]))
+    argv = [f"--h={draw(_num(1e-3, 0.5))}", f"--record-every={draw(st.integers(1, 10))}"]
+    t_end = draw(_num(1e-3, 1.0))
+    if command == "ermakov":
+        return ["ermakov", f"--t-max={t_end}", f"--l0={draw(_num(0.0, 1.0))}",
+                f"--df={draw(_num(0.0, 0.9))}", f"--z0={draw(_num(-1e6, 1e6))}",
+                f"--p0={draw(_num(-1e6, 1e6))}"] + argv
+    argv += [f"--y0={draw(_num(1e-250, 1e250))}", f"--eps={draw(_num(-1e3, 1e3))}"]
+    if command == "simulate-y":
+        return ["simulate-y", f"--tau-max={t_end}"] + argv
+    return ["invariant-drift", f"--mode={command}", f"--t-max={t_end}",
+            f"--z0={draw(_num(-1e6, 1e6))}", f"--p0={draw(_num(-1e6, 1e6))}"] + argv
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(short_runs())
+def test_exit_code_contract_fuzz(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            np.errstate(all="ignore"):
+        code = exit_code(argv + ["--out", "-"])
+    assert code in (0, 2, 3), (code, stderr.getvalue())

@@ -9,7 +9,7 @@ from tubeint.ermakov import (
     lewis_invariant,
     logistic_sequence,
 )
-from tubeint.errors import NonPositiveF, NonPositiveW, OutOfRange, PositivityViolationW
+from tubeint.errors import NonPositive, NonPositiveF, NonPositiveW, OutOfRange, PositivityViolationW
 from tubeint.integrate import IntegrationConfig
 
 
@@ -163,6 +163,6 @@ def test_w_positivity_violation_detected_at_stage():
 
 
 def test_nonpositive_w0_rejected():
-    with pytest.raises(NonPositiveW):
+    with pytest.raises(NonPositive):
         integrate_ermakov(LogisticDriver(), w0=-1.0,
                           config=IntegrationConfig(t_end=5.0, h=1e-2))

@@ -12,8 +12,6 @@ from tubeint.integrate import (
     integrate_coupled,
     integrate_y,
     integrate_z,
-    ystate_at,
-    zstate_at,
 )
 from tubeint.model import SystemParams, validate_params
 from tubeint.perturb import g_of_t
@@ -66,7 +64,7 @@ def test_volterra_state_matches_simpson_quadrature():
     traj = integrate_y(p, IntegrationConfig(t_end=20.0, h=1e-3, record_every=1))
     tau = traj.column("tau")
     integrand = traj.column("y") ** -2.5 * np.cos(tau)
-    J_quad = simpson(integrand, traj.h)
+    J_quad = simpson(integrand, 1e-3)
     assert abs(traj.column("J")[-1] - J_quad) < 1e-9
 
 
@@ -99,18 +97,13 @@ def test_rest_solution_stays_at_rest():
     assert np.all(traj.column("p") == 0.0)
 
 
-def test_escape_returns_partial_trajectory_with_flag():
-    traj = integrate_z(lambda t: 1.0, -5.0, 0.0, 1.0,
-                       IntegrationConfig(t_end=50.0, h=1e-3, record_every=10, escape_z=1e3))
-    assert traj.meta["escaped"] is True
-    assert traj.meta["escape_t"] < 50.0
-    assert traj.times[-1] <= traj.meta["escape_t"]
-
-
-def test_escape_before_two_samples_raises():
-    with pytest.raises(Escape):
-        integrate_z(lambda t: 1.0, -5.0, 0.0, 1.0,
-                    IntegrationConfig(t_end=50.0, h=1e-3, record_every=100000, escape_z=1e3))
+def test_escape_raises_with_time():
+    for record_every in (10, 100000):
+        with pytest.raises(Escape) as exc:
+            integrate_z(lambda t: 1.0, -5.0, 0.0, 1.0,
+                        IntegrationConfig(t_end=50.0, h=1e-3, record_every=record_every,
+                                          escape_z=1e3))
+        assert 0.0 < exc.value.t < 50.0
 
 
 def test_coupled_autonomous_limit_conserves_energy_like_invariant():
@@ -150,16 +143,6 @@ def test_convergence_order_coupled():
     assert abs(order - 4.0) < 0.3
 
 
-def test_state_record_accessors():
-    p = params()
-    traj = integrate_coupled(p, 0.2, 0.0, IntegrationConfig(t_end=2.0, h=1e-3, record_every=100))
-    ys = ystate_at(traj, 3)
-    zs = zstate_at(traj, 3)
-    assert ys.tau == pytest.approx(traj.column("tau")[3])
-    assert ys.y > 0.0
-    assert zs.t == pytest.approx(traj.times[3])
-
-
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_coefficient_chunk_size_leaves_results_bit_identical(monkeypatch, chunk):
     p = params(eps=0.1, y0=1.1)
@@ -171,17 +154,20 @@ def test_coefficient_chunk_size_leaves_results_bit_identical(monkeypatch, chunk)
     escape_cfg = IntegrationConfig(t_end=50.0, h=1e-2, record_every=10, escape_z=1e3)
 
     def runs():
-        return [
+        with pytest.raises(Escape) as exc:
+            integrate_z(g, -5.0, 0.0, 1.0, escape_cfg)
+        return exc.value.t, [
             integrate_z(g, 0.2, 0.1, 1.0, cfg),
             integrate_coupled(p, 0.2, 0.1, cfg),
             integrate_ermakov(LogisticDriver(), config=cfg),
-            integrate_z(g, -5.0, 0.0, 1.0, escape_cfg),
         ]
 
-    reference = runs()
+    t_escape, reference = runs()
     monkeypatch.setattr(tubeint.integrate, "_CHUNK", chunk)
-    for ref, traj in zip(reference, runs()):
+    chunked_t_escape, chunked = runs()
+    for ref, traj in zip(reference, chunked):
+        assert np.array_equal(ref.times, traj.times)
         assert np.array_equal(ref.data, traj.data)
-        assert ref.meta.get("escape_t") == traj.meta.get("escape_t")
+    assert chunked_t_escape == t_escape
     # the escape falls in a later chunk than the first at both chunk sizes
-    assert reference[-1].meta["escaped"] and reference[-1].meta["escape_t"] > 7 * 1e-2
+    assert t_escape > 7 * 1e-2

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from tubeint.errors import Escape, UnsupportedOmega
-from tubeint.integrate import IntegrationConfig, integrate_coupled, ystate_at, zstate_at
+from tubeint.integrate import IntegrationConfig, integrate_coupled
 from tubeint.invariant import (
     _a31,
     _a4,
+    _coeff_arrays,
     drift_experiment,
     exact_drift_experiment,
-    invariant_coeffs,
-    invariant_exact,
     invariant_exact_series,
-    invariant_value,
     tube_surface_samples,
 )
-from tubeint.model import SystemParams, YState, ZState, validate_params
+from tubeint.model import SystemParams, Trajectory, validate_params
 from tubeint.perturb import alpha2_derivatives, y_composite
 
 # frozen probes of the coefficient series blocks at tau=1.3, y0=1.1 (from the
@@ -30,24 +28,24 @@ def params(eps=0.05, y0=1.1, omega=1.0):
 
 
 def test_coeffs_unforced_limit():
-    c = invariant_coeffs(7.3, params(eps=0.0, y0=1.4), 3)
-    assert c.a1 == 0.0 and c.a2 == 0.0 and c.a4 == 0.0
-    assert c.a3 == pytest.approx(1.4, rel=1e-15)
-    assert c.a5 == pytest.approx(1.4, rel=1e-15)
-    assert c.a6 == pytest.approx((2.0 / 3.0) * 1.4**-1.5, rel=1e-15)
+    a1, a2, a3, a4, a5, a6 = _coeff_arrays(7.3, params(eps=0.0, y0=1.4), 3)
+    assert a1 == 0.0 and a2 == 0.0 and a4 == 0.0
+    assert a3 == pytest.approx(1.4, rel=1e-15)
+    assert a5 == pytest.approx(1.4, rel=1e-15)
+    assert a6 == pytest.approx((2.0 / 3.0) * 1.4**-1.5, rel=1e-15)
 
 
 def test_linear_coefficients_at_zero():
-    c = invariant_coeffs(0.0, params(eps=0.05), 3)
-    assert c.a1 == 0.0
-    assert c.a2 == pytest.approx(0.025, rel=1e-15)
+    a1, a2, *_ = _coeff_arrays(0.0, params(eps=0.05), 3)
+    assert a1 == 0.0
+    assert a2 == pytest.approx(0.025, rel=1e-15)
 
 
 def test_a1_sign_consistent_with_exact_invariant():
     # A1 = -alpha1' = +(eps/2) sin t; the opposite sign would disagree with
     # the exact invariant at O(eps) and ruin the drift bands
-    c = invariant_coeffs(math.pi / 2.0, params(eps=0.05), 3)
-    assert c.a1 == pytest.approx(+0.025, rel=1e-12)
+    a1, *_ = _coeff_arrays(math.pi / 2.0, params(eps=0.05), 3)
+    assert a1 == pytest.approx(+0.025, rel=1e-12)
 
 
 def test_coefficient_series_block_probes():
@@ -59,12 +57,11 @@ def test_coefficient_series_block_probes():
 
 def test_coeffs_require_unit_omega():
     with pytest.raises(UnsupportedOmega):
-        invariant_coeffs(0.0, params(omega=2.0), 3)
+        _coeff_arrays(0.0, params(omega=2.0), 3)
 
 
 def test_initial_invariant_value_example():
-    c = invariant_coeffs(0.0, params(eps=0.05, y0=1.1), 3)
-    v = invariant_value(c, 0.2, 0.0)
+    v = drift_experiment(params(eps=0.05, y0=1.1), z0=0.2, p0=0.0, t_end=1.0).column("I")[0]
     expect = 1.1 * 0.04 + (2.0 / 3.0) * 1.1**-1.5 * 0.008
     assert v == pytest.approx(expect, rel=1e-14)
     assert v == pytest.approx(0.04862284891755439, rel=1e-13)
@@ -94,18 +91,11 @@ def test_a4_matches_exact_series_derivative_to_eps4():
 
 def test_exact_invariant_autonomous_form():
     p = params(eps=0.0, y0=1.0)
-    ys = YState(tau=0.7, y=1.0, dy=0.0, ddy=0.0, volterra=0.0)
-    zs = ZState(t=0.7, z=0.3, p=0.1)
-    v = invariant_exact(ys, zs, p)
+    row = [1.0, 0.0, 0.0, 0.0, 0.3, 0.1]
+    traj = Trajectory(times=np.array([0.7, 1.4]), columns=("tau", "y", "dy", "ddy", "J", "z", "p"),
+                      data=np.array([[0.7] + row, [1.4] + row]))
+    v = invariant_exact_series(traj, p)[0]
     assert v == pytest.approx(0.1**2 + 0.3**2 + (2.0 / 3.0) * 0.3**3, rel=1e-14)
-
-
-def test_exact_invariant_time_mismatch_rejected():
-    p = params()
-    ys = YState(tau=1.0, y=1.0, dy=0.0, ddy=0.0, volterra=0.0)
-    zs = ZState(t=2.0, z=0.1, p=0.0)
-    with pytest.raises(ValueError):
-        invariant_exact(ys, zs, p)
 
 
 def test_exact_invariant_conserved_along_coupled_run():
@@ -113,9 +103,6 @@ def test_exact_invariant_conserved_along_coupled_run():
     traj = integrate_coupled(p, 0.2, 0.0, IntegrationConfig(t_end=50.0, h=1e-3, record_every=100))
     I = invariant_exact_series(traj, p)
     assert np.max(np.abs(I - I[0])) / abs(I[0]) < 1e-9
-    # scalar op agrees with the vectorized series
-    i = 137
-    assert invariant_exact(ystate_at(traj, i), zstate_at(traj, i), p) == pytest.approx(I[i], rel=1e-12)
 
 
 def test_exact_invariant_conserved_for_general_omega():
@@ -183,13 +170,13 @@ def test_drift_improves_with_truncation_order():
 
 def test_exact_series_rejects_nonpositive_samples():
     from tubeint.errors import NonPositiveY
-    from tubeint.model import Trajectory
 
     data = np.array([
         [0.0, 1.0, 0.0, 0.0, 0.0, 0.1, 0.0],
         [0.1, -1.0, 0.0, 0.0, 0.0, 0.1, 0.0],
     ])
-    traj = Trajectory(t0=0.0, h=0.1, columns=("tau", "y", "dy", "ddy", "J", "z", "p"), data=data)
+    traj = Trajectory(times=np.array([0.0, 0.1]), columns=("tau", "y", "dy", "ddy", "J", "z", "p"),
+                      data=data)
     with pytest.raises(NonPositiveY):
         invariant_exact_series(traj, params())
 

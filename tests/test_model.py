@@ -1,16 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from tubeint.errors import InconsistentEpsilon, NonPositive, NonPositiveY
-from tubeint.model import (
-    SystemParams,
-    Trajectory,
-    YState,
-    ZState,
-    validate_params,
-)
+from tubeint.errors import InconsistentEpsilon, NonPositive
+from tubeint.model import SystemParams, Trajectory, validate_params
 
 
 def test_epsilon_from_c1():
@@ -75,33 +67,27 @@ def test_eps_eff():
     assert p.eps_eff == pytest.approx(0.1 * 2.0**-3.5, rel=1e-15)
 
 
-def test_ystate_positivity():
-    with pytest.raises(NonPositiveY):
-        YState(tau=0.0, y=-1.0, dy=0.0, ddy=0.0, volterra=0.0)
-
-
-def test_zstate_finiteness():
-    with pytest.raises(ValueError):
-        ZState(t=0.0, z=math.nan, p=0.0)
-
-
 def test_trajectory_invariants():
     data = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]])
-    traj = Trajectory(t0=0.0, h=0.5, columns=("a", "b"), data=data)
+    times = np.array([0.0, 0.5, 1.0])
+    traj = Trajectory(times=times, columns=("a", "b"), data=data)
     assert len(traj) == 3
     assert np.array_equal(traj.times, [0.0, 0.5, 1.0])
     assert np.array_equal(traj.column("b"), [1.0, 2.0, 3.0])
-    assert traj.row(1) == {"a": 1.0, "b": 2.0}
     with pytest.raises(ValueError):
-        Trajectory(t0=0.0, h=0.5, columns=("a",), data=data)
+        Trajectory(times=times, columns=("a",), data=data)
     with pytest.raises(ValueError):
-        Trajectory(t0=0.0, h=-0.5, columns=("a", "b"), data=data)
+        Trajectory(times=-times, columns=("a", "b"), data=data)
     with pytest.raises(ValueError):
-        Trajectory(t0=0.0, h=0.5, columns=("a", "b"), data=data[:1])
+        Trajectory(times=times[:1], columns=("a", "b"), data=data[:1])
+    with pytest.raises(ValueError):
+        Trajectory(times=times[:2], columns=("a", "b"), data=data)
 
 
 def test_trajectory_data_read_only():
     data = np.zeros((2, 1))
-    traj = Trajectory(t0=0.0, h=1.0, columns=("a",), data=data)
+    traj = Trajectory(times=np.array([0.0, 1.0]), columns=("a",), data=data)
     with pytest.raises(ValueError):
         traj.data[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        traj.times[0] = 1.0

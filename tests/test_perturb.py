@@ -126,6 +126,7 @@ def test_validity_window_values():
     assert validity(params(eps=0.1, y0=1.0)).tau_star == pytest.approx(1920.0, rel=1e-12)
     assert validity(params(eps=0.1, y0=0.7)).tau_star == pytest.approx(96.0 * 0.7**6 / 0.05, rel=1e-12)
     assert math.isinf(validity(params(eps=0.0)).tau_star)
+    assert math.isinf(validity(params(eps=1e-250)).tau_star)  # eps^2 underflows
     assert validity(params(eps=0.1, y0=2.0)).eps_eff == pytest.approx(0.1 * 2.0**-3.5, rel=1e-14)
 
 

@@ -25,7 +25,7 @@ def synthetic(fn, n_periods=3, nodes_per_period=2048, columns=("y",)):
     h = TWO_PI / nodes_per_period
     tau = h * np.arange(n_periods * nodes_per_period + 1)
     data = np.column_stack([tau] + [fn(tau, name) for name in columns])
-    return Trajectory(t0=0.0, h=h, columns=("tau",) + columns, data=data)
+    return Trajectory(times=tau, columns=("tau",) + columns, data=data)
 
 
 def test_projection_constant_signal():
@@ -47,7 +47,7 @@ def test_projection_pure_harmonic():
 def test_projection_requires_dense_coverage():
     h = TWO_PI / 100
     tau = h * np.arange(301)
-    traj = Trajectory(t0=0.0, h=h, columns=("tau", "y"), data=np.column_stack([tau, np.sin(tau)]))
+    traj = Trajectory(times=tau, columns=("tau", "y"), data=np.column_stack([tau, np.sin(tau)]))
     with pytest.raises(InsufficientSamples):
         project_harmonics(traj, 0)
     dense = synthetic(lambda tau, _: np.sin(tau), n_periods=2)
@@ -154,7 +154,7 @@ def test_periodicity_defect_first_order_truncation_is_periodic():
     y = y0 * (1.0 + eps * rho1(tau, y0))
     dy = y0 * eps * drho1(tau, y0)
     ddy = y0 * eps * y0**-3.5 * (-np.sin(tau) / 3.0 + 2.0 * np.sin(2.0 * tau) / 3.0)
-    traj = Trajectory(t0=0.0, h=h, columns=("tau", "y", "dy", "ddy"),
+    traj = Trajectory(times=tau, columns=("tau", "y", "dy", "ddy"),
                       data=np.column_stack([tau, y, dy, ddy]))
     d = periodicity_defect(traj)
     assert d.max < 1e-13
