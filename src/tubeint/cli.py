@@ -7,8 +7,13 @@ regression tests can diff them directly.  Flags override an optional
 line-oriented `key = value` config file given via --config; each line is
 parsed exactly like the flag --key=value placed before the command-line flags.
 
-Exit codes: 0 success, 2 bad arguments, validation failure or an unwritable
-output path, 3 numerical failure (the message names the error and the time).
+Exit codes: 0 success; otherwise one `error: <class>: <message>` line on
+stderr and the ``exit_code`` of the library error (see ``tubeint.errors``):
+2 for ``InvalidInput`` (bad arguments or files, a run too large to allocate)
+and for an unreadable or unwritable path (``OSError``), 3 for a numerical
+failure, whose message names the time, and for an ``OverflowError`` outside
+the integrators.  Any other exception is a bug and propagates.
+
 The environment variable TUBEINT_SEED is reserved; the deterministic core
 does not read it (the logistic seed is a flag).
 """
@@ -23,23 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    Escape,
-    InconsistentEpsilon,
-    InsufficientSamples,
-    InsufficientWindows,
-    MissingInput,
-    NonFinite,
-    NonPositive,
-    NonPositiveF,
-    NonPositiveW,
-    NonPositiveY,
-    OutOfRange,
-    PositivityViolation,
-    PositivityViolationW,
-    TubeIntError,
-    UnsupportedOmega,
-)
+from .errors import InsufficientWindows, InvalidInput, MissingInput, TubeIntError
 from .ermakov import LogisticDriver, integrate_ermakov, lewis_invariant
 from .integrate import IntegrationConfig, integrate_y
 from .invariant import drift_experiment, drift_percent, exact_drift_experiment
@@ -52,28 +41,6 @@ from .resonance import (
     project_harmonics,
     secular_slope,
     third_harmonic_check,
-)
-
-_USAGE_ERRORS = (
-    NonPositive,
-    InconsistentEpsilon,
-    OutOfRange,
-    MissingInput,
-    UnsupportedOmega,
-    InsufficientSamples,
-    InsufficientWindows,
-    ValueError,
-    OSError,
-)
-_NUMERICAL_ERRORS = (
-    PositivityViolation,
-    PositivityViolationW,
-    NonFinite,
-    Escape,
-    NonPositiveF,
-    NonPositiveW,
-    NonPositiveY,
-    OverflowError,
 )
 
 
@@ -96,13 +63,9 @@ def write_csv(path: str, meta: list[tuple[str, str]], header: list[str], rows) -
 
 
 def _params_from_args(args) -> SystemParams:
-    if args.c1 is not None or args.c2 is not None:
-        raw = SystemParams(
-            omega=args.omega, c1=args.c1, c2=args.c2, epsilon=args.eps, y0=args.y0
-        )
-    else:
-        raw = SystemParams(omega=args.omega, epsilon=args.eps, y0=args.y0)
-    return validate_params(raw)
+    return validate_params(
+        SystemParams(omega=args.omega, c1=args.c1, c2=args.c2, epsilon=args.eps, y0=args.y0)
+    )
 
 
 def _param_meta(params: SystemParams, cfg: IntegrationConfig) -> list[tuple[str, str]]:
@@ -118,11 +81,11 @@ def _param_meta(params: SystemParams, cfg: IntegrationConfig) -> list[tuple[str,
     ]
 
 
-def _maybe_emit_plot(args, kind: str) -> None:
+def _maybe_emit_plot(args) -> None:
     if getattr(args, "emit_plot", False):
         if args.out == "-":
-            raise ValueError("--emit-plot needs --out pointing to a file")
-        script = _plot_script(args.out, kind)
+            raise InvalidInput("--emit-plot needs --out pointing to a file")
+        script = _plot_script(args.out, args.command)
         Path(args.out + ".gp").write_text(script, encoding="utf-8")
 
 
@@ -144,7 +107,6 @@ def cmd_simulate_y(args) -> int:
               "abs_err_o3", "rel_err_o3"]
     rows = zip(tau, y_num, o1, o2, o3, abs_err, rel_err)
     write_csv(args.out, meta, header, rows)
-    _maybe_emit_plot(args, "simulate-y")
     return 0
 
 
@@ -176,7 +138,6 @@ def cmd_invariant_drift(args) -> int:
     if args.out != "-":
         print(f"mode={args.mode} max_drift_pct={_fmt(traj.meta['max_drift_pct'])} "
               f"final_drift_pct={_fmt(traj.meta['final_drift_pct'])}")
-    _maybe_emit_plot(args, "invariant-drift")
     return 0
 
 
@@ -218,7 +179,6 @@ def cmd_fourier(args) -> int:
     header = ["k", "tau_center", "c0", "c1", "c2", "c3", "s1", "s2", "s3",
               "resid_s2", "resid_s3", "s3_pred"]
     write_csv(args.out, meta, header, rows)
-    _maybe_emit_plot(args, "fourier")
     return 0
 
 
@@ -250,7 +210,6 @@ def cmd_ermakov(args) -> int:
     rows = zip(traj.column("t"), traj.column("f"), traj.column("z"), traj.column("p"),
                traj.column("w"), I, drift)
     write_csv(args.out, meta, header, rows)
-    _maybe_emit_plot(args, "ermakov")
     return 0
 
 
@@ -292,7 +251,7 @@ def _plot_script(csv_path: str, kind: str) -> str:
 
 def _csv_kind(path: str) -> str:
     kind = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for line in fh:
             if not line.startswith("#"):
                 break
@@ -300,7 +259,7 @@ def _csv_kind(path: str) -> str:
             if key.strip() == "kind":
                 kind = value.strip()
     if kind not in _PLOT_BODIES:
-        raise ValueError(f"cannot infer plot kind from {path!r} (kind={kind!r})")
+        raise InvalidInput(f"cannot infer plot kind from {path!r} (kind={kind!r})")
     return kind
 
 
@@ -419,12 +378,18 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser, command: str) -> lis
         raise MissingInput(f"config file not found: {path!r}")
     options = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
     tokens, unknown = [], set()
-    for raw in p.read_text(encoding="utf-8").splitlines():
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"config file is not UTF-8 text: {path!r}") from exc
+    if "\0" in text:
+        raise InvalidInput(f"config file holds a NUL character: {path!r}")
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line (expect key = value): {raw!r}")
+            raise InvalidInput(f"bad config line (expect key = value): {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         action = options.get(key.replace("-", "_"))
         if action is None:
@@ -434,9 +399,9 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser, command: str) -> lis
         elif value.lower() == "true":
             tokens.append(action.option_strings[-1])
         elif value.lower() != "false":
-            raise ValueError(f"config key {key} takes true or false, got {value!r}")
+            raise InvalidInput(f"config key {key} takes true or false, got {value!r}")
     if unknown:
-        raise ValueError(f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
+        raise InvalidInput(f"unknown config keys for {command}: {', '.join(sorted(unknown))}")
     return tokens
 
 
@@ -457,20 +422,18 @@ def main(argv: list[str] | None = None) -> int:
         if config_path is not None:
             command = next((tok for tok in argv if not tok.startswith("-")), None)
             if command not in table:
-                raise ValueError("--config requires a subcommand")
+                raise InvalidInput("--config requires a subcommand")
             at = argv.index(command) + 1
             argv[at:at] = _config_tokens(config_path, table[command], command)
         args = parser.parse_args(argv)
-        return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+        code = args.func(args)
+        _maybe_emit_plot(args)
+        return code
+    except (TubeIntError, OSError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except _USAGE_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except TubeIntError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        if isinstance(exc, TubeIntError):
+            return exc.exit_code
+        return 2 if isinstance(exc, OSError) else 3
 
 
 if __name__ == "__main__":

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonPositive,
-    NonPositiveF,
-    NonPositiveW,
-    OutOfRange,
-    PositivityViolationW,
-)
+from .errors import InvalidInput, NonPositive, NonPositiveF, OutOfRange, PositivityViolation
 from .integrate import IntegrationConfig, _drive
 from .model import Trajectory
 
@@ -40,7 +34,7 @@ def logistic_sequence(l0: float, n: int) -> np.ndarray:
     if not 0.0 <= l0 <= 1.0:
         raise OutOfRange(l0)
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+        raise InvalidInput(f"n must be >= 1, got {n!r}")
     seq = np.empty(n)
     x = float(l0)
     for i in range(n):
@@ -62,11 +56,11 @@ class LogisticDriver:
         if not 0.0 <= self.l0 <= 1.0:
             raise OutOfRange(self.l0)
         if not self.ts > 0.0:
-            raise ValueError(f"ts must be > 0, got {self.ts!r}")
+            raise InvalidInput(f"ts must be > 0, got {self.ts!r}")
         if not self.f0 > 0.0:
-            raise ValueError(f"f0 must be > 0, got {self.f0!r}")
+            raise InvalidInput(f"f0 must be > 0, got {self.f0!r}")
         if not 0.0 <= self.df < self.f0:
-            raise ValueError(f"df must lie in [0, f0), got {self.df!r}")
+            raise InvalidInput(f"df must lie in [0, f0), got {self.df!r}")
 
     def knots(self, n: int) -> np.ndarray:
         return self.f0 + self.df * (2.0 * logistic_sequence(self.l0, n) - 1.0)
@@ -84,9 +78,9 @@ class CubicSpline:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or len(x) < 3:
-            raise ValueError("need matching 1-D knot arrays with >= 3 points")
+            raise InvalidInput("need matching 1-D knot arrays with >= 3 points")
         if np.any(np.diff(x) <= 0.0):
-            raise ValueError("knot abscissae must be strictly increasing")
+            raise InvalidInput("knot abscissae must be strictly increasing")
         n = len(x)
         h = np.diff(x)
         # Thomas algorithm for the second derivatives M with M[0] = M[-1] = 0.
@@ -115,7 +109,7 @@ class CubicSpline:
         scalar = np.isscalar(t)
         t = np.asarray(t, dtype=float)
         if np.any(t < self.x[0] - 1e-12) or np.any(t > self.x[-1] + 1e-12):
-            raise ValueError("evaluation outside the knot range")
+            raise InvalidInput("evaluation outside the knot range")
         i = self._interval(t)
         h = self.h[i]
         a = self.x[i + 1] - t
@@ -139,7 +133,7 @@ class CubicSpline:
         elif deriv == 2:
             out = (Mi * a + Mj * b) / h
         else:
-            raise ValueError(f"deriv must be 0, 1 or 2, got {deriv!r}")
+            raise InvalidInput(f"deriv must be 0, 1 or 2, got {deriv!r}")
         return float(out) if scalar else out
 
     def eval_scalar(self, t: float) -> float:
@@ -211,10 +205,16 @@ def build_driver(driver: LogisticDriver, t_max: float) -> CubicSpline:
     NonPositiveF (the modulation depth is too large for this seed).
     """
     if not t_max > 0.0:
-        raise ValueError(f"t_max must be > 0, got {t_max!r}")
-    n_knots = int(math.ceil(t_max / driver.ts)) + 2
-    times = driver.ts * np.arange(n_knots)
-    spline = CubicSpline(times, driver.knots(n_knots))
+        raise InvalidInput(f"t_max must be > 0, got {t_max!r}")
+    try:
+        n_knots = int(math.ceil(t_max / driver.ts)) + 2
+        times = driver.ts * np.arange(n_knots)
+        knots = driver.knots(n_knots)
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise InvalidInput(
+            f"cannot allocate {t_max / driver.ts + 2:.6g} spline knots ({exc})"
+        ) from exc
+    spline = CubicSpline(times, knots)
     t_min, v_min = spline.piecewise_minimum()
     if v_min <= 0.0:
         raise NonPositiveF(t_min, v_min)
@@ -251,7 +251,7 @@ def integrate_ermakov(
         z, p, w, dw = x
 
         if w <= 0.0:
-            raise PositivityViolationW(t, w)
+            raise PositivityViolation(t, w, "w")
         a1_z = p
         a1_p = -fc * z
         a1_w = dw
@@ -260,7 +260,7 @@ def integrate_ermakov(
         z2 = z + half * a1_z
         w2 = w + half * a1_w
         if w2 <= 0.0:
-            raise PositivityViolationW(t + half, w2)
+            raise PositivityViolation(t + half, w2, "w")
         a2_z = p + half * a1_p
         a2_p = -fm * z2
         a2_w = dw + half * a1_dw
@@ -269,7 +269,7 @@ def integrate_ermakov(
         z3 = z + half * a2_z
         w3 = w + half * a2_w
         if w3 <= 0.0:
-            raise PositivityViolationW(t + half, w3)
+            raise PositivityViolation(t + half, w3, "w")
         a3_z = p + half * a2_p
         a3_p = -fm * z3
         a3_w = dw + half * a2_dw
@@ -278,7 +278,7 @@ def integrate_ermakov(
         z4 = z + h * a3_z
         w4 = w + h * a3_w
         if w4 <= 0.0:
-            raise PositivityViolationW(t + h, w4)
+            raise PositivityViolation(t + h, w4, "w")
         a4_z = p + h * a3_p
         a4_p = -fe * z4
         a4_w = dw + h * a3_dw
@@ -307,7 +307,7 @@ def lewis_invariant(z, p, w, dw):
     """
     w_arr = np.asarray(w, dtype=float)
     if np.any(w_arr <= 0.0):
-        raise NonPositiveW("w must be > 0")
+        raise NonPositive("w", float(w_arr.min()))
     z = np.asarray(z, dtype=float)
     p = np.asarray(p, dtype=float)
     dw = np.asarray(dw, dtype=float)

@@ -1,14 +1,29 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one place exit codes live.
+
+A run fails in one of two ways: its inputs lie outside the model's domain
+(``InvalidInput``, exit code 2; also a ``ValueError``, so callers that catch
+``ValueError`` keep working), or the dynamics left the domain during the run
+(every other ``TubeIntError``, exit code 3).  The command line exits with the
+``exit_code`` of the error it caught.
+"""
 
 from __future__ import annotations
 
 
 class TubeIntError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; a numerical failure unless overridden."""
+
+    exit_code = 3
 
 
-class NonPositive(TubeIntError):
-    """A parameter that must be strictly positive is not."""
+class InvalidInput(TubeIntError, ValueError):
+    """An argument, parameter or input file lies outside the accepted domain."""
+
+    exit_code = 2
+
+
+class NonPositive(InvalidInput):
+    """A quantity that must be strictly positive is not."""
 
     def __init__(self, name: str, value: float):
         self.name = name
@@ -16,7 +31,7 @@ class NonPositive(TubeIntError):
         super().__init__(f"{name} must be > 0 and finite, got {value!r}")
 
 
-class InconsistentEpsilon(TubeIntError):
+class InconsistentEpsilon(InvalidInput):
     """epsilon and (c1, c2, omega) were both supplied and disagree."""
 
     def __init__(self, given: float, recomputed: float):
@@ -28,25 +43,18 @@ class InconsistentEpsilon(TubeIntError):
 
 
 class PositivityViolation(TubeIntError):
-    """An integrator stage evaluated the coefficient solution at y <= 0.
+    """An integrator stage evaluated a positive solution component at <= 0.
 
-    True solutions are strictly positive; hitting this means the step is too
-    large or the parameters left the usable regime.
+    ``name`` is the component: the coefficient solution y or the auxiliary
+    amplitude w.  True solutions are strictly positive; hitting this means the
+    step is too large or the parameters left the usable regime.
     """
 
-    def __init__(self, t: float, value: float):
+    def __init__(self, t: float, value: float, name: str = "y"):
         self.t = t
         self.value = value
-        super().__init__(f"y <= 0 at an integration stage (t={t!r}, y={value!r})")
-
-
-class PositivityViolationW(TubeIntError):
-    """An integrator stage evaluated the auxiliary amplitude at w <= 0."""
-
-    def __init__(self, t: float, value: float):
-        self.t = t
-        self.value = value
-        super().__init__(f"w <= 0 at an integration stage (t={t!r}, w={value!r})")
+        self.name = name
+        super().__init__(f"{name} <= 0 at an integration stage (t={t!r}, {name}={value!r})")
 
 
 class NonFinite(TubeIntError):
@@ -65,14 +73,6 @@ class Escape(TubeIntError):
         super().__init__(f"oscillator escaped the cubic potential at t={t!r}")
 
 
-class NonPositiveY(TubeIntError):
-    """A coefficient-state record with y <= 0 was constructed or consumed."""
-
-
-class NonPositiveW(TubeIntError):
-    """An auxiliary-amplitude value w <= 0 was consumed."""
-
-
 class NonPositiveF(TubeIntError):
     """Spline overshoot drove the driver coefficient f(t) to <= 0."""
 
@@ -84,7 +84,7 @@ class NonPositiveF(TubeIntError):
         )
 
 
-class UnsupportedOmega(TubeIntError):
+class UnsupportedOmega(InvalidInput):
     """Perturbative invariant coefficients are only available for omega = 1."""
 
     def __init__(self, omega: float):
@@ -92,15 +92,15 @@ class UnsupportedOmega(TubeIntError):
         super().__init__(f"perturbative invariant coefficients require omega=1, got {omega!r}")
 
 
-class InsufficientSamples(TubeIntError):
+class InsufficientSamples(InvalidInput):
     """A trajectory does not cover the requested window densely enough."""
 
 
-class InsufficientWindows(TubeIntError):
+class InsufficientWindows(InvalidInput):
     """Too few complete windows for a secular fit."""
 
 
-class OutOfRange(TubeIntError):
+class OutOfRange(InvalidInput):
     """Logistic seed outside [0, 1]."""
 
     def __init__(self, value: float):
@@ -108,5 +108,5 @@ class OutOfRange(TubeIntError):
         super().__init__(f"logistic seed must lie in [0, 1], got {value!r}")
 
 
-class MissingInput(TubeIntError):
+class MissingInput(InvalidInput):
     """A required input file does not exist."""

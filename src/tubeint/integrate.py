@@ -14,10 +14,11 @@ Positivity of the coefficient solution is enforced at every RK4 stage: true
 solutions are strictly positive, so a nonpositive stage value signals a step
 too large or parameters outside the usable regime, and raises rather than
 clamps.  Escape of the oscillator is checked every step and raises Escape
-with its time; finiteness is checked at record points (overflow between
-records surfaces at the next one).  Every trajectory takes its sample times
-from the driver, so a time column and ``Trajectory.times`` are the same
-numbers.
+with its time; a NaN oscillator coordinate counts as escaped.  A float
+overflow inside a step raises NonFinite with the time of that step; other
+non-finite states are caught at the next record point.  Every trajectory
+takes its sample times from the driver, so a time column and
+``Trajectory.times`` are the same numbers.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import Escape, NonFinite, PositivityViolation
+from .errors import Escape, InvalidInput, NonFinite, PositivityViolation
 from .model import SystemParams, Trajectory, validate_params
 
 __all__ = [
@@ -60,11 +61,13 @@ class IntegrationConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.h) and self.h > 0.0):
-            raise ValueError(f"h must be finite and > 0, got {self.h!r}")
+            raise InvalidInput(f"h must be finite and > 0, got {self.h!r}")
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
-            raise ValueError(f"t_end must be finite and > 0, got {self.t_end!r}")
+            raise InvalidInput(f"t_end must be finite and > 0, got {self.t_end!r}")
+        if not math.isfinite(self.t_end / self.h):
+            raise InvalidInput(f"t_end / h overflows: {self.t_end!r} / {self.h!r}")
         if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every!r}")
+            raise InvalidInput(f"record_every must be >= 1, got {self.record_every!r}")
 
     def plan(self) -> tuple[int, int]:
         """(total steps, recorded intervals); steps are a multiple of record_every."""
@@ -80,34 +83,42 @@ def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None =
     t, given the coefficient at t, t + h/2 and t + h.  ``coef`` maps an array
     of times to coefficient values (a scalar broadcasts).  With escape_index
     set, the run raises Escape at the first step where |x[escape_index]|
-    exceeds config.escape_z.
+    exceeds config.escape_z or is NaN.  A plan too large to allocate raises
+    InvalidInput.
 
     Returns (recorded times, recorded states); sample i is at (i*record_every)*h.
     """
     x = tuple(float(v) for v in x0)
     if not all(map(math.isfinite, x)):
-        raise ValueError(f"initial state must be finite, got {x!r}")
+        raise InvalidInput(f"initial state must be finite, got {x!r}")
     h = config.h
     rec = config.record_every
     limit = config.escape_z
     n_steps, n_intervals = config.plan()
-    out = np.empty((n_intervals + 1, len(x)))
+    try:
+        out = np.empty((n_intervals + 1, len(x)))
+    except (MemoryError, ValueError) as exc:
+        raise InvalidInput(f"cannot allocate {n_intervals + 1} recorded samples ({exc})") from exc
     out[0] = x
     rows = 1
     for start in range(0, n_steps, _CHUNK):
         stop = min(start + _CHUNK, n_steps)
         times = 0.5 * h * np.arange(2 * start, 2 * stop + 1)
         c = np.broadcast_to(np.asarray(coef(times), dtype=float), times.shape).tolist()
-        for k, c0, cm, c1 in zip(range(start, stop), c[0::2], c[1::2], c[2::2]):
-            x = step(k * h, x, c0, cm, c1)
-            kk = k + 1
-            if escape_index is not None and abs(x[escape_index]) > limit:
-                raise Escape(kk * h)
-            if kk % rec == 0:
-                if not all(map(math.isfinite, x)):
-                    raise NonFinite(kk * h)
-                out[rows] = x
-                rows += 1
+        try:
+            for k, c0, cm, c1 in zip(range(start, stop), c[0::2], c[1::2], c[2::2]):
+                x = step(k * h, x, c0, cm, c1)
+                kk = k + 1
+                # Written so that a NaN coordinate escapes too.
+                if escape_index is not None and not abs(x[escape_index]) <= limit:
+                    raise Escape(kk * h)
+                if kk % rec == 0:
+                    if not all(map(math.isfinite, x)):
+                        raise NonFinite(kk * h)
+                    out[rows] = x
+                    rows += 1
+        except OverflowError as exc:
+            raise NonFinite(k * h) from exc
     return np.arange(rows) * rec * h, out
 
 
@@ -372,7 +383,7 @@ def convergence_order(
     e.g. the unforced constant case).
     """
     if system not in _STATE_COLUMNS:
-        raise ValueError(f"unknown system {system!r}")
+        raise InvalidInput(f"unknown system {system!r}")
     params = _resolved(params)
 
     def final_state(step: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveY, UnsupportedOmega
+from .errors import InvalidInput, NonPositive, UnsupportedOmega
 from .integrate import IntegrationConfig, integrate_coupled, integrate_z, _resolved
 from .model import SystemParams, Trajectory
 from .perturb import g_of_t, rho_sum
@@ -58,7 +58,7 @@ def invariant_exact_series(traj: Trajectory, params: SystemParams) -> np.ndarray
     z = traj.column("z")
     p = traj.column("p")
     if np.any(y <= 0.0):
-        raise NonPositiveY("trajectory contains y <= 0 samples")
+        raise NonPositive("y", float(y.min()))
     return (
         y * p * p
         - om * dy * z * p
@@ -124,9 +124,9 @@ def _coeff_arrays(t, params: SystemParams, order: int):
     if params.omega != 1.0:
         raise UnsupportedOmega(params.omega)
     if not params.is_canonical:
-        raise ValueError("perturbative invariant coefficients require c2=0, c1>=0")
+        raise InvalidInput("perturbative invariant coefficients require c2=0, c1>=0")
     if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2 or 3, got {order!r}")
+        raise InvalidInput(f"order must be 1, 2 or 3, got {order!r}")
     t = np.asarray(t, dtype=float)
     eps = params.epsilon
     y0 = params.y0
@@ -250,7 +250,7 @@ def tube_surface_samples(
     z0_grid = np.atleast_1d(np.asarray(z0_grid, dtype=float))
     p0_grid = np.atleast_1d(np.asarray(p0_grid, dtype=float))
     if z0_grid.size == 0 or p0_grid.size == 0:
-        raise ValueError("initial-condition grids must be nonempty")
+        raise InvalidInput("initial-condition grids must be nonempty")
     cfg = IntegrationConfig(t_end=t_end, h=h, record_every=record_every)
     filaments = []
     for z0 in z0_grid:

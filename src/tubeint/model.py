@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InconsistentEpsilon, NonPositive
+from .errors import InconsistentEpsilon, InvalidInput, NonPositive
 
 #: Relative tolerance for the epsilon == sqrt(c1^2+c2^2)/omega^3 consistency check.
 EPSILON_RTOL = 1e-12
@@ -42,7 +42,7 @@ class SystemParams:
     def eps_eff(self) -> float:
         """Effective expansion parameter epsilon * y0^(-7/2)."""
         if self.epsilon is None:
-            raise ValueError("epsilon unresolved; call validate_params first")
+            raise InvalidInput("epsilon unresolved; call validate_params first")
         return self.epsilon * self.y0 ** -3.5
 
     @property
@@ -70,14 +70,14 @@ def validate_params(raw: SystemParams) -> SystemParams:
     if not (math.isfinite(y0) and y0 > 0.0):
         raise NonPositive("y0", y0)
     if not (math.isfinite(yp0) and math.isfinite(ypp0)):
-        raise ValueError(f"yp0/ypp0 must be finite, got {yp0!r}, {ypp0!r}")
+        raise InvalidInput(f"yp0/ypp0 must be finite, got {yp0!r}, {ypp0!r}")
 
     has_c = raw.c1 is not None or raw.c2 is not None
     if has_c:
         c1 = float(raw.c1) if raw.c1 is not None else 0.0
         c2 = float(raw.c2) if raw.c2 is not None else 0.0
         if not (math.isfinite(c1) and math.isfinite(c2)):
-            raise ValueError(f"c1/c2 must be finite, got {c1!r}, {c2!r}")
+            raise InvalidInput(f"c1/c2 must be finite, got {c1!r}, {c2!r}")
         epsilon = math.hypot(c1, c2) / omega**3
         if raw.epsilon is not None:
             given = float(raw.epsilon)
@@ -86,7 +86,7 @@ def validate_params(raw: SystemParams) -> SystemParams:
     elif raw.epsilon is not None:
         eps_signed = float(raw.epsilon)
         if not math.isfinite(eps_signed):
-            raise ValueError(f"epsilon must be finite, got {eps_signed!r}")
+            raise InvalidInput(f"epsilon must be finite, got {eps_signed!r}")
         # The sign lives in c1; the stored epsilon is the amplitude C/omega^3 >= 0.
         c1 = eps_signed * omega**3
         c2 = 0.0
@@ -121,13 +121,13 @@ class Trajectory:
 
     def __post_init__(self):
         if self.data.ndim != 2 or self.data.shape[1] != len(self.columns):
-            raise ValueError("data shape does not match columns")
+            raise InvalidInput("data shape does not match columns")
         if len(self.data) < 2:
-            raise ValueError("a trajectory needs at least 2 samples")
+            raise InvalidInput("a trajectory needs at least 2 samples")
         if self.times.shape != (len(self.data),):
-            raise ValueError("times must be 1-D with one entry per sample")
+            raise InvalidInput("times must be 1-D with one entry per sample")
         if not np.all(np.diff(self.times) > 0.0):
-            raise ValueError("times must be strictly increasing")
+            raise InvalidInput("times must be strictly increasing")
         self.times.setflags(write=False)
         self.data.setflags(write=False)
 

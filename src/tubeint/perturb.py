@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInput
 from .model import SystemParams
 from .integrate import _resolved
 
@@ -42,7 +43,7 @@ __all__ = [
 def _require_canonical(params: SystemParams) -> SystemParams:
     params = _resolved(params)
     if not params.is_canonical:
-        raise ValueError(
+        raise InvalidInput(
             "series functions require the canonical forcing orientation (c2=0, c1>=0)"
         )
     return params
@@ -121,7 +122,7 @@ def drho3(tau, y0):
 def rho_sum(tau, y0: float, eps: float, order: int):
     """eps*rho1 + ... up to the requested truncation order."""
     if order not in (1, 2, 3):
-        raise ValueError(f"order must be 1, 2 or 3, got {order!r}")
+        raise InvalidInput(f"order must be 1, 2 or 3, got {order!r}")
     r = eps * rho1(tau, y0)
     if order >= 2:
         r = r + eps**2 * rho2(tau, y0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamples, InsufficientWindows
+from .errors import InsufficientSamples, InsufficientWindows, InvalidInput
 from .model import SystemParams, Trajectory
 from .perturb import rho1, validity, y_composite
 
@@ -88,7 +88,7 @@ def project_harmonics(
 ) -> HarmonicWindow:
     """Extract c0..cN and s1..sN of a trajectory column over one 2-pi window."""
     if n_harmonics < 1 or n_harmonics > 8:
-        raise ValueError(f"n_harmonics must be in 1..8, got {n_harmonics!r}")
+        raise InvalidInput(f"n_harmonics must be in 1..8, got {n_harmonics!r}")
     tau = traj.times if "tau" not in traj.columns else traj.column("tau")
     c, s = _window_project(tau, traj.column(column), window_k, n_harmonics)
     return HarmonicWindow(k=window_k, c=c, s=s)
@@ -126,7 +126,7 @@ def secular_slope(
     if params is None:
         params = traj.meta.get("params")
     if params is None:
-        raise ValueError("params not given and not present in trajectory meta")
+        raise InvalidInput("params not given and not present in trajectory meta")
     tau = traj.column("tau")
     if windows is None:
         windows = _complete_windows(tau)
@@ -135,7 +135,7 @@ def secular_slope(
     horizon = TWO_PI * (max(windows) + 1)
     tau_star = validity(params).tau_star
     if horizon > 0.2 * tau_star:
-        raise ValueError(
+        raise InvalidInput(
             f"fit horizon {horizon:.1f} exceeds 0.2 tau* = {0.2 * tau_star:.1f}"
         )
     y0 = params.y0
@@ -182,12 +182,12 @@ def third_harmonic_check(
     tau = traj.column("tau")
     k_lo, k_hi = windows
     if k_hi <= k_lo:
-        raise ValueError("windows must be two distinct indices (low, high)")
+        raise InvalidInput("windows must be two distinct indices (low, high)")
     if max(windows) + 1 > len(_complete_windows(tau)):
         raise InsufficientWindows(f"trajectory does not cover window {max(windows)}")
     tau_star = validity(params).tau_star
     if TWO_PI * (max(windows) + 1) > 0.2 * tau_star:
-        raise ValueError("measurement horizon exceeds 0.2 tau*")
+        raise InvalidInput("measurement horizon exceeds 0.2 tau*")
     residual = traj.column("y") - y_composite(tau, params, order=2)
     amps = []
     for k in (k_lo, k_hi):

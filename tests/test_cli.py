@@ -260,10 +260,37 @@ def test_validation_failure_exit_code_two(capsys):
         ["ermakov", "--z0", "nan"],
         ["invariant-drift", "--mode", "exact", "--z0", "nan"],
         ["invariant-drift", "--p0", "inf"],
+        ["simulate-y", "--tau-max", "1e12", "--record-every", "1"],
+        ["simulate-y", "--tau-max", "1e20", "--record-every", "1"],
+        ["ermakov", "--ts", "1e-12", "--t-max", "100"],
     ):
         assert run(argv + ["--out", "-"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert err.startswith("error: InvalidInput: ") and err.count("\n") == 1
+
+
+def test_library_bug_is_not_reported_as_bad_input(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("bug")
+
+    monkeypatch.setattr("tubeint.cli.integrate_y", broken)
+    with pytest.raises(ValueError, match="^bug$"):
+        main(["simulate-y", "--tau-max", "1", "--out", "-"])
+
+
+def test_undecodable_input_files_exit_code_two(tmp_path, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x89PNG\xff\xfe\n")
+    nul = tmp_path / "nul.cfg"
+    nul.write_bytes(b"tau_max = 1\nout = a\x00b\n")
+    for argv in (
+        ["simulate-y", "--config", str(binary)],
+        ["simulate-y", "--config", str(nul)],
+        ["gplot", "--csv", str(binary)],
+    ):
+        assert run(argv + ["--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidInput: ") and err.count("\n") == 1
 
 
 def test_unwritable_output_exit_code_two(tmp_path, capsys):
@@ -274,13 +301,14 @@ def test_unwritable_output_exit_code_two(tmp_path, capsys):
 
 
 def test_overflow_exit_code_three(capsys):
-    for argv in (
-        ["simulate-y", "--y0", "1e-250", "--eps", "0", "--tau-max", "0.001"],
-        ["simulate-y", "--y0", "1.2e249", "--tau-max", "1"],
+    for argv, prefix in (
+        (["simulate-y", "--y0", "1e-250", "--eps", "0", "--tau-max", "0.001"],
+         "error: NonFinite: non-finite state at t=0.0\n"),
+        (["simulate-y", "--y0", "1.2e249", "--tau-max", "1"], "error: OverflowError: "),
     ):
         assert run(argv + ["--out", "-"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: OverflowError: ") and err.count("\n") == 1
+        assert err.startswith(prefix) and err.count("\n") == 1
 
 
 def _num(lo, hi):
@@ -289,17 +317,21 @@ def _num(lo, hi):
 
 @st.composite
 def short_runs(draw):
-    """argv of a short simulate-y, invariant-drift (both modes) or ermakov run."""
-    command = draw(st.sampled_from(["simulate-y", "exact", "perturbative", "ermakov"]))
+    """argv of a short simulate-y, fourier, invariant-drift (both modes) or ermakov run."""
+    command = draw(st.sampled_from(
+        ["simulate-y", "fourier", "exact", "perturbative", "ermakov"]))
     argv = [f"--h={draw(_num(1e-3, 0.5))}", f"--record-every={draw(st.integers(1, 10))}"]
     t_end = draw(_num(1e-3, 1.0))
     if command == "ermakov":
         return ["ermakov", f"--t-max={t_end}", f"--l0={draw(_num(0.0, 1.0))}",
+                f"--ts={draw(_num(1e-3, 10.0))}", f"--f0={draw(_num(1e-3, 10.0))}",
                 f"--df={draw(_num(0.0, 0.9))}", f"--z0={draw(_num(-1e6, 1e6))}",
-                f"--p0={draw(_num(-1e6, 1e6))}"] + argv
-    argv += [f"--y0={draw(_num(1e-250, 1e250))}", f"--eps={draw(_num(-1e3, 1e3))}"]
-    if command == "simulate-y":
-        return ["simulate-y", f"--tau-max={t_end}"] + argv
+                f"--p0={draw(_num(-1e6, 1e6))}", f"--w0={draw(_num(1e-3, 1e3))}",
+                f"--dw0={draw(_num(-1e3, 1e3))}"] + argv
+    argv += [f"--y0={draw(_num(1e-250, 1e250))}", f"--eps={draw(_num(-1e3, 1e3))}",
+             f"--omega={draw(_num(1e-3, 1e3))}"]
+    if command in ("simulate-y", "fourier"):
+        return [command, f"--tau-max={t_end}"] + argv
     return ["invariant-drift", f"--mode={command}", f"--t-max={t_end}",
             f"--z0={draw(_num(-1e6, 1e6))}", f"--p0={draw(_num(-1e6, 1e6))}"] + argv
 
@@ -312,3 +344,4 @@ def test_exit_code_contract_fuzz(argv):
             np.errstate(all="ignore"):
         code = exit_code(argv + ["--out", "-"])
     assert code in (0, 2, 3), (code, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

@@ -9,7 +9,7 @@ from tubeint.ermakov import (
     lewis_invariant,
     logistic_sequence,
 )
-from tubeint.errors import NonPositive, NonPositiveF, NonPositiveW, OutOfRange, PositivityViolationW
+from tubeint.errors import NonPositive, NonPositiveF, OutOfRange, PositivityViolation
 from tubeint.integrate import IntegrationConfig
 
 
@@ -132,9 +132,9 @@ def test_harmonic_oscillator_under_unit_coefficient():
 def test_lewis_invariant_values():
     assert lewis_invariant(0.0, 0.0, 1.0, 0.0) == 0.0
     assert lewis_invariant(0.3, 0.4, 1.0, 0.0) == pytest.approx(0.5 * (0.09 + 0.16), rel=1e-15)
-    with pytest.raises(NonPositiveW):
+    with pytest.raises(NonPositive, match="^w "):
         lewis_invariant(0.1, 0.0, -1.0, 0.0)
-    with pytest.raises(NonPositiveW):
+    with pytest.raises(NonPositive, match="^w "):
         lewis_invariant(np.ones(3), np.ones(3), np.array([1.0, 0.0, 1.0]), np.zeros(3))
 
 
@@ -157,7 +157,7 @@ def test_invariant_drift_is_integrator_order():
 
 
 def test_w_positivity_violation_detected_at_stage():
-    with pytest.raises(PositivityViolationW):
+    with pytest.raises(PositivityViolation, match="^w <= 0"):
         integrate_ermakov(LogisticDriver(), w0=0.01, dw0=-10.0,
                           config=IntegrationConfig(t_end=5.0, h=0.5))
 

@@ -111,6 +111,14 @@ def test_escape_before_two_samples_raises():
     assert 0.0 < exc.value.t < 50.0
 
 
+def test_nan_oscillator_state_escapes_at_its_step():
+    # z0 = 1e200 overflows z*z in the first step, so z is NaN after it.
+    with pytest.raises(Escape) as exc:
+        integrate_coupled(params(), 1e200, 0.0,
+                          IntegrationConfig(t_end=1.0, h=1e-3, record_every=1000))
+    assert exc.value.t == 0.001
+
+
 def test_coupled_autonomous_limit_conserves_energy_like_invariant():
     p = params(eps=0.0, y0=1.0)
     traj = integrate_coupled(p, 0.2, 0.0, IntegrationConfig(t_end=20.0, h=1e-3, record_every=100))

@@ -169,7 +169,7 @@ def test_drift_improves_with_truncation_order():
 
 
 def test_exact_series_rejects_nonpositive_samples():
-    from tubeint.errors import NonPositiveY
+    from tubeint.errors import NonPositive
 
     data = np.array([
         [0.0, 1.0, 0.0, 0.0, 0.0, 0.1, 0.0],
@@ -177,7 +177,7 @@ def test_exact_series_rejects_nonpositive_samples():
     ])
     traj = Trajectory(times=np.array([0.0, 0.1]), columns=("tau", "y", "dy", "ddy", "J", "z", "p"),
                       data=data)
-    with pytest.raises(NonPositiveY):
+    with pytest.raises(NonPositive, match="^y "):
         invariant_exact_series(traj, params())
 
 
