@@ -27,9 +27,6 @@ from .perturb import (
     alpha2_derivatives,
     equation_residual,
     g_of_t,
-    rho1,
-    rho2,
-    rho3,
     validity,
     y_composite,
 )
@@ -69,9 +66,6 @@ __all__ = [
     "integrate_z",
     "integrate_coupled",
     "convergence_order",
-    "rho1",
-    "rho2",
-    "rho3",
     "y_composite",
     "g_of_t",
     "alpha2_derivatives",

@@ -426,7 +426,9 @@ def main(argv: list[str] | None = None) -> int:
             at = argv.index(command) + 1
             argv[at:at] = _config_tokens(config_path, table[command], command)
         args = parser.parse_args(argv)
-        code = args.func(args)
+        # numpy overflow ends as an error class or inf/NaN; a warning breaks one-line stderr
+        with np.errstate(all="ignore"):
+            code = args.func(args)
         _maybe_emit_plot(args)
         return code
     except (TubeIntError, OSError, OverflowError) as exc:

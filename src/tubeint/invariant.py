@@ -1,10 +1,10 @@
 """The exact quadratic invariant and its third-order perturbative approximation.
 
-The perturbative coefficient series below were re-derived symbolically from
-A4 = -alpha2' and A3 = alpha2 + alpha2''/2 (with alpha2'' reconstructed from
-the once-integrated form) and are used in that verified form; tests pin probe
-values of every block.  The cross-check of the coefficient series against
-the composite derivatives holds to O(eps^4).
+The perturbative coefficients A4 = -alpha2' and A3 = alpha2 + alpha2''/2 (with
+alpha2'' reconstructed from the once-integrated form) are delta-series that
+``tubeint.perturb`` derives from the same recursion as the composite; tests pin
+probe values of every order.  They agree with the composite derivatives to
+O(eps^4).
 
 Each invariant is evaluated once, vectorised over a whole trajectory at the
 trajectory's own sample times.
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidInput, NonPositive, UnsupportedOmega
 from .integrate import IntegrationConfig, integrate_coupled, integrate_z, _resolved
 from .model import SystemParams, Trajectory
-from .perturb import g_of_t, rho_sum
+from .perturb import _prepare, _sum, g_of_t, y_composite
 
 __all__ = [
     "TubeFilament",
@@ -69,72 +69,19 @@ def invariant_exact_series(traj: Trajectory, params: SystemParams) -> np.ndarray
     )
 
 
-def _a31(t, y0: float, eps: float, order: int):
-    """Reconstruction series for alpha2''/2, orders eps..eps^order."""
-    v = eps * (-np.sin(t) / 6.0 + np.sin(2.0 * t) / 3.0) * y0**-2.5
-    if order >= 2:
-        v = v + eps**2 * (
-            -5.0 / 48.0 * t * np.sin(2.0 * t)
-            + 5.0 / 144.0 * np.cos(t)
-            + np.cos(2.0 * t) / 36.0
-            - np.cos(3.0 * t) / 16.0
-        ) * y0**-6.0
-    if order >= 3:
-        v = v + eps**3 * (
-            -25.0 / 2304.0 * t * np.cos(t)
-            + 5.0 / 288.0 * t * np.cos(2.0 * t)
-            + 5.0 / 256.0 * t * np.cos(3.0 * t)
-            - 115.0 / 3456.0 * np.sin(t)
-            + 161.0 / 1728.0 * np.sin(2.0 * t)
-            - 59.0 / 768.0 * np.sin(3.0 * t)
-            + 5.0 / 288.0 * np.sin(4.0 * t)
-            - 25.0 / 6912.0 * np.sin(5.0 * t)
-        ) * y0**-9.5
-    return v
-
-
-def _a4(t, y0: float, eps: float, order: int):
-    """Series for -alpha2', orders eps..eps^order."""
-    v = eps * (np.cos(2.0 * t) - np.cos(t)) / 3.0 * y0**-2.5
-    if order >= 2:
-        v = v + eps**2 * (
-            -5.0 / 48.0 * t * np.cos(2.0 * t)
-            - 5.0 / 72.0 * np.sin(t)
-            + 7.0 / 288.0 * np.sin(2.0 * t)
-            + np.sin(3.0 * t) / 24.0
-        ) * y0**-6.0
-    if order >= 3:
-        v = v + eps**3 * (
-            25.0 / 1152.0 * t * np.sin(t)
-            - 5.0 / 288.0 * t * np.sin(2.0 * t)
-            - 5.0 / 384.0 * t * np.sin(3.0 * t)
-            - 155.0 / 3456.0 * np.cos(t)
-            + 73.0 / 864.0 * np.cos(2.0 * t)
-            - np.cos(3.0 * t) / 18.0
-            + 5.0 / 576.0 * np.cos(4.0 * t)
-            - 5.0 / 3456.0 * np.cos(5.0 * t)
-            + 5.0 / 576.0
-        ) * y0**-9.5
-    return v
-
-
 def _coeff_arrays(t, params: SystemParams, order: int):
     """All six coefficient series at the given times (vectorized)."""
-    params = _resolved(params)
+    params, weights = _prepare(params, order)
     if params.omega != 1.0:
         raise UnsupportedOmega(params.omega)
-    if not params.is_canonical:
-        raise InvalidInput("perturbative invariant coefficients require c2=0, c1>=0")
-    if order not in (1, 2, 3):
-        raise InvalidInput(f"order must be 1, 2 or 3, got {order!r}")
     t = np.asarray(t, dtype=float)
     eps = params.epsilon
     y0 = params.y0
     a1 = 0.5 * eps * np.sin(t)
     a2 = 0.5 * eps * np.cos(t)
-    a5 = y0 * np.exp(rho_sum(t, y0, eps, order))
-    a3 = _a31(t, y0, eps, order) + a5
-    a4 = _a4(t, y0, eps, order)
+    a5 = y_composite(t, params, order)
+    a3 = y0 * _sum("a31", t, weights) + a5
+    a4 = y0 * _sum("a4", t, weights)
     a6 = (2.0 / 3.0) * a5**-1.5
     return a1, a2, a3, a4, a5, a6
 

@@ -40,10 +40,15 @@ class SystemParams:
 
     @property
     def eps_eff(self) -> float:
-        """Effective expansion parameter epsilon * y0^(-7/2)."""
+        """Expansion parameter delta = epsilon * y0^(-7/2); 0 when unforced, inf on overflow."""
         if self.epsilon is None:
             raise InvalidInput("epsilon unresolved; call validate_params first")
-        return self.epsilon * self.y0 ** -3.5
+        if self.epsilon == 0.0:
+            return 0.0
+        try:
+            return self.epsilon * self.y0 ** -3.5
+        except OverflowError:
+            return math.inf
 
     @property
     def is_canonical(self) -> bool:

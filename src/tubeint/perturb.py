@@ -1,21 +1,30 @@
-"""Closed-form perturbation series for the coefficient function.
+"""Perturbation series for the coefficient function, generated from its recursion.
 
 Everything here works in rescaled time and assumes the canonical single-cosine
 forcing orientation (c2 = 0, c1 >= 0) with initial data y'(0) = y''(0) = 0;
 records produced by ``validate_params`` from an epsilon-only input satisfy
 both.  Truncation order is an explicit argument (1, 2 or 3) everywhere.
 
-The composite keeps the exponential ansatz y = y0 * exp(rho), so it is
-strictly positive by construction.  The second derivative is reconstructed
-from the once-integrated (Volterra) form with a term-by-term closed-form
-integral of the series-expanded integrand, never by differentiating truncated
-expressions numerically.
+The composite is y = y0 exp(rho) with rho = sum_n delta^n R_n and
+delta = eps y0^(-7/2) (``SystemParams.eps_eff``), so it is strictly positive.
+Each R_n solves
+
+    R_n''' + 4 R_n' = [delta^n] (delta cos(tau) exp(-7 rho/2) - 3 rho' rho'' - rho'^3)
+
+with R_n(0) = R_n'(0) = R_n''(0) = 0; the right side involves only the
+lower R_j.  ``_tables`` solves this recursion exactly in rational arithmetic and
+derives every other series from the R_n: rho', the once-integrated forcing J
+(from which the second derivative is reconstructed, never by differentiating
+truncated expressions numerically) and the invariant's coefficients.  The
+tables are built on first use and cached per process; one evaluator sums them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +39,6 @@ __all__ = [
     "drho1",
     "drho2",
     "drho3",
-    "rho_sum",
     "y_composite",
     "g_of_t",
     "alpha2_derivatives",
@@ -40,157 +48,202 @@ __all__ = [
 ]
 
 
-def _require_canonical(params: SystemParams) -> SystemParams:
+# A table maps (m, k) to a complex rational c = (re, im): the sum of c tau^m e^(i k tau).
+def _mul(a: tuple, b: tuple) -> tuple:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _collect(pairs) -> dict:
+    """The table of ((m, k), c) pairs: equal keys summed, zero terms dropped."""
+    out = {}
+    for key, (re, im) in pairs:
+        old = out.get(key, (0, 0))
+        out[key] = (old[0] + re, old[1] + im)
+    return {key: c for key, c in sorted(out.items()) if c != (0, 0)}
+
+
+def _combine(*scaled) -> dict:
+    """sum of s * table over the (s, table) pairs; s is a complex rational."""
+    return _collect((key, _mul(s, c)) for s, table in scaled for key, c in table.items())
+
+
+def _product(a: dict, b: dict) -> dict:
+    return _collect(((m1 + m2, k1 + k2), _mul(c1, c2))
+                    for (m1, k1), c1 in a.items() for (m2, k2), c2 in b.items())
+
+
+def _derivative(table: dict) -> dict:
+    pairs = []
+    for (m, k), c in table.items():
+        if m:
+            pairs.append(((m - 1, k), _mul((m, 0), c)))
+        if k:
+            pairs.append(((m, k), _mul((0, k), c)))
+    return _collect(pairs)
+
+
+def _integral(table: dict) -> dict:
+    """The integral from 0 to tau."""
+    pairs = []
+    for (m, k), c in table.items():
+        if k == 0:
+            pairs.append(((m + 1, 0), _mul((Fraction(1, m + 1), 0), c)))
+            continue
+        # by parts: the tau^j coefficient is -(j+1)/(ik) times the tau^(j+1) one
+        c = _mul((0, Fraction(-1, k)), c)   # 1/(ik) = -i/k
+        for j in range(m, -1, -1):
+            pairs.append(((j, k), c))
+            c = _mul((0, Fraction(j, k)), c)
+        pairs.append(((0, 0), _mul((-1, 0), pairs[-1][1])))
+    return _collect(pairs)
+
+
+def _solve(force: dict) -> dict:
+    """The R with R''' + 4 R' = force and R(0) = R'(0) = R''(0) = 0.
+
+    R' = integral_0^tau sin(2 (tau - s))/2 force(s) ds (Duhamel), with the sine
+    split into e^(+-2i tau) factors; the resonant terms come out secular.
+    """
+    up, down = {(0, 2): (1, 0)}, {(0, -2): (1, 0)}
+    return _integral(_combine(
+        ((0, Fraction(-1, 4)), _product(up, _integral(_product(down, force)))),
+        ((0, Fraction(1, 4)), _product(down, _integral(_product(up, force)))),
+    ))
+
+
+def _cauchy(a: list, b: list, n: int) -> dict:
+    """The delta^n part of (sum a_i delta^i)(sum b_j delta^j), both from i = 1."""
+    return _combine(*(((1, 0), _product(a[i], b[n - i])) for i in range(1, n)))
+
+
+@functools.cache
+def _tables(n_max: int = 3) -> dict[str, list[dict]]:
+    """Exact tables by power of delta, from R_1 .. R_(n_max).
+
+    ``rho`` (R_n) and ``drho`` (R_n'); ``J`` (the delta^n part of the integral
+    from 0 of cos * exp(-5 rho/2), n = 0 .. n_max - 1); ``a4`` (-alpha2'/y0) and
+    ``a31`` (alpha2''/(2 y0) from alpha2'' = 4 (y0 - alpha2) + eps J).
+    Index n holds the delta^n table.
+    """
+    one = {(0, 0): (1, 0)}
+    cos = {(0, -1): (Fraction(1, 2), 0), (0, 1): (Fraction(1, 2), 0)}
+    rho, drho, ddrho, drho2 = [{}], [{}], [{}], [{}]
+    exps = {Fraction(-7, 2): [one], Fraction(-5, 2): [one], Fraction(1): [one]}
+    for n in range(1, n_max + 1):
+        force = _combine(((1, 0), _product(cos, exps[Fraction(-7, 2)][n - 1])),
+                         ((-3, 0), _cauchy(drho, ddrho, n)),
+                         ((-1, 0), _cauchy(drho, drho2, n)))
+        rho.append(_solve(force))
+        drho.append(_derivative(rho[n]))
+        ddrho.append(_derivative(drho[n]))
+        drho2.append(_cauchy(drho, drho, n))
+        for a, e in exps.items():
+            # exp(a rho) by power of delta: n E_n = a sum_j j R_j E_(n-j)
+            e.append(_combine(*(((a * j / n, 0), _product(rho[j], e[n - j]))
+                                for j in range(1, n + 1))))
+    e1 = exps[Fraction(1)]
+    J = [_integral(_product(cos, e)) for e in exps[Fraction(-5, 2)][:n_max]]
+    return {
+        "rho": rho,
+        "drho": drho,
+        "J": J,
+        "a4": [{}] + [_combine(((-1, 0), _derivative(e1[n]))) for n in range(1, n_max + 1)],
+        "a31": [{}] + [_combine(((-2, 0), e1[n]), ((Fraction(1, 2), 0), J[n - 1]))
+                       for n in range(1, n_max + 1)],
+    }
+
+
+@functools.cache
+def _float_tables(kind: str) -> list[dict[int, np.ndarray]]:
+    """The tables of one kind in real form: k >= 0 -> rows (cos, sin) of
+    coefficients of tau^m cos(k tau) and tau^m sin(k tau), indexed by m."""
+    tables = _tables()[kind]
+    degree = max((m for table in tables for m, _ in table), default=0)
+    out = []
+    for table in tables:
+        real = {}
+        for (m, k), (re, im) in table.items():
+            if k >= 0:
+                row = real.setdefault(k, np.zeros((2, degree + 1)))
+                # c e^(ik tau) + conj(c) e^(-ik tau) = 2 Re(c) cos - 2 Im(c) sin
+                row[:, m] = (float(re), 0.0) if k == 0 else (float(2 * re), float(-2 * im))
+        out.append(real)
+    return out
+
+
+def _sum(kind: str, tau, weights) -> np.ndarray:
+    """sum_n weights[n] T_n(tau) over the tables of one kind: the weights are
+    folded into the coefficients, then one frequency k is taken at a time."""
+    tau = np.asarray(tau, dtype=float)
+    coef = {}
+    for w, table in zip(weights, _float_tables(kind)):
+        for k, row in table.items():
+            coef[k] = coef[k] + w * row if k in coef else w * row
+    out = np.zeros(tau.shape)
+    for k, rows in sorted(coef.items()):
+        arg = k * tau
+        for row, trig in zip(rows, (np.cos, np.sin)):
+            if row.any():
+                value = row[-1]
+                for c in row[-2::-1]:
+                    value = value * tau + c
+                out += value * trig(arg) if k else value
+    return out
+
+
+def _prepare(params: SystemParams, order: int) -> tuple[SystemParams, list[float]]:
+    """Resolved canonical parameters and the weights delta^0 .. delta^order."""
     params = _resolved(params)
     if not params.is_canonical:
         raise InvalidInput(
             "series functions require the canonical forcing orientation (c2=0, c1>=0)"
         )
-    return params
-
-
-def rho1(tau, y0):
-    """First-order term: y0^(-7/2) * (sin(tau)/3 - sin(2 tau)/6)."""
-    tau = np.asarray(tau, dtype=float)
-    return y0**-3.5 * (np.sin(tau) / 3.0 - np.sin(2.0 * tau) / 6.0)
-
-
-def drho1(tau, y0):
-    tau = np.asarray(tau, dtype=float)
-    return y0**-3.5 * (np.cos(tau) - np.cos(2.0 * tau)) / 3.0
-
-
-def rho2(tau, y0):
-    """Second-order term; the tau*sin(2 tau) piece is the 2:1 secular response."""
-    tau = np.asarray(tau, dtype=float)
-    return y0**-7.0 * (
-        -5.0 / 288.0
-        - np.cos(tau) / 24.0
-        + 19.0 / 288.0 * np.cos(2.0 * tau)
-        - np.cos(3.0 * tau) / 72.0
-        + np.cos(4.0 * tau) / 144.0
-        + 5.0 / 96.0 * tau * np.sin(2.0 * tau)
-    )
-
-
-def drho2(tau, y0):
-    tau = np.asarray(tau, dtype=float)
-    return y0**-7.0 * (
-        np.sin(tau) / 24.0
-        - 23.0 / 288.0 * np.sin(2.0 * tau)
-        + np.sin(3.0 * tau) / 24.0
-        - np.sin(4.0 * tau) / 36.0
-        + 5.0 / 48.0 * tau * np.cos(2.0 * tau)
-    )
-
-
-def rho3(tau, y0):
-    """Third-order term: five secular tau-proportional terms plus six harmonics."""
-    tau = np.asarray(tau, dtype=float)
-    return (
-        -11.25 * tau
-        + 33.75 * tau * np.cos(tau)
-        - 22.5 * tau * np.cos(2.0 * tau)
-        + 11.25 * tau * np.cos(3.0 * tau)
-        - 11.25 * tau * np.cos(4.0 * tau)
-        + 79.5 * np.sin(tau)
-        - 81.75 * np.sin(2.0 * tau)
-        + 18.25 * np.sin(3.0 * tau)
-        + 8.625 * np.sin(4.0 * tau)
-        - 2.25 * np.sin(5.0 * tau)
-        + np.sin(6.0 * tau)
-    ) / (2592.0 * y0**10.5)
-
-
-def drho3(tau, y0):
-    tau = np.asarray(tau, dtype=float)
-    return (
-        -11.25
-        + 113.25 * np.cos(tau)
-        - 186.0 * np.cos(2.0 * tau)
-        + 66.0 * np.cos(3.0 * tau)
-        + 23.25 * np.cos(4.0 * tau)
-        - 11.25 * np.cos(5.0 * tau)
-        + 6.0 * np.cos(6.0 * tau)
-        - 33.75 * tau * np.sin(tau)
-        + 45.0 * tau * np.sin(2.0 * tau)
-        - 33.75 * tau * np.sin(3.0 * tau)
-        + 45.0 * tau * np.sin(4.0 * tau)
-    ) / (2592.0 * y0**10.5)
-
-
-def rho_sum(tau, y0: float, eps: float, order: int):
-    """eps*rho1 + ... up to the requested truncation order."""
     if order not in (1, 2, 3):
         raise InvalidInput(f"order must be 1, 2 or 3, got {order!r}")
-    r = eps * rho1(tau, y0)
-    if order >= 2:
-        r = r + eps**2 * rho2(tau, y0)
-    if order >= 3:
-        r = r + eps**3 * rho3(tau, y0)
-    return r
+    try:
+        weights = [params.eps_eff**n for n in range(order + 1)]
+        if math.isfinite(weights[-1]):
+            return params, weights
+    except OverflowError:
+        pass
+    raise InvalidInput(
+        f"y0={params.y0!r} is too small for the series: (eps*y0^(-7/2))^{order} overflows"
+    )
 
 
-def _drho_sum(tau, y0: float, eps: float, order: int):
-    d = eps * drho1(tau, y0)
-    if order >= 2:
-        d = d + eps**2 * drho2(tau, y0)
-    if order >= 3:
-        d = d + eps**3 * drho3(tau, y0)
-    return d
+def _term(kind: str, n: int):
+    def term(tau, y0):
+        """The delta^n term of rho (or rho') at eps = 1: y0^(-7n/2) R_n(tau)."""
+        _, weights = _prepare(SystemParams(epsilon=1.0, y0=y0), n)
+        return weights[n] * _sum(kind, tau, [0.0] * n + [1.0])
+
+    term.__name__ = term.__qualname__ = f"{kind}{n}"
+    return term
+
+
+rho1, rho2, rho3 = (_term("rho", n) for n in (1, 2, 3))
+drho1, drho2, drho3 = (_term("drho", n) for n in (1, 2, 3))
 
 
 def y_composite(tau, params: SystemParams, order: int = 3):
-    """Composite y0 * exp(sum eps^n rho_n), strictly positive by construction."""
-    params = _require_canonical(params)
-    return params.y0 * np.exp(rho_sum(tau, params.y0, params.epsilon, order))
+    """Composite y0 * exp(sum delta^n R_n), strictly positive by construction."""
+    params, weights = _prepare(params, order)
+    return params.y0 * np.exp(_sum("rho", tau, weights))
 
 
 def g_of_t(t, params: SystemParams, order: int = 3):
     """Coefficient g(t) = y(omega t)^(-5/2) built from the composite."""
-    params = _require_canonical(params)
     return y_composite(params.omega * np.asarray(t, dtype=float), params, order) ** -2.5
 
 
-# Closed-form pieces of the once-integrated forcing term: the integral over
-# [0, tau] of the series-expanded y^(-5/2) times cos, by expansion level.
-def _volterra_level1(tau, y0):
-    # integral of (-5/2) rho1 * cos
-    return (
-        5.0 / 72.0
-        - 5.0 / 24.0 * np.cos(tau)
-        + 5.0 / 24.0 * np.cos(2.0 * tau)
-        - 5.0 / 72.0 * np.cos(3.0 * tau)
-    ) * y0**-3.5
+def volterra_series(tau, params: SystemParams, order: int):
+    """J(tau) = integral of the expanded y^(-5/2) cos, order-matched.
 
-
-def _volterra_level2(tau, y0):
-    # integral of ((25/8) rho1^2 - (5/2) rho2) * cos
-    return (
-        25.0 / 384.0 * tau * np.cos(tau)
-        + 25.0 / 1152.0 * tau * np.cos(3.0 * tau)
-        - 5.0 / 144.0 * tau
-        + 5.0 / 192.0 * np.sin(tau)
-        + 5.0 / 144.0 * np.sin(2.0 * tau)
-        - 85.0 / 1152.0 * np.sin(3.0 * tau)
-        + 5.0 / 192.0 * np.sin(4.0 * tau)
-        - 7.0 / 1152.0 * np.sin(5.0 * tau)
-    ) * y0**-7.0
-
-
-def volterra_series(tau, y0: float, eps: float, order: int):
-    """Closed-form J(tau) = integral of the expanded y^(-5/2) cos, order-matched.
-
-    The integrand is expanded through eps^(order-1) so that eps*J carries the
-    full eps^order information of the second derivative.
+    The integrand is expanded through delta^(order-1) so that eps*J carries
+    the full eps^order information of the second derivative.
     """
-    tau = np.asarray(tau, dtype=float)
-    J = np.sin(tau) + np.zeros_like(tau)
-    if order >= 2:
-        J = J + eps * _volterra_level1(tau, y0)
-    if order >= 3:
-        J = J + eps**2 * _volterra_level2(tau, y0)
-    return y0**-2.5 * J
+    params, weights = _prepare(params, order)
+    return params.y0**-2.5 * _sum("J", tau, weights[:order])
 
 
 def alpha2_derivatives(tau, params: SystemParams, order: int = 3):
@@ -201,12 +254,10 @@ def alpha2_derivatives(tau, params: SystemParams, order: int = 3):
     alpha2'' = 4 (y0 - alpha2) + eps * J with J in closed form, which avoids
     amplifying truncation error by repeated differentiation.
     """
-    params = _require_canonical(params)
-    y0 = params.y0
-    eps = params.epsilon
+    params, weights = _prepare(params, order)
     yc = y_composite(tau, params, order)
-    d1 = yc * _drho_sum(tau, y0, eps, order)
-    d2 = 4.0 * (y0 - yc) + eps * volterra_series(tau, y0, eps, order)
+    d1 = yc * _sum("drho", tau, weights)
+    d2 = 4.0 * (params.y0 - yc) + params.epsilon * volterra_series(tau, params, order)
     return d1, d2
 
 
@@ -221,11 +272,12 @@ class ValidityWindow:
 def validity(params: SystemParams) -> ValidityWindow:
     """tau* = 96 y0^6 / (5 eps^2) (infinite when unforced) and eps_eff = eps y0^(-7/2)."""
     params = _resolved(params)
-    eps = params.epsilon
-    y0 = params.y0
-    eps2 = eps**2  # zero also when eps^2 underflows; tau* is then beyond any float
-    tau_star = math.inf if eps2 == 0.0 else 96.0 * y0**6 / (5.0 * eps2)
-    return ValidityWindow(tau_star=tau_star, eps_eff=eps * y0**-3.5)
+    eps2 = params.epsilon**2
+    try:
+        tau_star = 96.0 * params.y0**6 / (5.0 * eps2)
+    except (ZeroDivisionError, OverflowError):  # eps^2 is 0 (or underflows) or y0^6 overflows
+        tau_star = math.inf
+    return ValidityWindow(tau_star=tau_star, eps_eff=params.eps_eff)
 
 
 def equation_residual(tau, params: SystemParams, order: int = 3, dtau: float = 2e-3):
@@ -235,7 +287,7 @@ def equation_residual(tau, params: SystemParams, order: int = 3, dtau: float = 2
     independent of the closed-form derivative chain; the residual of the
     order-3 composite is O(eps^4).
     """
-    params = _require_canonical(params)
+    params = _resolved(params)
     tau = np.asarray(tau, dtype=float)
     ym2 = y_composite(tau - 2.0 * dtau, params, order)
     ym1 = y_composite(tau - dtau, params, order)

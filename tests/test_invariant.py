@@ -6,8 +6,6 @@ import pytest
 from tubeint.errors import Escape, UnsupportedOmega
 from tubeint.integrate import IntegrationConfig, integrate_coupled
 from tubeint.invariant import (
-    _a31,
-    _a4,
     _coeff_arrays,
     drift_experiment,
     exact_drift_experiment,
@@ -49,10 +47,13 @@ def test_a1_sign_consistent_with_exact_invariant():
 
 
 def test_coefficient_series_block_probes():
-    for order, expect in enumerate(np.cumsum(A31_BLOCKS_1P3), start=1):
-        assert float(_a31(1.3, 1.1, 1.0, order)) == pytest.approx(expect, rel=1e-13)
-    for order, expect in enumerate(np.cumsum(A4_BLOCKS_1P3), start=1):
-        assert float(_a4(1.3, 1.1, 1.0, order)) == pytest.approx(expect, rel=1e-13)
+    # alpha2''/2 is a3 - a5 and -alpha2' is a4
+    p = params(eps=1.0, y0=1.1)
+    for order, (e31, e4) in enumerate(zip(np.cumsum(A31_BLOCKS_1P3), np.cumsum(A4_BLOCKS_1P3)),
+                                      start=1):
+        _, _, a3, a4, a5, _ = _coeff_arrays(1.3, p, order)
+        assert float(a3 - a5) == pytest.approx(e31, rel=1e-13)
+        assert float(a4) == pytest.approx(e4, rel=1e-13)
 
 
 def test_coeffs_require_unit_omega():
@@ -72,7 +73,7 @@ def test_a3_cross_check_against_volterra_reconstruction():
     sups = {}
     for eps in (0.1, 0.05):
         p = params(eps=eps, y0=1.0)
-        c3 = _a31(t, 1.0, eps, 3) + y_composite(t, p, 3)
+        c3 = _coeff_arrays(t, p, 3)[2]
         _, dd = alpha2_derivatives(t, p, 3)
         alt = y_composite(t, p, 3) + 0.5 * dd
         sups[eps] = float(np.max(np.abs(c3 - alt)))
@@ -85,7 +86,7 @@ def test_a4_matches_exact_series_derivative_to_eps4():
     for eps in (0.1, 0.05):
         p = params(eps=eps, y0=1.0)
         d1, _ = alpha2_derivatives(t, p, 3)
-        sups[eps] = float(np.max(np.abs(_a4(t, 1.0, eps, 3) + d1)))
+        sups[eps] = float(np.max(np.abs(_coeff_arrays(t, p, 3)[3] + d1)))
     assert 12.0 < sups[0.1] / sups[0.05] < 20.0
 
 

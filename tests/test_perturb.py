@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from tubeint.integrate import IntegrationConfig, integrate_y
 from tubeint.model import SystemParams, validate_params
@@ -15,6 +17,7 @@ from tubeint.perturb import (
     rho1,
     rho2,
     rho3,
+    _tables,
     validity,
     volterra_series,
     y_composite,
@@ -118,7 +121,8 @@ def test_alpha2_second_derivative_matches_finite_difference():
 
 def test_volterra_series_regression_probe():
     # eps^2 level closed-form integral at tau=1.3, y0=1.1
-    lvl2 = (volterra_series(1.3, 1.1, 1.0, 3) - volterra_series(1.3, 1.1, 1.0, 2)) * 1.1**2.5
+    p = params(eps=1.0, y0=1.1)
+    lvl2 = (volterra_series(1.3, p, 3) - volterra_series(1.3, p, 2)) * 1.1**2.5
     assert float(lvl2) == pytest.approx(I2_AT_1P3_Y1P1, rel=1e-13)
 
 
@@ -183,3 +187,25 @@ def test_series_requires_canonical_orientation():
 def test_order_argument_validated():
     with pytest.raises(ValueError):
         y_composite(1.0, params(), 4)
+
+
+def test_generated_series_solves_the_recursion_exactly():
+    # independent of the builder's own operations: sympy differentiates and
+    # expands the generated R_1..R_3, with y = y0 exp(rho), rho = sum delta^n R_n
+    tau, delta = sp.symbols("tau delta", real=True)
+
+    def rational(q):
+        q = Fraction(q)
+        return sp.Rational(q.numerator, q.denominator)
+
+    R = [sum((rational(re) + sp.I * rational(im)) * tau**m * sp.exp(sp.I * k * tau)
+             for (m, k), (re, im) in table.items())
+         for table in _tables()["rho"][1:4]]
+    rho = sum(delta**n * r for n, r in enumerate(R, start=1))
+    d1, d2, d3 = (sp.diff(rho, tau, j) for j in (1, 2, 3))
+    lhs = d3 + 3 * d1 * d2 + d1**3 + 4 * d1 - delta * sp.cos(tau) * sp.exp(-sp.Rational(7, 2) * rho)
+    for n in (1, 2, 3):
+        coefficient = sp.diff(lhs, delta, n).subs(delta, 0) / sp.factorial(n)
+        assert sp.expand(coefficient.rewrite(sp.exp)) == 0
+    for r in R:
+        assert all(sp.expand(sp.diff(r, tau, j).subs(tau, 0)) == 0 for j in (0, 1, 2))
