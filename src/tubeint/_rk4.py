@@ -1,0 +1,222 @@
+"""Build and load the compiled RK4 kernels of ``_rk4.c``.
+
+``_rk4.c`` holds one kernel per system (y, z, coupled, Ermakov), each a copy
+of that system's Python step.  On first use, never at import, the file is
+compiled with the C compiler ``cc`` into a per-user cache,
+``$XDG_CACHE_HOME/tubeint`` or else ``~/.cache/tubeint``.  The file name is
+keyed by the sha256 of the source and the flags and ends in a digest of the
+build's own bytes.  A build is written to a temporary file and moved into
+place, so concurrent first runs are safe, and a cached build whose bytes do
+not match its digest is removed and rebuilt.  If the cache cannot be written
+or other users may write to it, the kernel is built in a per-process
+temporary directory instead.
+
+When there is no compiler, or the build or the load fails, ``library()`` is
+None and the driver runs the Python steps, silently.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_rk4.c")
+COMPILER = "cc"
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+LIBS = ("-lm",)
+
+#: The exported kernels by system: the state dimension and the name of the
+#: component that must stay positive (None: no positivity test).
+KERNELS = {"y": (4, "y"), "z": (2, None), "coupled": (6, "y"), "ermakov": (4, "w")}
+
+#: Status codes of the kernels (the enum in ``_rk4.c``).  A positivity
+#: violation is NONPOSITIVE + stage, the stage being 0 at t, 1 at t + h/2 and
+#: 2 at t + h.
+OK, ESCAPE, NONFINITE, NONPOSITIVE = 0, 1, 2, 3
+
+_ARGTYPES = [
+    ctypes.c_void_p,  # par: the system's constants
+    ctypes.c_void_p,  # coef: the chunk's half-step coefficient table
+    ctypes.c_int64,  # start
+    ctypes.c_int64,  # stop
+    ctypes.c_int64,  # record_every
+    ctypes.c_int,  # escape index, -1 for none
+    ctypes.c_double,  # escape limit
+    ctypes.c_void_p,  # state, updated in place
+    ctypes.c_void_p,  # out: the recorded rows
+    ctypes.POINTER(ctypes.c_int64),  # rows recorded so far, updated
+    ctypes.POINTER(ctypes.c_int64),  # step index of a failure
+    ctypes.POINTER(ctypes.c_double),  # stage value of a failure
+]
+
+_UNSET = object()
+_lib = _UNSET
+
+
+def library():
+    """The loaded kernel library, built on the first call; None without one."""
+    global _lib
+    if _lib is _UNSET:
+        _lib = _load()
+    return _lib
+
+
+def _cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root) / "tubeint"
+
+
+def _key() -> str:
+    """The build's file name stem: keyed by the sha256 of the source and the flags."""
+    import platform
+
+    key = "\0".join((COMPILER, *FLAGS, *LIBS, sys.platform, platform.machine())).encode()
+    return f"_rk4-{_digest(SOURCE.read_bytes() + key)}"
+
+
+def _digest(data: bytes) -> str:
+    """The first 16 hex digits of the sha256 of data."""
+    # The interpreter's own sha256: importing hashlib maps OpenSSL, about
+    # 3.5 MB of resident memory for one small hash per process.
+    try:
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()[:16]
+
+
+def _load():
+    import tempfile
+
+    try:
+        key = _key()
+    except OSError:  # the source is missing
+        return None
+    try:
+        cache = _cache_dir()
+        path = _cached(cache, key) or _build(cache, key)
+        if path is None:  # no compiler, or the build failed
+            return None
+        lib = _open(path)
+        if lib is not None:
+            return lib
+    except OSError:  # the cache directory cannot be written, or is not private
+        pass
+    # also when the cache's file system refuses to map the library (noexec)
+    with tempfile.TemporaryDirectory(prefix="tubeint-", ignore_cleanup_errors=True) as tmp:
+        path = _build(Path(tmp), key)
+        return _open(path) if path else None
+
+
+def _cached(cache: Path, key: str) -> Path | None:
+    """The intact build in cache, if any; damaged ones are removed.
+
+    A build is named key-<digest of its bytes>.so, so a truncated or altered
+    file is found before it is mapped (loading a truncated library can crash
+    the process instead of failing).  Raises PermissionError when another
+    user owns the directory or may write to it.
+    """
+    try:
+        info = cache.stat()
+    except FileNotFoundError:
+        return None
+    if hasattr(os, "getuid") and (info.st_uid != os.getuid() or info.st_mode & 0o022):
+        raise PermissionError(f"{cache} is writable by other users")
+    for path in sorted(cache.glob(f"{key}-*.so")):
+        try:
+            if path.name == f"{key}-{_digest(path.read_bytes())}.so":
+                return path
+            path.unlink()
+        except OSError:
+            pass
+    return None
+
+
+def _open(path: Path):
+    """The library at path with its kernels declared, or None if it does not load."""
+    try:
+        lib = ctypes.CDLL(str(path))
+        for system in KERNELS:
+            fn = getattr(lib, f"tubeint_rk4_{system}")
+            fn.argtypes = _ARGTYPES
+            fn.restype = ctypes.c_int
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+def _build(directory: Path, key: str) -> Path | None:
+    """Compile the source into directory; None if there is no compiler or it fails.
+
+    Raises OSError when the directory cannot be created or written.
+    """
+    import shutil
+    import subprocess
+    import tempfile
+
+    compiler = shutil.which(COMPILER)
+    if compiler is None:
+        return None
+    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        try:
+            done = subprocess.run(
+                [compiler, *FLAGS, "-o", tmp, str(SOURCE), *LIBS],
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+                timeout=120,
+            ).returncode == 0
+        except (OSError, subprocess.SubprocessError):
+            return None
+        if not done:
+            return None
+        with open(tmp, "rb") as f:
+            path = directory / f"{key}-{_digest(f.read())}.so"
+        os.replace(tmp, path)
+        return path
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def kernel(system: str, constants, x, out, escape_index, escape_z, record_every):
+    """A runner of ``system``'s compiled steps for one trajectory, or None.
+
+    x is the initial state and out the array of recorded rows (C-contiguous
+    float64, row 0 already written).  ``run(coef, start, stop)`` advances the
+    state over steps start .. stop-1 with the chunk's half-step table coef and
+    returns (status, step index, value).
+    """
+    lib = library()
+    if lib is None:
+        return None
+    dim = KERNELS[system][0]
+    if not (len(x) == dim and out.shape[1:] == (dim,) and out.dtype == np.float64
+            and out.flags.c_contiguous):
+        raise ValueError(f"{system} kernel needs {dim} states and a C-contiguous float64 out")
+    fn = getattr(lib, f"tubeint_rk4_{system}")
+    par = (ctypes.c_double * len(constants))(*constants)
+    state = (ctypes.c_double * len(x))(*x)
+    rows, at, value = ctypes.c_int64(1), ctypes.c_int64(0), ctypes.c_double(0.0)
+    esc = -1 if escape_index is None else escape_index
+    dest = out.ctypes.data
+
+    def run(coef, start, stop):
+        # coef: float64, C-contiguous, 2 * (stop - start) + 1 values
+        status = fn(par, coef.ctypes.data, start, stop, record_every, esc, escape_z, state,
+                    dest, rows, at, value)
+        return status, at.value, value.value
+
+    return run

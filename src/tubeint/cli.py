@@ -33,7 +33,7 @@ from .ermakov import LogisticDriver, integrate_ermakov, lewis_invariant
 from .integrate import IntegrationConfig, integrate_y
 from .invariant import drift_experiment, drift_percent, exact_drift_experiment
 from .model import SystemParams, validate_params
-from .perturb import validity, y_composite
+from .perturb import resonance_coefficients, validity, y_composite
 from .resonance import (
     TWO_PI,
     _complete_windows,
@@ -156,8 +156,9 @@ def cmd_fourier(args) -> int:
     fit = secular_slope(traj, harmonic=2, windows=windows, params=params)
     s3_measured, s3_pred = third_harmonic_check(params, traj)
     resid3 = y - y_composite(tau, params, 2)
-    slope_pred = (5.0 / 96.0) * eps**2 * y0**-6.0
-    s1_pred = eps * y0**-2.5 / 3.0
+    series = resonance_coefficients()
+    slope_pred = float(series["secular_slope"]) * eps**2 * y0**-6.0
+    s1_pred = eps * y0**-2.5 / float(1 / series["s1"])
 
     rows = []
     for i, k in enumerate(windows):

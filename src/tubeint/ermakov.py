@@ -291,12 +291,13 @@ def integrate_ermakov(
             dw + sixth * (a1_dw + 2.0 * (a2_dw + a3_dw) + a4_dw),
         )
 
-    t, states = _drive(step, f, (z0, p0, w0, dw0), config)
+    t, states, path = _drive(step, f, (z0, p0, w0, dw0), config, kernel=("ermakov", (h,)))
     return Trajectory(
         times=t,
         columns=("t", "f", "z", "p", "w", "dw"),
         data=np.column_stack([t, f(t), states]),
-        meta={"system": "ermakov", "driver": driver, "config": config, "w0": w0, "dw0": dw0},
+        meta={"system": "ermakov", "driver": driver, "config": config, "w0": w0, "dw0": dw0,
+              "kernel": path},
     )
 
 

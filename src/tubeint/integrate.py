@@ -10,6 +10,11 @@ evaluated per stage in Python.  A 500-unit run at h = 1e-3 is half a million
 steps; identical inputs produce bit-identical trajectories, whatever the
 chunk size.  There is no adaptivity and no interpolation.
 
+Each step has a compiled copy in ``_rk4.c``, built on first use (see
+``_rk4``).  When it loads, the driver runs it on each chunk instead of the
+Python step, with bit-identical results and the same errors; otherwise the
+Python step runs.  ``Trajectory.meta["kernel"]`` records "c" or "python".
+
 Positivity of the coefficient solution is enforced at every RK4 stage: true
 solutions are strictly positive, so a nonpositive stage value signals a step
 too large or parameters outside the usable regime, and raises rather than
@@ -76,7 +81,8 @@ class IntegrationConfig:
         return intervals * self.record_every, intervals
 
 
-def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None = None):
+def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None = None,
+           kernel: tuple[str, tuple] | None = None):
     """Run ``step`` over ``config.plan()`` and record every record_every steps.
 
     ``step(t, x, c0, cm, c1)`` advances the state tuple x by one RK4 step from
@@ -86,8 +92,16 @@ def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None =
     exceeds config.escape_z or is NaN.  A plan too large to allocate raises
     InvalidInput.
 
-    Returns (recorded times, recorded states); sample i is at (i*record_every)*h.
+    ``kernel`` is (system, constants): the compiled copy of ``step`` in
+    ``_rk4.c`` and the constants it takes.  When that kernel can be built and
+    loaded it runs each chunk, with the same results to the bit and the same
+    errors; otherwise the Python ``step`` does.
+
+    Returns (recorded times, recorded states, the path that ran: "c" or
+    "python"); sample i is at (i*record_every)*h.
     """
+    from . import _rk4  # on first use: starting the command line does not need it
+
     x = tuple(float(v) for v in x0)
     if not all(map(math.isfinite, x)):
         raise InvalidInput(f"initial state must be finite, got {x!r}")
@@ -101,10 +115,23 @@ def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None =
         raise InvalidInput(f"cannot allocate {n_intervals + 1} recorded samples ({exc})") from exc
     out[0] = x
     rows = 1
+    run = None if kernel is None else _rk4.kernel(*kernel, x, out, escape_index, limit, rec)
     for start in range(0, n_steps, _CHUNK):
         stop = min(start + _CHUNK, n_steps)
         times = 0.5 * h * np.arange(2 * start, 2 * stop + 1)
-        c = np.broadcast_to(np.asarray(coef(times), dtype=float), times.shape).tolist()
+        c = np.broadcast_to(np.asarray(coef(times), dtype=float), times.shape)
+        if run is not None:
+            status, at, value = run(np.ascontiguousarray(c), start, stop)
+            t = at * h
+            if status == _rk4.ESCAPE:
+                raise Escape(t)
+            if status == _rk4.NONFINITE:
+                raise NonFinite(t)
+            if status != _rk4.OK:  # at stage t, t + h/2 or t + h of step at
+                stage = (t, t + 0.5 * h, t + h)[status - _rk4.NONPOSITIVE]
+                raise PositivityViolation(stage, value, _rk4.KERNELS[kernel[0]][1])
+            continue
+        c = c.tolist()
         try:
             for k, c0, cm, c1 in zip(range(start, stop), c[0::2], c[1::2], c[2::2]):
                 x = step(k * h, x, c0, cm, c1)
@@ -119,7 +146,7 @@ def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None =
                     rows += 1
         except OverflowError as exc:
             raise NonFinite(k * h) from exc
-    return np.arange(rows) * rec * h, out
+    return np.arange(n_intervals + 1) * rec * h, out, "python" if run is None else "c"
 
 
 def _resolved(params: SystemParams) -> SystemParams:
@@ -201,12 +228,12 @@ def integrate_y(params: SystemParams, config: IntegrationConfig) -> Trajectory:
         )
 
     x0 = (params.y0, params.yp0, params.ypp0, 0.0)
-    tau, states = _drive(step, _profile(params), x0, config)
+    tau, states, path = _drive(step, _profile(params), x0, config, kernel=("y", (h, eps)))
     return Trajectory(
         times=tau,
         columns=("tau", "y", "dy", "ddy", "J"),
         data=np.column_stack([tau, states]),
-        meta={"system": "y", "params": params, "config": config},
+        meta={"system": "y", "params": params, "config": config, "kernel": path},
     )
 
 
@@ -252,12 +279,13 @@ def integrate_z(
             p + sixth * (a1_p + 2.0 * (a2_p + a3_p) + a4_p),
         )
 
-    t, states = _drive(step, g, (z0, p0), config, escape_index=0)
+    t, states, path = _drive(step, g, (z0, p0), config, escape_index=0,
+                             kernel=("z", (h, omega)))
     return Trajectory(
         times=t,
         columns=("z", "p"),
         data=states,
-        meta={"system": "z", "omega": omega, "config": config},
+        meta={"system": "z", "omega": omega, "config": config, "kernel": path},
     )
 
 
@@ -350,12 +378,13 @@ def integrate_coupled(
         )
 
     x0 = (params.y0, params.yp0, params.ypp0, 0.0, z0, p0)
-    t, states = _drive(step, lambda t: profile(om * t), x0, config, escape_index=4)
+    t, states, path = _drive(step, lambda t: profile(om * t), x0, config, escape_index=4,
+                             kernel=("coupled", (h, eps, om)))
     return Trajectory(
         times=t,
         columns=("tau", "y", "dy", "ddy", "J", "z", "p"),
         data=np.column_stack([om * t, states]),
-        meta={"system": "coupled", "params": params, "config": config},
+        meta={"system": "coupled", "params": params, "config": config, "kernel": path},
     )
 
 

@@ -141,7 +141,8 @@ def drift_experiment(
     z = ztraj.column("z")
     p = ztraj.column("p")
     values = a1 * z + a2 * p + a3 * z * z + a4 * z * p + a5 * p * p + a6 * z**3
-    meta = {"mode": "perturbative", "order": order, "params": params, "config": cfg}
+    meta = {"mode": "perturbative", "order": order, "params": params, "config": cfg,
+            "kernel": ztraj.meta["kernel"]}
     return _drift_trajectory(ztraj.times, values, meta)
 
 
@@ -162,7 +163,7 @@ def exact_drift_experiment(
     cfg = IntegrationConfig(t_end=t_end, h=h, record_every=record_every)
     traj = integrate_coupled(params, z0, p0, cfg)
     values = invariant_exact_series(traj, params)
-    meta = {"mode": "exact", "params": params, "config": cfg}
+    meta = {"mode": "exact", "params": params, "config": cfg, "kernel": traj.meta["kernel"]}
     return _drift_trajectory(traj.times, values, meta)
 
 

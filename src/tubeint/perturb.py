@@ -45,6 +45,7 @@ __all__ = [
     "validity",
     "ValidityWindow",
     "equation_residual",
+    "resonance_coefficients",
 ]
 
 
@@ -151,6 +152,23 @@ def _tables(n_max: int = 3) -> dict[str, list[dict]]:
         "a31": [{}] + [_combine(((-2, 0), e1[n]), ((Fraction(1, 2), 0), J[n - 1]))
                        for n in range(1, n_max + 1)],
     }
+
+
+def resonance_coefficients() -> dict[str, Fraction]:
+    """Exact resonance coefficients, read off the generated tables.
+
+    ``s1`` is the sin(tau) coefficient of R_1, so the first harmonic of y has
+    amplitude s1 eps y0^(-5/2); ``secular_slope`` is the tau sin(2 tau)
+    coefficient of R_2, so the sin(2 tau) amplitude of y - y0 (1 + delta R_1)
+    grows at secular_slope eps^2 y0^(-6) per unit tau.
+    """
+    rho = _tables()["rho"]
+
+    def sin_coefficient(table: dict, m: int, k: int) -> Fraction:
+        # c e^(ik tau) + conj(c) e^(-ik tau) carries -2 Im(c) sin(k tau)
+        return -2 * table.get((m, k), (0, 0))[1]
+
+    return {"s1": sin_coefficient(rho[1], 0, 1), "secular_slope": sin_coefficient(rho[2], 1, 2)}
 
 
 @functools.cache

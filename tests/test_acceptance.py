@@ -6,11 +6,12 @@ shared; criterion 9 sweeps every trajectory produced here.
 
 Criteria 2 and 3 are implemented exactly as stated and are expected to fail:
 the pointwise relative error between the numeric solution and the order-3
-series is dominated by a secular phase lag of order eps^4 tau^2 that no
-truncation choice removes (verified against an independent integrator and a
-symbolic check of the series).  The per-window envelope agreement, which is
-what a plotted-curve comparison shows, is printed alongside as context.  See
-the project notes for the full analysis.
+series is dominated by the secular terms that order 3 lacks.  Order 3 has at
+most tau^1 terms; the eps^4 tau^2 term first appears at order 4, and the
+order-4 series from the same generator has a pointwise error of 0.0077 on the
+criterion-2 window [400, 500] (eps = 0.1, RK4, h = 1e-3).  The per-window
+envelope agreement, which is what a plotted-curve comparison shows, is
+printed alongside as context.  See the README for the analysis.
 """
 
 import math
@@ -156,8 +157,9 @@ def test_criterion_2_series_agreement_y0_1(runs):
         ok,
         f"max pointwise relative error on tau in [400,500] = {max_rel:.4f} "
         f"(criterion: < 0.01); per-window envelope agreement on the same stretch "
-        f"is {max(env_errs):.4f}, i.e. the plotted curves do coincide and the "
-        f"pointwise gap is a secular phase lag of order eps^4 tau^2; see notes.",
+        f"is {max(env_errs):.4f}, i.e. the plotted curves do coincide; the "
+        f"pointwise gap is the eps^4 tau^2 term that order 3 lacks (the order-4 "
+        f"series has a pointwise error of 0.0077 here); see the README.",
     )
     assert ok
 
@@ -181,7 +183,7 @@ def test_criterion_3_series_breakdown_y0_0p7(runs):
         f"The 10% level is crossed at tau ~ 53 and the error peaks at "
         f"{float(np.max(rel)):.2f}: breakdown is reproduced but pointwise "
         f"comparison of widely swinging curves does not match the prose numbers; "
-        f"see notes.",
+        f"see the README.",
     )
     assert ok
 

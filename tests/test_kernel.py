@@ -1,0 +1,215 @@
+"""The compiled RK4 kernels against the Python steps they copy.
+
+Each case runs twice: on the compiled kernel and on the Python steps, chosen
+by setting the loaded library to None.  Both paths must record the same
+times and data to the bit, or raise the same error with the same message.
+"""
+
+import shutil
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import tubeint._rk4 as rk4
+import tubeint.integrate
+from tubeint.ermakov import LogisticDriver, integrate_ermakov
+from tubeint.errors import TubeIntError
+from tubeint.integrate import IntegrationConfig, integrate_coupled, integrate_y, integrate_z
+from tubeint.model import SystemParams, validate_params
+
+
+def _params(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # nonzero yp0/ypp0
+        return validate_params(SystemParams(omega=a["omega"], c1=a["c1"], c2=a["c2"],
+                                            y0=a["y0"], yp0=a["yp0"], ypp0=a["ypp0"]))
+
+
+def _integrate(system, a, cfg):
+    if system == "y":
+        return integrate_y(_params(a), cfg)
+    if system == "z":
+        g0, g1 = a["g"]
+        return integrate_z(lambda t: g0 + g1 * np.cos(t), a["z0"], a["p0"], a["omega"], cfg)
+    if system == "coupled":
+        return integrate_coupled(_params(a), a["z0"], a["p0"], cfg)
+    return integrate_ermakov(LogisticDriver(*a["driver"]), a["z0"], a["p0"], a["w0"], a["dw0"],
+                             cfg)
+
+
+def _outcome(system, a, cfg):
+    """(times, data, kernel) of a run, or (error class, message, time)."""
+    try:
+        traj = _integrate(system, a, cfg)
+    except TubeIntError as exc:
+        return type(exc), str(exc), getattr(exc, "t", None)
+    return traj.times.tobytes(), traj.data.tobytes(), traj.meta["kernel"]
+
+
+def _both(system, a, cfg, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tubeint.integrate, "_CHUNK", chunk)
+        compiled = _outcome(system, a, cfg)
+        mp.setattr(rk4, "_lib", None)
+        python = _outcome(system, a, cfg)
+    return compiled, python
+
+
+def _args(**kw):
+    a = dict(omega=1.0, c1=0.1, c2=0.0, y0=1.0, yp0=0.0, ypp0=0.0, g=(1.0, 0.0), z0=0.2,
+             p0=0.0, driver=(0.37, 1.0, 1.0, 0.3), w0=None, dw0=0.0)
+    a.update(kw)
+    return a
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cases(draw):
+    system = draw(st.sampled_from(["y", "z", "coupled", "ermakov"]))
+    h = draw(_num(1e-3, 0.5))
+    cfg = IntegrationConfig(t_end=h * draw(st.integers(1, 400)), h=h,
+                            record_every=draw(st.integers(1, 12)),
+                            escape_z=draw(st.sampled_from([1e6, 1e3, 2.0])))
+    a = _args(
+        omega=draw(_num(0.2, 3.0)),
+        c1=draw(_num(-3.0, 3.0)),
+        c2=draw(st.sampled_from([0.0, 0.5, -1.0])),
+        y0=draw(_num(0.05, 3.0)),
+        yp0=draw(st.sampled_from([0.0, 0.3, -2.0])),
+        ypp0=draw(st.sampled_from([0.0, -1.0])),
+        g=(draw(_num(-2.0, 2.0)), draw(_num(-2.0, 2.0))),
+        z0=draw(_num(-5.0, 5.0)),
+        p0=draw(_num(-5.0, 5.0)),
+        driver=(draw(_num(0.0, 1.0)), draw(_num(0.2, 2.0)), 1.0, draw(_num(0.0, 0.6))),
+        w0=draw(st.one_of(st.none(), _num(0.01, 3.0))),
+        dw0=draw(_num(-10.0, 10.0)),
+    )
+    return system, a, cfg, draw(st.sampled_from([1, 7, 4096]))
+
+
+# The failures of the Python steps, each with the error it raises.
+# y = 0.5 - sin(2 tau) crosses zero near pi/12
+_Y_POSITIVITY = ("y", _args(c1=0.0, y0=0.5, yp0=-2.0), IntegrationConfig(t_end=5.0), 4096)
+_W_POSITIVITY = ("ermakov", _args(w0=0.01, dw0=-10.0), IntegrationConfig(t_end=5.0, h=0.5), 7)
+# in a later chunk than the first
+_ESCAPE = ("z", _args(z0=-5.0), IntegrationConfig(t_end=50.0, record_every=10, escape_z=1e3),
+           4096)
+# z0 = 1e200 overflows z*z in the first step, so z is NaN after it
+_NAN_ESCAPE = ("coupled", _args(z0=1e200), IntegrationConfig(t_end=1.0, record_every=1000), 7)
+# y0^-2.5 overflows: Python's ** raises, C's pow returns inf
+_OVERFLOW = ("y", _args(c1=0.0, y0=1e-250), IntegrationConfig(t_end=0.001), 1)
+_FAILURES = [(_Y_POSITIVITY, "PositivityViolation"), (_W_POSITIVITY, "PositivityViolation"),
+             (_ESCAPE, "Escape"), (_NAN_ESCAPE, "Escape"), (_OVERFLOW, "NonFinite")]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(cases())
+@example(_Y_POSITIVITY)
+@example(_W_POSITIVITY)
+@example(_ESCAPE)
+@example(_NAN_ESCAPE)
+@example(_OVERFLOW)
+def test_kernel_matches_python_steps(case):
+    compiled, python = _both(*case)
+    if isinstance(python[0], type):
+        assert compiled == python
+    else:
+        assert compiled[:2] == python[:2]
+        assert python[2] == "python"
+        assert compiled[2] == ("python" if rk4.library() is None else "c")
+
+
+@pytest.mark.parametrize("case, error", _FAILURES)
+def test_examples_raise_their_failure(case, error):
+    compiled, python = _both(*case)
+    assert compiled == python
+    assert compiled[0].__name__ == error
+
+
+_RUNS = [
+    ("y", _args(c1=0.1, y0=0.9), IntegrationConfig(t_end=3.0, h=1e-2, record_every=3)),
+    ("z", _args(g=(0.5, 0.3)), IntegrationConfig(t_end=3.0, h=1e-2, record_every=3)),
+    ("coupled", _args(c1=0.1, y0=1.1), IntegrationConfig(t_end=3.0, h=1e-2, record_every=3)),
+    ("ermakov", _args(), IntegrationConfig(t_end=3.0, h=1e-2, record_every=3)),
+]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_runs_when_a_compiler_exists():
+    for system, a, cfg in _RUNS:
+        assert _integrate(system, a, cfg).meta["kernel"] == "c"
+
+
+def _fresh_load(mp, cache):
+    """Forget the loaded library and point the build cache at ``cache``."""
+    mp.setattr(rk4, "_lib", rk4._UNSET)
+    mp.setenv("XDG_CACHE_HOME", str(cache))
+
+
+def test_no_compiler_runs_the_python_steps(tmp_path, capfd):
+    reference = [_integrate(system, a, cfg) for system, a, cfg in _RUNS]
+    with pytest.MonkeyPatch.context() as mp:
+        _fresh_load(mp, tmp_path)
+        mp.setattr(rk4, "COMPILER", "no-such-compiler-for-tubeint")
+        runs = [_integrate(system, a, cfg) for system, a, cfg in _RUNS]
+    for ref, traj in zip(reference, runs):
+        assert traj.meta["kernel"] == "python"
+        assert traj.times.tobytes() == ref.times.tobytes()
+        assert traj.data.tobytes() == ref.data.tobytes()
+    assert capfd.readouterr() == ("", "")
+    assert not (tmp_path / "tubeint").exists()
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("damage", ["truncated", "garbage"])
+def test_corrupt_cached_build_is_rebuilt(tmp_path, capfd, damage):
+    system, a, cfg = _RUNS[2]
+    reference = _integrate(system, a, cfg)
+    good = Path((rk4.library() or pytest.skip("no kernel"))._name)
+    cache = tmp_path / "tubeint"
+    cache.mkdir()
+    if damage == "truncated":  # the name of an intact build, half of its bytes
+        (cache / good.name).write_bytes(good.read_bytes()[: good.stat().st_size // 2])
+    else:
+        (cache / f"{rk4._key()}-0123456789abcdef.so").write_bytes(b"not a library\n")
+    with pytest.MonkeyPatch.context() as mp:
+        _fresh_load(mp, tmp_path)
+        traj = _integrate(system, a, cfg)
+    assert traj.meta["kernel"] == "c"
+    assert traj.data.tobytes() == reference.data.tobytes()
+    [rebuilt] = cache.iterdir()
+    assert rebuilt == rk4._cached(cache, rk4._key())
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+@pytest.mark.parametrize("cache", ["unwritable", "shared"])
+def test_unusable_cache_builds_in_a_temporary_directory(tmp_path, capfd, cache):
+    system, a, cfg = _RUNS[0]
+    reference = _integrate(system, a, cfg)
+    if cache == "unwritable":  # the cache would sit below a regular file
+        root = tmp_path / "file"
+        root.write_text("")
+    else:  # other users could plant a library there
+        root = tmp_path / "shared"
+        (root / "tubeint").mkdir(parents=True)
+        (root / "tubeint").chmod(0o777)
+    temp_root = tmp_path / "tmp"
+    temp_root.mkdir()
+    with pytest.MonkeyPatch.context() as mp:
+        _fresh_load(mp, root)
+        mp.setattr(tempfile, "tempdir", str(temp_root))
+        traj = _integrate(system, a, cfg)
+    assert traj.meta["kernel"] == "c"
+    assert traj.data.tobytes() == reference.data.tobytes()
+    assert list(temp_root.iterdir()) == []  # the build directory is gone once loaded
+    if cache == "shared":
+        assert list((root / "tubeint").iterdir()) == []
+    assert capfd.readouterr() == ("", "")

@@ -17,6 +17,7 @@ from tubeint.perturb import (
     rho1,
     rho2,
     rho3,
+    resonance_coefficients,
     _tables,
     validity,
     volterra_series,
@@ -209,3 +210,9 @@ def test_generated_series_solves_the_recursion_exactly():
         assert sp.expand(coefficient.rewrite(sp.exp)) == 0
     for r in R:
         assert all(sp.expand(sp.diff(r, tau, j).subs(tau, 0)) == 0 for j in (0, 1, 2))
+
+
+def test_resonance_coefficients_are_exact():
+    # the first harmonic eps y0^(-5/2)/3 and the secular slope (5/96) eps^2 y0^(-6)
+    assert resonance_coefficients() == {"s1": Fraction(1, 3), "secular_slope": Fraction(5, 96)}
+    assert float(resonance_coefficients()["secular_slope"]) == 5.0 / 96.0
