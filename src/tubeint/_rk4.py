@@ -1,14 +1,15 @@
-"""Build and load the compiled RK4 kernels of ``_rk4.c``.
+"""Build and load the compiled RK4 of ``_rk4.c``.
 
-``_rk4.c`` holds one kernel per system (y, z, coupled, Ermakov), each a copy
-of that system's Python step.  On first use, never at import, the file is
-compiled with the C compiler ``cc`` into a per-user cache,
-``$XDG_CACHE_HOME/tubeint`` or else ``~/.cache/tubeint``.  The file name is
-keyed by the sha256 of the source and the flags and ends in a digest of the
-build's own bytes.  A build is written to a temporary file and moved into
-place, so concurrent first runs are safe, and a cached build whose bytes do
-not match its digest is removed and rebuilt.  If the cache cannot be written
-or other users may write to it, the kernel is built in a per-process
+``_rk4.c`` writes each system (y, z, coupled, Ermakov) once, as a vector field
+evaluated in the same order as the stages of that system's Python step, under
+one RK4 stage routine and one exported function, ``tubeint_rk4``.  On first
+use, never at import, the file is compiled with the C compiler ``cc`` into a
+per-user cache, ``$XDG_CACHE_HOME/tubeint`` or else ``~/.cache/tubeint``.  The
+file name is keyed by the sha256 of the source and the flags and ends in a
+digest of the build's own bytes.  A build is written to a temporary file and
+moved into place, so concurrent first runs are safe, and a cached build whose
+bytes do not match its digest is removed and rebuilt.  If the cache cannot be
+written or other users may write to it, the kernel is built in a per-process
 temporary directory instead.
 
 When there is no compiler, or the build or the load fails, ``library()`` is
@@ -29,17 +30,19 @@ COMPILER = "cc"
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 LIBS = ("-lm",)
 
-#: The exported kernels by system: the state dimension and the name of the
-#: component that must stay positive (None: no positivity test).
+#: The systems of ``tubeint_rk4``, in the order of its system enum: the state
+#: dimension and the name of the component that must stay positive (None: no
+#: positivity test).
 KERNELS = {"y": (4, "y"), "z": (2, None), "coupled": (6, "y"), "ermakov": (4, "w")}
 
-#: Status codes of the kernels (the enum in ``_rk4.c``).  A positivity
+#: Status codes of ``tubeint_rk4`` (the enum in ``_rk4.c``).  A positivity
 #: violation is NONPOSITIVE + stage, the stage being 0 at t, 1 at t + h/2 and
 #: 2 at t + h.
 OK, ESCAPE, NONFINITE, NONPOSITIVE = 0, 1, 2, 3
 
 _ARGTYPES = [
-    ctypes.c_void_p,  # par: the system's constants
+    ctypes.c_int,  # system: its index in KERNELS
+    ctypes.c_void_p,  # par: (h, eps, omega)
     ctypes.c_void_p,  # coef: the chunk's half-step coefficient table
     ctypes.c_int64,  # start
     ctypes.c_int64,  # stop
@@ -142,13 +145,11 @@ def _cached(cache: Path, key: str) -> Path | None:
 
 
 def _open(path: Path):
-    """The library at path with its kernels declared, or None if it does not load."""
+    """The library at path with its entry point declared, or None if it does not load."""
     try:
         lib = ctypes.CDLL(str(path))
-        for system in KERNELS:
-            fn = getattr(lib, f"tubeint_rk4_{system}")
-            fn.argtypes = _ARGTYPES
-            fn.restype = ctypes.c_int
+        lib.tubeint_rk4.argtypes = _ARGTYPES
+        lib.tubeint_rk4.restype = ctypes.c_int
     except (OSError, AttributeError):
         return None
     return lib
@@ -194,6 +195,7 @@ def _build(directory: Path, key: str) -> Path | None:
 def kernel(system: str, constants, x, out, escape_index, escape_z, record_every):
     """A runner of ``system``'s compiled steps for one trajectory, or None.
 
+    constants is (h, eps, omega); a system ignores the ones it does not use.
     x is the initial state and out the array of recorded rows (C-contiguous
     float64, row 0 already written).  ``run(coef, start, stop)`` advances the
     state over steps start .. stop-1 with the chunk's half-step table coef and
@@ -206,8 +208,9 @@ def kernel(system: str, constants, x, out, escape_index, escape_z, record_every)
     if not (len(x) == dim and out.shape[1:] == (dim,) and out.dtype == np.float64
             and out.flags.c_contiguous):
         raise ValueError(f"{system} kernel needs {dim} states and a C-contiguous float64 out")
-    fn = getattr(lib, f"tubeint_rk4_{system}")
-    par = (ctypes.c_double * len(constants))(*constants)
+    fn = lib.tubeint_rk4
+    index = list(KERNELS).index(system)
+    par = (ctypes.c_double * 3)(*constants)
     state = (ctypes.c_double * len(x))(*x)
     rows, at, value = ctypes.c_int64(1), ctypes.c_int64(0), ctypes.c_double(0.0)
     esc = -1 if escape_index is None else escape_index
@@ -215,8 +218,8 @@ def kernel(system: str, constants, x, out, escape_index, escape_z, record_every)
 
     def run(coef, start, stop):
         # coef: float64, C-contiguous, 2 * (stop - start) + 1 values
-        status = fn(par, coef.ctypes.data, start, stop, record_every, esc, escape_z, state,
-                    dest, rows, at, value)
+        status = fn(index, par, coef.ctypes.data, start, stop, record_every, esc, escape_z,
+                    state, dest, rows, at, value)
         return status, at.value, value.value
 
     return run

@@ -291,7 +291,8 @@ def integrate_ermakov(
             dw + sixth * (a1_dw + 2.0 * (a2_dw + a3_dw) + a4_dw),
         )
 
-    t, states, path = _drive(step, f, (z0, p0, w0, dw0), config, kernel=("ermakov", (h,)))
+    t, states, path = _drive(step, f, (z0, p0, w0, dw0), config,
+                             kernel=("ermakov", (h, 0.0, 0.0)))
     return Trajectory(
         times=t,
         columns=("t", "f", "z", "p", "w", "dw"),

@@ -10,10 +10,12 @@ evaluated per stage in Python.  A 500-unit run at h = 1e-3 is half a million
 steps; identical inputs produce bit-identical trajectories, whatever the
 chunk size.  There is no adaptivity and no interpolation.
 
-Each step has a compiled copy in ``_rk4.c``, built on first use (see
-``_rk4``).  When it loads, the driver runs it on each chunk instead of the
-Python step, with bit-identical results and the same errors; otherwise the
-Python step runs.  ``Trajectory.meta["kernel"]`` records "c" or "python".
+Each system also has a compiled vector field in ``_rk4.c``, evaluated in the
+same order as the stages of its Python step under one C RK4 stage routine and
+built on first use (see ``_rk4``).  When it loads, the driver runs the
+compiled RK4 on each chunk instead of the Python step, with bit-identical
+results and the same errors; otherwise the Python step runs.
+``Trajectory.meta["kernel"]`` records "c" or "python".
 
 Positivity of the coefficient solution is enforced at every RK4 stage: true
 solutions are strictly positive, so a nonpositive stage value signals a step
@@ -92,8 +94,9 @@ def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None =
     exceeds config.escape_z or is NaN.  A plan too large to allocate raises
     InvalidInput.
 
-    ``kernel`` is (system, constants): the compiled copy of ``step`` in
-    ``_rk4.c`` and the constants it takes.  When that kernel can be built and
+    ``kernel`` is (system, (h, eps, omega)): the system whose field in
+    ``_rk4.c`` matches ``step``, and the constants of the compiled RK4 (0.0
+    for one the field does not use).  When the compiled RK4 can be built and
     loaded it runs each chunk, with the same results to the bit and the same
     errors; otherwise the Python ``step`` does.
 
@@ -228,7 +231,7 @@ def integrate_y(params: SystemParams, config: IntegrationConfig) -> Trajectory:
         )
 
     x0 = (params.y0, params.yp0, params.ypp0, 0.0)
-    tau, states, path = _drive(step, _profile(params), x0, config, kernel=("y", (h, eps)))
+    tau, states, path = _drive(step, _profile(params), x0, config, kernel=("y", (h, eps, 0.0)))
     return Trajectory(
         times=tau,
         columns=("tau", "y", "dy", "ddy", "J"),
@@ -280,7 +283,7 @@ def integrate_z(
         )
 
     t, states, path = _drive(step, g, (z0, p0), config, escape_index=0,
-                             kernel=("z", (h, omega)))
+                             kernel=("z", (h, 0.0, omega)))
     return Trajectory(
         times=t,
         columns=("z", "p"),

@@ -63,8 +63,10 @@ def validate_params(raw: SystemParams) -> SystemParams:
     is given; when only epsilon is given, c1 is set to epsilon*omega^3 and
     c2 to 0.  Returns a fully resolved record; idempotent.
 
-    Raises NonPositive for omega or y0, InconsistentEpsilon when both epsilon
-    and (c1, c2) are supplied and disagree beyond ``EPSILON_RTOL`` relative.
+    Raises NonPositive for omega or y0, InvalidInput when omega^3 overflows
+    or underflows to 0 or a derived c1 or epsilon is not finite, and
+    InconsistentEpsilon when both epsilon and (c1, c2) are supplied and
+    disagree beyond ``EPSILON_RTOL`` relative.
     """
     omega = float(raw.omega)
     y0 = float(raw.y0)
@@ -76,6 +78,12 @@ def validate_params(raw: SystemParams) -> SystemParams:
         raise NonPositive("y0", y0)
     if not (math.isfinite(yp0) and math.isfinite(ypp0)):
         raise InvalidInput(f"yp0/ypp0 must be finite, got {yp0!r}, {ypp0!r}")
+    try:
+        omega3 = omega**3
+    except OverflowError:
+        omega3 = math.inf
+    if not (0.0 < omega3 < math.inf):
+        raise InvalidInput(f"omega^3 must be > 0 and finite, got omega={omega!r}")
 
     has_c = raw.c1 is not None or raw.c2 is not None
     if has_c:
@@ -83,7 +91,10 @@ def validate_params(raw: SystemParams) -> SystemParams:
         c2 = float(raw.c2) if raw.c2 is not None else 0.0
         if not (math.isfinite(c1) and math.isfinite(c2)):
             raise InvalidInput(f"c1/c2 must be finite, got {c1!r}, {c2!r}")
-        epsilon = math.hypot(c1, c2) / omega**3
+        epsilon = math.hypot(c1, c2) / omega3
+        if not math.isfinite(epsilon):
+            raise InvalidInput(f"derived epsilon=sqrt(c1^2+c2^2)/omega^3 is not finite, "
+                               f"got c1={c1!r}, c2={c2!r}, omega={omega!r}")
         if raw.epsilon is not None:
             given = float(raw.epsilon)
             if abs(given - epsilon) > EPSILON_RTOL * max(abs(given), abs(epsilon)):
@@ -93,7 +104,10 @@ def validate_params(raw: SystemParams) -> SystemParams:
         if not math.isfinite(eps_signed):
             raise InvalidInput(f"epsilon must be finite, got {eps_signed!r}")
         # The sign lives in c1; the stored epsilon is the amplitude C/omega^3 >= 0.
-        c1 = eps_signed * omega**3
+        c1 = eps_signed * omega3
+        if not math.isfinite(c1):
+            raise InvalidInput(f"derived c1=epsilon*omega^3 is not finite, "
+                               f"got epsilon={eps_signed!r}, omega={omega!r}")
         c2 = 0.0
         epsilon = abs(eps_signed)
     else:

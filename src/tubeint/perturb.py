@@ -288,11 +288,15 @@ class ValidityWindow:
 
 
 def validity(params: SystemParams) -> ValidityWindow:
-    """tau* = 96 y0^6 / (5 eps^2) (infinite when unforced) and eps_eff = eps y0^(-7/2)."""
+    """tau* = y0^6 / (s eps^2) (infinite when unforced) and eps_eff = eps y0^(-7/2).
+
+    s = 5/96 is the secular slope of ``resonance_coefficients``.
+    """
     params = _resolved(params)
     eps2 = params.epsilon**2
+    s = resonance_coefficients()["secular_slope"]
     try:
-        tau_star = 96.0 * params.y0**6 / (5.0 * eps2)
+        tau_star = float(s.denominator) * params.y0**6 / (float(s.numerator) * eps2)
     except (ZeroDivisionError, OverflowError):  # eps^2 is 0 (or underflows) or y0^6 overflows
         tau_star = math.inf
     return ValidityWindow(tau_star=tau_star, eps_eff=params.eps_eff)

@@ -265,6 +265,12 @@ def test_validation_failure_exit_code_two(capsys):
         ["simulate-y", "--tau-max", "1e12", "--record-every", "1"],
         ["simulate-y", "--tau-max", "1e20", "--record-every", "1"],
         ["ermakov", "--ts", "1e-12", "--t-max", "100"],
+        # omega^3 underflows to 0 or overflows; the derived epsilon or c1 is inf
+        ["simulate-y", "--tau-max", "1", "--omega", "1e-300"],
+        ["invariant-drift", "--mode", "exact", "--t-max", "1", "--omega", "1e-300"],
+        ["invariant-drift", "--mode", "exact", "--t-max", "1", "--omega", "1e200"],
+        ["simulate-y", "--tau-max", "1", "--c1", "1e300", "--omega", "1e-10"],
+        ["simulate-y", "--tau-max", "1", "--eps", "1e300", "--omega", "1e10"],
     ):
         assert run(argv + ["--out", "-"]) == 2
         err = capsys.readouterr().err
@@ -349,6 +355,10 @@ def short_runs(draw):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(short_runs())
 @example(["invariant-drift", "--y0", "0.05", "--eps", "0.5"])  # numpy overflows, then Escape
+@example(["simulate-y", "--tau-max", "1", "--omega", "1e-300"])
+@example(["invariant-drift", "--mode", "exact", "--t-max", "1", "--omega", "1e-300"])
+@example(["invariant-drift", "--mode", "exact", "--t-max", "1", "--omega", "1e200"])
+@example(["simulate-y", "--tau-max", "1", "--c1", "1e300", "--omega", "1e-10"])
 def test_exit_code_contract_fuzz(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \

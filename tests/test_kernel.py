@@ -1,11 +1,14 @@
-"""The compiled RK4 kernels against the Python steps they copy.
+"""The compiled RK4 against the Python steps.
 
-Each case runs twice: on the compiled kernel and on the Python steps, chosen
-by setting the loaded library to None.  Both paths must record the same
-times and data to the bit, or raise the same error with the same message.
+``_rk4.c`` writes each system as a vector field evaluated in the same order
+as the stages of its Python step, under one C stage routine.  Each case runs
+twice: on the compiled RK4 and on the Python steps, chosen by setting the
+loaded library to None.  Both paths must record the same times and data to
+the bit, or raise the same error with the same message.
 """
 
 import shutil
+import subprocess
 import tempfile
 import warnings
 from pathlib import Path
@@ -139,6 +142,15 @@ _RUNS = [
     ("coupled", _args(c1=0.1, y0=1.1), IntegrationConfig(t_end=3.0, h=1e-2, record_every=3)),
     ("ermakov", _args(), IntegrationConfig(t_end=3.0, h=1e-2, record_every=3)),
 ]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_kernel_source_compiles_without_warnings():
+    # an unused field argument or an implicit conversion keeps the bits, so
+    # the parity tests would not see it
+    done = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(rk4.SOURCE)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")

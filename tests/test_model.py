@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tubeint.errors import InconsistentEpsilon, NonPositive
+from tubeint.errors import InconsistentEpsilon, InvalidInput, NonPositive
 from tubeint.model import SystemParams, Trajectory, validate_params
 
 
@@ -54,6 +54,20 @@ def test_consistent_epsilon_accepted():
 def test_nonpositive_rejected(kwargs):
     with pytest.raises(NonPositive):
         validate_params(SystemParams(epsilon=0.1, **kwargs))
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(omega=1e-300, epsilon=0.1), "omega"),  # omega^3 underflows to 0
+    (dict(omega=1e200, epsilon=0.1), "omega"),  # omega^3 overflows
+    (dict(omega=1e200), "omega"),  # also when unforced
+    (dict(omega=1e-10, c1=1e300), "epsilon"),  # derived epsilon = inf
+    (dict(omega=1e-10, c1=1e300, epsilon=1.0), "epsilon"),  # not InconsistentEpsilon
+    (dict(omega=1e10, epsilon=1e300), "c1"),  # derived c1 = inf
+])
+def test_nonfinite_derived_quantity_rejected(kwargs, name):
+    with pytest.raises(InvalidInput, match=rf"^(derived )?{name}\b") as exc:
+        validate_params(SystemParams(**kwargs))
+    assert not isinstance(exc.value, InconsistentEpsilon)
 
 
 def test_nonzero_initial_derivatives_warn():
