@@ -32,7 +32,7 @@ from .errors import InsufficientWindows, InvalidInput, MissingInput, TubeIntErro
 from .ermakov import LogisticDriver, integrate_ermakov, lewis_invariant
 from .integrate import IntegrationConfig, integrate_y
 from .invariant import drift_experiment, drift_percent, exact_drift_experiment
-from .model import SystemParams, validate_params
+from .model import SystemParams
 from .perturb import resonance_coefficients, validity, y_composite
 from .resonance import (
     TWO_PI,
@@ -63,9 +63,11 @@ def write_csv(path: str, meta: list[tuple[str, str]], header: list[str], rows) -
 
 
 def _params_from_args(args) -> SystemParams:
-    return validate_params(
-        SystemParams(omega=args.omega, c1=args.c1, c2=args.c2, epsilon=args.eps, y0=args.y0)
-    )
+    """The subcommand's default epsilon applies only when no forcing flag is given."""
+    eps = args.eps
+    if eps is None and args.c1 is None and args.c2 is None:
+        eps = args.eps_default
+    return SystemParams(omega=args.omega, c1=args.c1, c2=args.c2, epsilon=eps, y0=args.y0)
 
 
 def _param_meta(params: SystemParams, cfg: IntegrationConfig) -> list[tuple[str, str]]:
@@ -294,13 +296,16 @@ def _add_common(sub, tau_axis: bool, t_default: float, h_default: float = 1e-3) 
 
 def _add_params(sub, eps_default: float = 0.1, y0_default: float = 1.0) -> None:
     sub.add_argument("--omega", type=float, default=1.0, help="angular frequency")
-    sub.add_argument("--eps", type=float, default=eps_default,
-                     help="reduced forcing strength C/omega^3")
+    sub.add_argument("--eps", type=float, default=None,
+                     help=f"reduced forcing strength C/omega^3 (default {eps_default} "
+                          "unless --c1 or --c2 is given)")
     sub.add_argument("--c1", type=float, default=None,
-                     help="cos forcing coefficient (overrides --eps)")
+                     help="cos forcing coefficient; eps is derived from c1, c2 and omega, "
+                          "and an explicit --eps must agree")
     sub.add_argument("--c2", type=float, default=None, help="sin forcing coefficient")
     sub.add_argument("--y0", type=float, default=y0_default,
                      help="initial coefficient value (> 0)")
+    sub.set_defaults(eps_default=eps_default)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

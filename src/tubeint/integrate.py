@@ -31,13 +31,14 @@ takes its sample times from the driver, so a time column and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import Escape, InvalidInput, NonFinite, PositivityViolation
-from .model import SystemParams, Trajectory, validate_params
+from .errors import Escape, InvalidInput, NonFinite, NonPositive, PositivityViolation
+from .model import SystemParams, Trajectory
 
 __all__ = [
     "IntegrationConfig",
@@ -73,8 +74,10 @@ class IntegrationConfig:
             raise InvalidInput(f"t_end must be finite and > 0, got {self.t_end!r}")
         if not math.isfinite(self.t_end / self.h):
             raise InvalidInput(f"t_end / h overflows: {self.t_end!r} / {self.h!r}")
-        if self.record_every < 1:
-            raise InvalidInput(f"record_every must be >= 1, got {self.record_every!r}")
+        if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
+            raise InvalidInput(f"record_every must be an integer >= 1, got {self.record_every!r}")
+        if not self.escape_z > 0.0:
+            raise InvalidInput(f"escape_z must be > 0, got {self.escape_z!r}")
 
     def plan(self) -> tuple[int, int]:
         """(total steps, recorded intervals); steps are a multiple of record_every."""
@@ -152,23 +155,13 @@ def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None =
     return np.arange(n_intervals + 1) * rec * h, out, "python" if run is None else "c"
 
 
-def _resolved(params: SystemParams) -> SystemParams:
-    if params.epsilon is None or params.c1 is None or params.c2 is None:
-        return validate_params(params)
-    return params
-
-
 def _profile(params: SystemParams) -> Callable[[np.ndarray], np.ndarray]:
     """Unit forcing profile w(tau); the forcing in rescaled time is eps * w(tau).
 
-    w is (c1 cos + c2 sin) / (eps omega^3), and cos(tau) when unforced.
+    w is (c1 cos + c2 sin) / hypot(c1, c2), and cos(tau) when unforced.
     """
-    eps = params.epsilon
-    if eps == 0.0:
-        a, b = 1.0, 0.0
-    else:
-        w3 = params.omega**3
-        a, b = params.c1 / w3 / eps, params.c2 / w3 / eps
+    r = math.hypot(params.c1, params.c2)
+    a, b = (params.c1 / r, params.c2 / r) if r else (1.0, 0.0)
     return lambda tau: a * np.cos(tau) + b * np.sin(tau)
 
 
@@ -180,7 +173,6 @@ def integrate_y(params: SystemParams, config: IntegrationConfig) -> Trajectory:
     component so it shares the integrator's O(h^4) accuracy.  config.t_end is
     the final rescaled time.
     """
-    params = _resolved(params)
     eps = params.epsilon
     h = config.h
     half = 0.5 * h
@@ -252,8 +244,10 @@ def integrate_z(
     g is vectorised: it maps an array of times to coefficient values, and a
     constant (``lambda t: 0.0``) broadcasts.  Raises Escape at the step where
     |z| exceeds config.escape_z (the cubic potential is unbounded; detect
-    rather than overflow).
+    rather than overflow).  Raises NonPositive unless omega is finite and > 0.
     """
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise NonPositive("omega", omega)
     h = config.h
     half = 0.5 * h
     sixth = h / 6.0
@@ -306,7 +300,6 @@ def integrate_coupled(
     Times are physical; the tau column stores omega*t.  Raises Escape at the
     step where |z| exceeds config.escape_z.
     """
-    params = _resolved(params)
     eps = params.epsilon
     om = params.omega
     om2 = om * om
@@ -416,7 +409,6 @@ def convergence_order(
     """
     if system not in _STATE_COLUMNS:
         raise InvalidInput(f"unknown system {system!r}")
-    params = _resolved(params)
 
     def final_state(step: float) -> np.ndarray:
         cfg = IntegrationConfig(t_end=t_end, h=step, record_every=1)

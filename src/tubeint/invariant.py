@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NonPositive, UnsupportedOmega
-from .integrate import IntegrationConfig, integrate_coupled, integrate_z, _resolved
+from .integrate import IntegrationConfig, integrate_coupled, integrate_z
 from .model import SystemParams, Trajectory
 from .perturb import _prepare, _sum, g_of_t, y_composite
 
@@ -49,7 +49,6 @@ def invariant_exact_series(traj: Trajectory, params: SystemParams) -> np.ndarray
     Coefficient derivatives come from the integrated state via the chain rule
     (alpha2'(t) = omega * y'(tau), alpha2''(t) = omega^2 * y''(tau)).
     """
-    params = _resolved(params)
     om = params.omega
     t = traj.times
     y = traj.column("y")
@@ -71,7 +70,7 @@ def invariant_exact_series(traj: Trajectory, params: SystemParams) -> np.ndarray
 
 def _coeff_arrays(t, params: SystemParams, order: int):
     """All six coefficient series at the given times (vectorized)."""
-    params, weights = _prepare(params, order)
+    weights = _prepare(params, order)
     if params.omega != 1.0:
         raise UnsupportedOmega(params.omega)
     t = np.asarray(t, dtype=float)
@@ -132,7 +131,6 @@ def drift_experiment(
     max and the final drift plus the absolute-mode flag for near-zero initial
     values.
     """
-    params = _resolved(params)
     if params.omega != 1.0:
         raise UnsupportedOmega(params.omega)
     cfg = IntegrationConfig(t_end=t_end, h=h, record_every=record_every)
@@ -159,7 +157,6 @@ def exact_drift_experiment(
     Conservation is analytically exact here, so the reported drift measures
     integrator error and scales as O(h^4).
     """
-    params = _resolved(params)
     cfg = IntegrationConfig(t_end=t_end, h=h, record_every=record_every)
     traj = integrate_coupled(params, z0, p0, cfg)
     values = invariant_exact_series(traj, params)
@@ -194,7 +191,6 @@ def tube_surface_samples(
     coupled system and tags the (z, p, t) triples with the conserved value K;
     this is the data behind the tube visualization.
     """
-    params = _resolved(params)
     z0_grid = np.atleast_1d(np.asarray(z0_grid, dtype=float))
     p0_grid = np.atleast_1d(np.asarray(p0_grid, dtype=float))
     if z0_grid.size == 0 or p0_grid.size == 0:

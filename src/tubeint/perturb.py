@@ -2,8 +2,9 @@
 
 Everything here works in rescaled time and assumes the canonical single-cosine
 forcing orientation (c2 = 0, c1 >= 0) with initial data y'(0) = y''(0) = 0;
-records produced by ``validate_params`` from an epsilon-only input satisfy
-both.  Truncation order is an explicit argument (1, 2 or 3) everywhere.
+a ``SystemParams`` is valid by construction, and one built from an
+epsilon-only input satisfies both.  Truncation order is an explicit argument
+(1, 2 or 3) everywhere.
 
 The composite is y = y0 exp(rho) with rho = sum_n delta^n R_n and
 delta = eps y0^(-7/2) (``SystemParams.eps_eff``), so it is strictly positive.
@@ -30,7 +31,6 @@ import numpy as np
 
 from .errors import InvalidInput
 from .model import SystemParams
-from .integrate import _resolved
 
 __all__ = [
     "rho1",
@@ -209,9 +209,8 @@ def _sum(kind: str, tau, weights) -> np.ndarray:
     return out
 
 
-def _prepare(params: SystemParams, order: int) -> tuple[SystemParams, list[float]]:
-    """Resolved canonical parameters and the weights delta^0 .. delta^order."""
-    params = _resolved(params)
+def _prepare(params: SystemParams, order: int) -> list[float]:
+    """The weights delta^0 .. delta^order of canonical parameters."""
     if not params.is_canonical:
         raise InvalidInput(
             "series functions require the canonical forcing orientation (c2=0, c1>=0)"
@@ -221,7 +220,7 @@ def _prepare(params: SystemParams, order: int) -> tuple[SystemParams, list[float
     try:
         weights = [params.eps_eff**n for n in range(order + 1)]
         if math.isfinite(weights[-1]):
-            return params, weights
+            return weights
     except OverflowError:
         pass
     raise InvalidInput(
@@ -232,7 +231,7 @@ def _prepare(params: SystemParams, order: int) -> tuple[SystemParams, list[float
 def _term(kind: str, n: int):
     def term(tau, y0):
         """The delta^n term of rho (or rho') at eps = 1: y0^(-7n/2) R_n(tau)."""
-        _, weights = _prepare(SystemParams(epsilon=1.0, y0=y0), n)
+        weights = _prepare(SystemParams(epsilon=1.0, y0=y0), n)
         return weights[n] * _sum(kind, tau, [0.0] * n + [1.0])
 
     term.__name__ = term.__qualname__ = f"{kind}{n}"
@@ -245,7 +244,7 @@ drho1, drho2, drho3 = (_term("drho", n) for n in (1, 2, 3))
 
 def y_composite(tau, params: SystemParams, order: int = 3):
     """Composite y0 * exp(sum delta^n R_n), strictly positive by construction."""
-    params, weights = _prepare(params, order)
+    weights = _prepare(params, order)
     return params.y0 * np.exp(_sum("rho", tau, weights))
 
 
@@ -260,7 +259,7 @@ def volterra_series(tau, params: SystemParams, order: int):
     The integrand is expanded through delta^(order-1) so that eps*J carries
     the full eps^order information of the second derivative.
     """
-    params, weights = _prepare(params, order)
+    weights = _prepare(params, order)
     return params.y0**-2.5 * _sum("J", tau, weights[:order])
 
 
@@ -272,7 +271,7 @@ def alpha2_derivatives(tau, params: SystemParams, order: int = 3):
     alpha2'' = 4 (y0 - alpha2) + eps * J with J in closed form, which avoids
     amplifying truncation error by repeated differentiation.
     """
-    params, weights = _prepare(params, order)
+    weights = _prepare(params, order)
     yc = y_composite(tau, params, order)
     d1 = yc * _sum("drho", tau, weights)
     d2 = 4.0 * (params.y0 - yc) + params.epsilon * volterra_series(tau, params, order)
@@ -292,7 +291,6 @@ def validity(params: SystemParams) -> ValidityWindow:
 
     s = 5/96 is the secular slope of ``resonance_coefficients``.
     """
-    params = _resolved(params)
     eps2 = params.epsilon**2
     s = resonance_coefficients()["secular_slope"]
     try:
@@ -309,7 +307,6 @@ def equation_residual(tau, params: SystemParams, order: int = 3, dtau: float = 2
     independent of the closed-form derivative chain; the residual of the
     order-3 composite is O(eps^4).
     """
-    params = _resolved(params)
     tau = np.asarray(tau, dtype=float)
     ym2 = y_composite(tau - 2.0 * dtau, params, order)
     ym1 = y_composite(tau - dtau, params, order)

@@ -277,6 +277,50 @@ def test_validation_failure_exit_code_two(capsys):
         assert err.startswith("error: InvalidInput: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, c1, c2, eps", [
+    (["simulate-y", "--c1", "0.2", "--tau-max", "1"], "0.2", "0.0", "0.2"),
+    (["invariant-drift", "--mode", "exact", "--c2", "0.03", "--t-max", "1"], "0.0", "0.03", "0.03"),
+    (["invariant-drift", "--mode", "exact", "--c1", "0.03", "--c2", "0.04", "--t-max", "1"],
+     "0.03", "0.04", "0.05"),
+    (["simulate-y", "--c1", "0.2", "--eps", "0.2", "--tau-max", "1"], "0.2", "0.0", "0.2"),
+    # the subcommand's default eps applies only when no forcing flag is given
+    (["simulate-y", "--tau-max", "1"], "0.1", "0.0", "0.1"),
+    (["invariant-drift", "--t-max", "1"], "0.05", "0.0", "0.05"),
+])
+def test_forcing_coefficients_without_eps(tmp_path, argv, c1, c2, eps):
+    out = tmp_path / "run.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    meta, _, _ = read_csv(out)
+    assert (meta["c1"], meta["c2"], meta["eps"]) == (c1, c2, eps)
+
+
+def test_forcing_coefficients_from_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c1 = 0.2\ntau_max = 1\n")
+    out = tmp_path / "run.csv"
+    assert run(["simulate-y", "--config", str(cfg), "--out", str(out)]) == 0
+    meta, _, _ = read_csv(out)
+    assert meta["eps"] == "0.2"
+
+
+def test_explicit_eps_must_agree_with_c1(capsys):
+    for argv in (["simulate-y", "--c1", "0.2", "--eps", "0.1", "--tau-max", "1"],
+                 ["invariant-drift", "--c2", "0.2", "--eps", "0.05", "--t-max", "1"]):
+        assert run(argv + ["--out", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InconsistentEpsilon: ") and err.count("\n") == 1
+
+
+def test_subnormal_omega_cubed_keeps_the_unit_forcing(capsys):
+    # c1 = eps*omega^3 is subnormal here; the rescaled run must not see it
+    rows = []
+    for omega in ("1", "1e-107"):
+        assert run(["simulate-y", "--tau-max", "10", "--omega", omega, "--out", "-"]) == 0
+        out = capsys.readouterr().out
+        rows.append(out[out.index("tau,"):])
+    assert rows[0] == rows[1]
+
+
 def test_library_bug_is_not_reported_as_bad_input(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("bug")

@@ -5,7 +5,7 @@ import pytest
 
 import tubeint.integrate
 from tubeint.ermakov import LogisticDriver, integrate_ermakov
-from tubeint.errors import Escape, PositivityViolation
+from tubeint.errors import Escape, InvalidInput, NonPositive, PositivityViolation
 from tubeint.integrate import (
     IntegrationConfig,
     convergence_order,
@@ -34,6 +34,39 @@ def test_config_validation():
         IntegrationConfig(t_end=1.0, h=0.0)
     with pytest.raises(ValueError):
         IntegrationConfig(t_end=1.0, record_every=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(record_every=2.5),  # was accepted, then a TypeError inside the driver
+    dict(record_every=2.0),
+    dict(escape_z=math.nan),  # was an Escape at t = h
+    dict(escape_z=0.0),
+    dict(escape_z=-1.0),
+])
+def test_config_rejects_unusable_values(kwargs):
+    with pytest.raises(InvalidInput):
+        IntegrationConfig(t_end=1.0, **kwargs)
+
+
+def test_config_accepts_numpy_integer_record_every():
+    cfg = IntegrationConfig(t_end=1.0, h=0.1, record_every=np.int64(5))
+    assert cfg.plan() == (10, 2)
+    assert len(integrate_z(lambda t: 0.0, 0.2, 0.0, 1.0, cfg)) == 3
+
+
+@pytest.mark.parametrize("omega", [-1.0, 0.0, math.nan, math.inf])
+def test_oscillator_rejects_nonpositive_omega(omega):
+    with pytest.raises(NonPositive, match="^omega "):
+        integrate_z(lambda t: 0.0, 0.2, 0.0, omega, IntegrationConfig(t_end=1.0))
+
+
+@pytest.mark.parametrize("omega", [0.7, 5.5, 7.1, 1e-107])
+def test_rescaled_y_run_does_not_depend_on_omega(omega):
+    # the unit forcing profile is (c1, c2)/hypot(c1, c2): omega^3 and eps do not enter it
+    cfg = IntegrationConfig(t_end=10.0, h=1e-3, record_every=100)
+    reference = integrate_y(params(omega=1.0), cfg)
+    traj = integrate_y(params(omega=omega), cfg)
+    assert traj.data.tobytes() == reference.data.tobytes()
 
 
 def test_plan_rounds_up_to_record_multiple():

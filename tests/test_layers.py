@@ -1,0 +1,39 @@
+"""The package's import layers, read from the source with ``ast``.
+
+The series layer (``model`` and ``perturb``) sits below the integrators: it
+must not import them, or anything built on them, at module level or inside a
+function.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import tubeint
+
+PACKAGE = Path(tubeint.__file__).parent
+ABOVE_SERIES = {"integrate", "invariant", "resonance", "ermakov", "cli"}
+
+
+def relative_imports(module: str) -> set[str]:
+    """The package modules that ``module`` imports with a relative import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:  # from .x import y
+                found.add(node.module.split(".")[0])
+            else:  # from . import x
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_relative_imports_are_found():
+    assert {"errors", "model", "perturb"} <= relative_imports("invariant")
+    assert "_rk4" in relative_imports("integrate")  # imported inside _drive
+
+
+@pytest.mark.parametrize("module", ["model", "perturb"])
+def test_series_layer_does_not_import_the_integrators(module):
+    assert relative_imports(module) & ABOVE_SERIES == set()

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,48 @@ def test_nonzero_initial_derivatives_warn():
 def test_eps_eff():
     p = validate_params(SystemParams(epsilon=0.1, y0=2.0))
     assert p.eps_eff == pytest.approx(0.1 * 2.0**-3.5, rel=1e-15)
+
+
+FULL = dict(omega=1.0, c1=0.1, c2=0.0, epsilon=0.1, y0=1.0, yp0=0.0, ypp0=0.0)
+
+
+@pytest.mark.parametrize("change, error", [
+    (dict(omega=-1.0), NonPositive),
+    (dict(y0=-1.0), NonPositive),
+    (dict(y0=math.nan), NonPositive),
+    (dict(epsilon=0.7), InconsistentEpsilon),
+])
+def test_construction_rejects_fully_specified_invalid_records(change, error):
+    # every field given: nothing is left to resolve, and the record is still checked
+    with pytest.raises(error):
+        SystemParams(**{**FULL, **change})
+
+
+@pytest.mark.parametrize("omega", [0.3, 0.7, 1.3, 2.0, 3.0, 5.5, 7.1])
+@pytest.mark.parametrize("eps", [0.1, 0.05, -0.3, 1e-3])
+def test_record_rebuilt_from_its_fields_is_equal(omega, eps):
+    p = SystemParams(omega=omega, epsilon=eps)
+    assert None not in dataclasses.astuple(p)  # resolved when built
+    assert SystemParams(**dataclasses.asdict(p)) == p
+
+
+def test_given_epsilon_is_kept_when_consistent():
+    derived = SystemParams(omega=1.3, c1=0.2).epsilon
+    given = derived * (1.0 + 1e-13)
+    assert given != derived
+    p = SystemParams(omega=1.3, c1=0.2, epsilon=given)
+    assert p.epsilon == given and p.c1 == 0.2 and p.c2 == 0.0
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(c1=0.1, epsilon=math.nan), "epsilon"),  # NaN would pass the tolerance test
+    (dict(c1=0.1, epsilon=math.inf), "epsilon"),
+    (dict(omega=1e-107, epsilon=1e-5), "derived c1"),  # epsilon*omega^3 underflows to 0
+])
+def test_unusable_epsilon_rejected(kwargs, name):
+    with pytest.raises(InvalidInput, match=rf"^{name}\b") as exc:
+        SystemParams(**kwargs)
+    assert not isinstance(exc.value, InconsistentEpsilon)
 
 
 def test_trajectory_invariants():
