@@ -1,4 +1,5 @@
-/* Compiled RK4 for tubeint's four systems: y, z, coupled and Ermakov.
+/* Compiled RK4 for tubeint's four systems (y, z, coupled and Ermakov), and the
+ * CSV rows of the command-line tool.
  *
  * Each system is written once, as a vector field evaluated in the same order
  * and association as the stages of its Python ``step``, and one stage routine,
@@ -17,10 +18,16 @@
  * t + h/2 and t + h of step start + i), with the escape test after every step
  * and the finiteness test at every record point.  It writes each recorded
  * state into row ``*rows`` of ``out`` and returns a status code (below).
+ *
+ * The second export, ``tubeint_csv`` (at the end of the file), writes a block
+ * of rows as CSV text with each float exactly as Python's ``repr`` writes it,
+ * so the CSV bytes are the same with and without this library.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 enum { Y, Z, COUPLED, ERMAKOV }; /* the systems, in the order of _rk4.KERNELS */
 
@@ -197,4 +204,203 @@ int tubeint_rk4(int system, const double *par, const double *coef, int64_t start
     case ERMAKOV: return RUN(field_ermakov, 4);
     }
     return -1;
+}
+
+/* CSV rows with floats written as Python's repr writes them.
+ *
+ * The digits are the shortest decimal in the rounding interval of the value,
+ * the closest to it among those, and the even one on a tie: what repr's dtoa
+ * gives.  They are found by Schubfach (R. Giulietti, "The Schubfach way to
+ * render doubles", 2020) with exact 126-bit products against the table g of
+ * 10^-k, k = K_MIN .. 292: g is floor(10^-k 2^-r) + 1, r = flog2pow10(-k) - 125,
+ * stored as (g >> 63, g mod 2^63).  The caller computes g with exact integers.
+ * Unlike the Java original, which keeps at least two digits, a one-digit
+ * result is allowed, as in repr's 5e-324.
+ */
+
+#define K_MIN (-324)
+#define Q_MIN (-1074)
+#define C_MIN ((uint64_t)1 << 52)
+#define MASK63 (((uint64_t)1 << 63) - 1)
+
+/* floor(x / 2^n), also for negative x */
+static inline int floor_shift(int64_t x, int n)
+{
+    return (int)(x >= 0 ? x >> n : ~(~x >> n));
+}
+
+/* floor(q log10 2), floor(q log10 2 + log10 3/4) and floor(e log2 10) */
+static inline int flog10pow2(int q) { return floor_shift(q * INT64_C(661971961083), 41); }
+static inline int flog10three_quarters_pow2(int q)
+{
+    return floor_shift(q * INT64_C(661971961083) - INT64_C(274743187321), 41);
+}
+static inline int flog2pow10(int e) { return floor_shift(e * INT64_C(913124641741), 38); }
+
+/* The high 64 bits of the 128-bit product a b. */
+static inline uint64_t mulhi(uint64_t a, uint64_t b)
+{
+    const uint64_t a0 = a & 0xffffffffu, a1 = a >> 32, b0 = b & 0xffffffffu, b1 = b >> 32;
+    const uint64_t p01 = a0 * b1, p10 = a1 * b0;
+    const uint64_t mid = ((a0 * b0) >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+}
+
+/* Round to odd of g cp / 2^127 (g = g1 2^63 + g0). */
+static inline uint64_t rop(uint64_t g1, uint64_t g0, uint64_t cp)
+{
+    const uint64_t x1 = mulhi(g0, cp), y0 = g1 * cp, y1 = mulhi(g1, cp);
+    const uint64_t z = (y0 >> 1) + x1;
+    return (y1 + (z >> 63)) | (((z & MASK63) + MASK63) >> 63);
+}
+
+/* The shortest decimal f 10^*e in the rounding interval of c 2^q. */
+static uint64_t to_decimal(const uint64_t *g, int q, uint64_t c, int *e)
+{
+    const uint64_t out = c & 1, cb = c << 2, cbr = cb + 2;
+    uint64_t cbl;
+    int k;
+
+    if (c != C_MIN || q == Q_MIN) {
+        cbl = cb - 2;
+        k = flog10pow2(q);
+    } else { /* the lower neighbour is closer */
+        cbl = cb - 1;
+        k = flog10three_quarters_pow2(q);
+    }
+    const int h = q + flog2pow10(-k) + 2;
+    const uint64_t g1 = g[2 * (k - K_MIN)], g0 = g[2 * (k - K_MIN) + 1];
+    const uint64_t vb = rop(g1, g0, cb << h), vbl = rop(g1, g0, cbl << h),
+                   vbr = rop(g1, g0, cbr << h);
+    const uint64_t s = vb >> 2, t = s + 1;
+
+    *e = k;
+
+    if (s >= 10) { /* one digit fewer, if exactly one of those neighbours fits */
+        const uint64_t sp10 = s / 10 * 10, tp10 = sp10 + 10;
+        const int upin = vbl + out <= sp10 << 2, wpin = (tp10 << 2) + out <= vbr;
+        if (upin != wpin)
+            return upin ? sp10 : tp10;
+    }
+    const int uin = vbl + out <= s << 2, win = (t << 2) + out <= vbr;
+    if (uin != win)
+        return uin ? s : t;
+    /* both fit: the closer, and the even one on a tie */
+    const uint64_t mid = (s + t) << 1;
+    return vb < mid || (vb == mid && (s & 1) == 0) ? s : t;
+}
+
+static char *put(char *p, const char *s)
+{
+    while (*s)
+        *p++ = *s++;
+    return p;
+}
+
+/* The digits of n at p, most significant first. */
+static char *put_uint(char *p, uint64_t n)
+{
+    char d[20];
+    int i = 20;
+
+    do
+        d[--i] = (char)('0' + n % 10);
+    while (n /= 10);
+    while (i < 20)
+        *p++ = d[i++];
+    return p;
+}
+
+/* v as repr(v) writes it: at most 24 characters. */
+static char *put_double(char *p, double v, const uint64_t *g)
+{
+    uint64_t bits, f;
+    int e;
+
+    memcpy(&bits, &v, sizeof bits);
+    const uint64_t t = bits & (C_MIN - 1);
+    const int bq = (int)(bits >> 52) & 0x7ff;
+    if (isnan(v)) /* without its sign, as repr writes it */
+        return put(p, "nan");
+    if (bits >> 63)
+        *p++ = '-';
+    if (bq == 0x7ff)
+        return put(p, "inf");
+    if (bq == 0 && t == 0)
+        return put(p, "0.0");
+    /* |v| = c 2^q */
+    const uint64_t c = bq ? C_MIN | t : t;
+    const int q = bq ? bq + Q_MIN - 1 : Q_MIN;
+    if (-53 < q && q < 0 && (c >> -q) << -q == c) { /* an integer below 2^52: exact */
+        f = c >> -q;
+        e = 0;
+    } else {
+        f = to_decimal(g, q, c, &e);
+    }
+    for (; f % 10 == 0; f /= 10)
+        e++;
+
+    /* the digits d[0 .. n) with the decimal point after digit decpt */
+    char d[20];
+    const int n = (int)(put_uint(d, f) - d), decpt = n + e;
+    int i;
+    if (decpt <= -4 || decpt > 16) {
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            for (i = 1; i < n; i++)
+                *p++ = d[i];
+        }
+        const int x = decpt - 1;
+        *p++ = 'e';
+        *p++ = x < 0 ? '-' : '+';
+        if (abs(x) < 10)
+            *p++ = '0';
+        return put_uint(p, (uint64_t)abs(x));
+    }
+    if (decpt <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        for (i = decpt; i < 0; i++)
+            *p++ = '0';
+        for (i = 0; i < n; i++)
+            *p++ = d[i];
+        return p;
+    }
+    for (i = 0; i < n; i++) {
+        if (i == decpt)
+            *p++ = '.';
+        *p++ = d[i];
+    }
+    if (decpt < n)
+        return p;
+    for (; i < decpt; i++)
+        *p++ = '0';
+    return put(p, ".0");
+}
+
+/* The rows x cols values of x (C order) as CSV lines into out, each line
+ * ending in a newline; a column with integer[j] set is written as integers,
+ * which its values must be, below 2^63 in magnitude.  out holds 25 bytes
+ * per value.  Returns the number of bytes written. */
+int64_t tubeint_csv(const double *x, int64_t rows, int64_t cols, const unsigned char *integer,
+                    const uint64_t *g, char *out)
+{
+    char *p = out;
+
+    for (int64_t i = 0; i < rows; i++) {
+        for (int64_t j = 0; j < cols; j++) {
+            const double v = x[i * cols + j];
+            if (!integer[j]) {
+                p = put_double(p, v, g);
+            } else if (v < 0) {
+                *p++ = '-';
+                p = put_uint(p, (uint64_t)-v);
+            } else {
+                p = put_uint(p, (uint64_t)v);
+            }
+            *p++ = j + 1 < cols ? ',' : '\n';
+        }
+    }
+    return p - out;
 }

@@ -1,8 +1,10 @@
-"""Build and load the compiled RK4 of ``_rk4.c``.
+"""Build and load the compiled library of ``_rk4.c``: the RK4 steps and the CSV rows.
 
 ``_rk4.c`` writes each system (y, z, coupled, Ermakov) once, as a vector field
 evaluated in the same order as the stages of that system's Python step, under
-one RK4 stage routine and one exported function, ``tubeint_rk4``.  On first
+one RK4 stage routine and one exported function, ``tubeint_rk4``.  Its second
+export, ``tubeint_csv``, writes a block of float64 rows as CSV lines, each
+float as ``repr`` writes it (``csv_rows``).  On first
 use, never at import, the file is compiled with the C compiler ``cc`` into a
 per-user cache, ``$XDG_CACHE_HOME/tubeint`` or else ``~/.cache/tubeint``.  The
 file name is keyed by the sha256 of the source and the flags and ends in a
@@ -13,12 +15,14 @@ written or other users may write to it, the kernel is built in a per-process
 temporary directory instead.
 
 When there is no compiler, or the build or the load fails, ``library()`` is
-None and the driver runs the Python steps, silently.
+None, silently: the driver runs the Python steps, and ``csv_rows`` joins
+``repr`` strings.  Either way the bits and bytes are the same.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import sys
 from pathlib import Path
@@ -55,6 +59,17 @@ _ARGTYPES = [
     ctypes.POINTER(ctypes.c_int64),  # step index of a failure
     ctypes.POINTER(ctypes.c_double),  # stage value of a failure
 ]
+
+_CSV_ARGTYPES = [
+    ctypes.c_void_p,  # the rows, C-contiguous float64
+    ctypes.c_int64,  # rows
+    ctypes.c_int64,  # columns
+    ctypes.c_void_p,  # one uint8 per column: nonzero for an integer column
+    ctypes.c_void_p,  # the table of 10^-k of _pow10_table
+    ctypes.c_void_p,  # out: CSV_BYTES per value
+]
+#: An upper bound of the bytes of one value and its separator.
+CSV_BYTES = 25
 
 _UNSET = object()
 _lib = _UNSET
@@ -150,6 +165,8 @@ def _open(path: Path):
         lib = ctypes.CDLL(str(path))
         lib.tubeint_rk4.argtypes = _ARGTYPES
         lib.tubeint_rk4.restype = ctypes.c_int
+        lib.tubeint_csv.argtypes = _CSV_ARGTYPES
+        lib.tubeint_csv.restype = ctypes.c_int64
     except (OSError, AttributeError):
         return None
     return lib
@@ -223,3 +240,49 @@ def kernel(system: str, constants, x, out, escape_index, escape_z, record_every)
         return status, at.value, value.value
 
     return run
+
+
+@functools.cache
+def _pow10_table() -> np.ndarray:
+    """The table g of ``tubeint_csv``, rows (g >> 63, g mod 2^63) for k = -324 .. 292.
+
+    g = floor(10^-k 2^-r) + 1 with r = floor(-k log2 10) - 125, in exact integers;
+    the floor of the logarithm is the one ``_rk4.c`` computes (flog2pow10).
+    """
+    rows = []
+    for k in range(-324, 293):
+        r = ((-k * 913124641741) >> 38) - 125
+        g = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
+        rows.append((g >> 63, g & ((1 << 63) - 1)))
+    table = np.array(rows, dtype=np.uint64)
+    table.flags.writeable = False
+    return table
+
+
+def csv_rows(block: np.ndarray, integer) -> str:
+    """The rows of a 2-D float64 block as CSV lines, each ending in a newline.
+
+    A value is written as ``repr(float(v))`` writes it, and as ``int(v)`` in a
+    column whose flag in ``integer`` is set.  The compiled formatter and the
+    ``repr`` path give the same text.
+    """
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    flags = np.array(integer, dtype=np.uint8)
+    if block.ndim != 2 or flags.shape != block.shape[1:]:
+        raise ValueError("csv_rows needs a 2-D block and one integer flag per column")
+    ints = block[:, flags.astype(bool)]
+    if not (np.abs(ints) <= 2.0**53).all() or (ints != np.trunc(ints)).any():
+        raise ValueError("an integer column holds a value that is not an integer below 2^53")
+    if not block.size:
+        return "\n" * len(block)
+    lib = library()
+    if lib is None:
+        rows = block.tolist()
+        for j in np.flatnonzero(flags).tolist():
+            for row in rows:
+                row[j] = int(row[j])
+        return repr(rows)[2:-2].replace("], [", "\n").replace(", ", ",") + "\n"
+    out = np.empty(CSV_BYTES * block.size, dtype=np.uint8)
+    n = lib.tubeint_csv(block.ctypes.data, *block.shape, flags.ctypes.data,
+                        _pow10_table().ctypes.data, out.ctypes.data)
+    return out[:n].tobytes().decode("ascii")

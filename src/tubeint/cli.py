@@ -21,7 +21,7 @@ does not read it (the logistic seed is a flag).
 from __future__ import annotations
 
 import argparse
-import math
+import contextlib
 import sys
 from pathlib import Path
 
@@ -45,21 +45,35 @@ from .resonance import (
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return str(int(v))
     return repr(float(v))
 
 
-def write_csv(path: str, meta: list[tuple[str, str]], header: list[str], rows) -> None:
-    lines = [f"# {k}={v}" for k, v in meta]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    content = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(content)
-    else:
-        Path(path).write_text(content, encoding="utf-8")
+_BLOCK = 4096  # rows formatted per call
+
+
+def write_csv(path: str, meta: list[tuple[str, str]], header: list[str], columns) -> None:
+    """Write the metadata lines, the header and one row per index of the columns.
+
+    columns holds one sequence per header name.  A column of an integer dtype
+    is written as integers, any other as floats in ``repr`` form.  The output
+    is opened first, then the rows go out in blocks through ``_rk4.csv_rows``.
+    """
+    from . import _rk4  # on first use: starting the command line does not need it
+
+    columns = [np.asarray(c) for c in columns]
+    if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
+        raise ValueError("write_csv needs one column per header name, all of one length")
+    integer = [c.dtype.kind in "iu" for c in columns]
+    n = len(columns[0]) if columns else 0
+    with contextlib.nullcontext(sys.stdout) if path == "-" else open(
+            path, "w", encoding="utf-8") as out:
+        out.write("".join(f"# {k}={v}\n" for k, v in meta) + ",".join(header) + "\n")
+        block = np.empty((min(n, _BLOCK), len(columns)))
+        for start in range(0, n, _BLOCK):
+            rows = block[: min(_BLOCK, n - start)]
+            for j, c in enumerate(columns):
+                rows[:, j] = c[start : start + _BLOCK]
+            out.write(_rk4.csv_rows(rows, integer))
 
 
 def _params_from_args(args) -> SystemParams:
@@ -104,11 +118,10 @@ def cmd_simulate_y(args) -> int:
     rel_err = abs_err / np.abs(y_num)
     meta = [("kind", "simulate-y")] + _param_meta(params, cfg)
     vw = validity(params)
-    meta.append(("tau_star", _fmt(vw.tau_star) if math.isfinite(vw.tau_star) else "inf"))
+    meta.append(("tau_star", _fmt(vw.tau_star)))
     header = ["tau", "y_numeric", "y_series_o1", "y_series_o2", "y_series_o3",
               "abs_err_o3", "rel_err_o3"]
-    rows = zip(tau, y_num, o1, o2, o3, abs_err, rel_err)
-    write_csv(args.out, meta, header, rows)
+    write_csv(args.out, meta, header, [tau, y_num, o1, o2, o3, abs_err, rel_err])
     return 0
 
 
@@ -136,7 +149,7 @@ def cmd_invariant_drift(args) -> int:
         ("absolute_mode", str(traj.meta["absolute_mode"]).lower()),
     ]
     header = ["t", "I_value", "drift_pct"]
-    write_csv(args.out, meta, header, traj.data)
+    write_csv(args.out, meta, header, traj.data.T)
     if args.out != "-":
         print(f"mode={args.mode} max_drift_pct={_fmt(traj.meta['max_drift_pct'])} "
               f"final_drift_pct={_fmt(traj.meta['final_drift_pct'])}")
@@ -181,7 +194,7 @@ def cmd_fourier(args) -> int:
     ]
     header = ["k", "tau_center", "c0", "c1", "c2", "c3", "s1", "s2", "s3",
               "resid_s2", "resid_s3", "s3_pred"]
-    write_csv(args.out, meta, header, rows)
+    write_csv(args.out, meta, header, list(zip(*rows)))
     return 0
 
 
@@ -210,9 +223,8 @@ def cmd_ermakov(args) -> int:
         ("absolute_mode", str(absolute).lower()),
     ]
     header = ["t", "f", "z", "p", "w", "I", "drift_pct"]
-    rows = zip(traj.column("t"), traj.column("f"), traj.column("z"), traj.column("p"),
-               traj.column("w"), I, drift)
-    write_csv(args.out, meta, header, rows)
+    columns = [traj.column(name) for name in ("t", "f", "z", "p", "w")]
+    write_csv(args.out, meta, header, columns + [I, drift])
     return 0
 
 

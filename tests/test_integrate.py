@@ -101,6 +101,26 @@ def test_volterra_state_matches_simpson_quadrature():
     assert abs(traj.column("J")[-1] - J_quad) < 1e-9
 
 
+@pytest.mark.parametrize("y0, bound", [(1.0, 1e-10), (0.7, 1e-7)])
+def test_y_matches_an_independent_dop853_run(y0, bound):
+    # scipy's 8th-order Dormand-Prince at tight tolerances, compared at the
+    # recorded times of the RK4 run (h = 1e-3, tau = 500): about 5e-12 for
+    # y0 = 1 and 3e-9 for y0 = 0.7
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    p = params(eps=0.1, y0=y0)
+    traj = integrate_y(p, IntegrationConfig(t_end=500.0, h=1e-3))
+
+    def rhs(tau, x):
+        y, dy, ddy, _ = x
+        pw = y**-2.5
+        return [dy, ddy, p.epsilon * math.cos(tau) * pw - 4.0 * dy, pw * math.cos(tau)]
+
+    ref = solve_ivp(rhs, (0.0, 500.0), [y0, 0.0, 0.0, 0.0], method="DOP853",
+                    t_eval=traj.times, rtol=1e-12, atol=1e-14)
+    assert ref.success
+    assert np.max(np.abs(ref.y[0] - traj.column("y"))) <= bound
+
+
 def test_determinism_bit_identical():
     p = params()
     cfg = IntegrationConfig(t_end=5.0, h=1e-3, record_every=10)
