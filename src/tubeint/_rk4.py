@@ -10,9 +10,10 @@ per-user cache, ``$XDG_CACHE_HOME/tubeint`` or else ``~/.cache/tubeint``.  The
 file name is keyed by the sha256 of the source and the flags and ends in a
 digest of the build's own bytes.  A build is written to a temporary file and
 moved into place, so concurrent first runs are safe, and a cached build whose
-bytes do not match its digest is removed and rebuilt.  If the cache cannot be
-written or other users may write to it, the kernel is built in a per-process
-temporary directory instead.
+bytes do not match its digest is removed and rebuilt.  Writing a build removes
+the builds of other keys (other sources) from its directory.  If the cache
+cannot be written or other users may write to it, the kernel is built in a
+per-process temporary directory instead.
 
 When there is no compiler, or the build or the load fails, ``library()`` is
 None, silently: the driver runs the Python steps, and ``csv_rows`` joins
@@ -177,6 +178,7 @@ def _build(directory: Path, key: str) -> Path | None:
 
     Raises OSError when the directory cannot be created or written.
     """
+    import contextlib
     import shutil
     import subprocess
     import tempfile
@@ -203,6 +205,10 @@ def _build(directory: Path, key: str) -> Path | None:
         with open(tmp, "rb") as f:
             path = directory / f"{key}-{_digest(f.read())}.so"
         os.replace(tmp, path)
+        for old in directory.glob("_rk4-*-*.so"):  # other keys' builds; never a symlink
+            with contextlib.suppress(OSError):
+                if not old.name.startswith(f"{key}-") and not old.is_symlink() and old.is_file():
+                    old.unlink()
         return path
     finally:
         if os.path.exists(tmp):

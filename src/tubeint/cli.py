@@ -33,7 +33,7 @@ from .ermakov import LogisticDriver, integrate_ermakov, lewis_invariant
 from .integrate import IntegrationConfig, integrate_y
 from .invariant import drift_experiment, drift_percent, exact_drift_experiment
 from .model import SystemParams
-from .perturb import resonance_coefficients, validity, y_composite
+from .perturb import _composites, resonance_coefficients, validity, y_composite
 from .resonance import (
     TWO_PI,
     _complete_windows,
@@ -111,9 +111,7 @@ def cmd_simulate_y(args) -> int:
     traj = integrate_y(params, cfg)
     tau = traj.column("tau")
     y_num = traj.column("y")
-    o1 = y_composite(tau, params, 1)
-    o2 = y_composite(tau, params, 2)
-    o3 = y_composite(tau, params, 3)
+    o1, o2, o3 = _composites(tau, params, (1, 2, 3))
     abs_err = np.abs(y_num - o3)
     rel_err = abs_err / np.abs(y_num)
     meta = [("kind", "simulate-y")] + _param_meta(params, cfg)
@@ -331,7 +329,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
             "`invariant-drift --mode perturbative --eps 0.05 --y0 1.2` "
             "(repeat for y0 1.1/0.9/0.8 for the drift table); "
             "`invariant-drift --mode exact --eps 0.05 --y0 1.1` (exact conservation); "
-            "`fourier --eps 0.1 --y0 1 --tau-max 300` (resonance coefficients); "
+            "`fourier --eps 0.1 --y0 1 --tau-max 300 --record-every 5` (resonance coefficients); "
             "`ermakov --t-max 200` (chaotically driven conserved invariant). "
             "TUBEINT_SEED is reserved and currently unused."
         ),

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidInput, NonPositive, UnsupportedOmega
 from .integrate import IntegrationConfig, integrate_coupled, integrate_z
 from .model import SystemParams, Trajectory
-from .perturb import _prepare, _sum, g_of_t, y_composite
+from .perturb import _prepare, _sum, g_of_t
 
 __all__ = [
     "TubeFilament",
@@ -78,9 +78,10 @@ def _coeff_arrays(t, params: SystemParams, order: int):
     y0 = params.y0
     a1 = 0.5 * eps * np.sin(t)
     a2 = 0.5 * eps * np.cos(t)
-    a5 = y_composite(t, params, order)
-    a3 = y0 * _sum("a31", t, weights) + a5
-    a4 = y0 * _sum("a4", t, weights)
+    rho, a31, a4 = _sum(t, ("rho", weights), ("a31", weights), ("a4", weights))
+    a5 = y0 * np.exp(rho)
+    a3 = y0 * a31 + a5
+    a4 = y0 * a4
     a6 = (2.0 / 3.0) * a5**-1.5
     return a1, a2, a3, a4, a5, a6
 

@@ -189,24 +189,50 @@ def _float_tables(kind: str) -> list[dict[int, np.ndarray]]:
     return out
 
 
-def _sum(kind: str, tau, weights) -> np.ndarray:
-    """sum_n weights[n] T_n(tau) over the tables of one kind: the weights are
-    folded into the coefficients, then one frequency k is taken at a time."""
-    tau = np.asarray(tau, dtype=float)
+_BLOCK = 8193  # points per block: the driver's half-step grid of one chunk
+
+
+@functools.lru_cache(maxsize=64)
+def _folded(kind: str, weights: tuple) -> dict[int, tuple]:
+    """k -> the polynomials in tau (cos, sin) of sum_n weights[n] T_n over the
+    tables of one kind, zero top coefficients dropped."""
     coef = {}
     for w, table in zip(weights, _float_tables(kind)):
         for k, row in table.items():
             coef[k] = coef[k] + w * row if k in coef else w * row
-    out = np.zeros(tau.shape)
-    for k, rows in sorted(coef.items()):
-        arg = k * tau
-        for row, trig in zip(rows, (np.cos, np.sin)):
-            if row.any():
-                value = row[-1]
-                for c in row[-2::-1]:
-                    value = value * tau + c
-                out += value * trig(arg) if k else value
-    return out
+    return {k: tuple(np.trim_zeros(row, "b") for row in rows) for k, rows in coef.items()}
+
+
+def _sum(tau, *pairs) -> list[np.ndarray]:
+    """sum_n weights[n] T_n(tau) for each (kind, weights) pair, one array per pair.
+
+    Per block of points, cos(tau) and sin(tau) once; cos k tau and sin k tau
+    by the Chebyshev recurrence, then each pair's polynomials Horner-summed in
+    ascending k.  Each point is computed alone, whatever the blocking."""
+    tau = np.asarray(tau, dtype=float)
+    coefs = [_folded(kind, tuple(weights)) for kind, weights in pairs]
+    top = max(max(coef, default=0) for coef in coefs)
+    flat = tau.reshape(-1)
+    outs = [np.zeros(flat.shape) for _ in coefs]
+    for start in range(0, flat.size, _BLOCK):
+        t = flat[start : start + _BLOCK]
+        cp, sp, ck, sk = 1.0, 0.0, np.cos(t), np.sin(t)
+        twice = 2.0 * ck
+        for k in range(top + 1):
+            if k > 1:
+                cn, sn = twice * ck, twice * sk
+                cn -= cp
+                sn -= sp
+                cp, sp, ck, sk = ck, sk, cn, sn
+            for out, coef in zip(outs, coefs):
+                for row, basis in zip(coef.get(k, ()), (ck, sk)):
+                    if len(row):
+                        value = row[-1]
+                        for c in row[-2::-1]:
+                            value = value * t
+                            value += c
+                        out[start : start + _BLOCK] += value * basis if k else value
+    return [out.reshape(tau.shape) for out in outs]
 
 
 def _prepare(params: SystemParams, order: int) -> list[float]:
@@ -232,7 +258,7 @@ def _term(kind: str, n: int):
     def term(tau, y0):
         """The delta^n term of rho (or rho') at eps = 1: y0^(-7n/2) R_n(tau)."""
         weights = _prepare(SystemParams(epsilon=1.0, y0=y0), n)
-        return weights[n] * _sum(kind, tau, [0.0] * n + [1.0])
+        return weights[n] * _sum(tau, (kind, [0.0] * n + [1.0]))[0]
 
     term.__name__ = term.__qualname__ = f"{kind}{n}"
     return term
@@ -242,10 +268,15 @@ rho1, rho2, rho3 = (_term("rho", n) for n in (1, 2, 3))
 drho1, drho2, drho3 = (_term("drho", n) for n in (1, 2, 3))
 
 
+def _composites(tau, params: SystemParams, orders) -> list:
+    """The composite through each of the orders, from one pass over tau."""
+    rhos = _sum(tau, *(("rho", _prepare(params, order)) for order in orders))
+    return [params.y0 * np.exp(rho) for rho in rhos]
+
+
 def y_composite(tau, params: SystemParams, order: int = 3):
     """Composite y0 * exp(sum delta^n R_n), strictly positive by construction."""
-    weights = _prepare(params, order)
-    return params.y0 * np.exp(_sum("rho", tau, weights))
+    return _composites(tau, params, (order,))[0]
 
 
 def g_of_t(t, params: SystemParams, order: int = 3):
@@ -260,7 +291,7 @@ def volterra_series(tau, params: SystemParams, order: int):
     the full eps^order information of the second derivative.
     """
     weights = _prepare(params, order)
-    return params.y0**-2.5 * _sum("J", tau, weights[:order])
+    return params.y0**-2.5 * _sum(tau, ("J", weights[:order]))[0]
 
 
 def alpha2_derivatives(tau, params: SystemParams, order: int = 3):
@@ -272,10 +303,10 @@ def alpha2_derivatives(tau, params: SystemParams, order: int = 3):
     amplifying truncation error by repeated differentiation.
     """
     weights = _prepare(params, order)
-    yc = y_composite(tau, params, order)
-    d1 = yc * _sum("drho", tau, weights)
-    d2 = 4.0 * (params.y0 - yc) + params.epsilon * volterra_series(tau, params, order)
-    return d1, d2
+    rho, drho, J = _sum(tau, ("rho", weights), ("drho", weights), ("J", weights[:order]))
+    yc = params.y0 * np.exp(rho)
+    d2 = 4.0 * (params.y0 - yc) + params.epsilon * (params.y0**-2.5 * J)
+    return yc * drho, d2
 
 
 @dataclass(frozen=True)

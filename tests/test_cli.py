@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import sys
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tubeint.cli import main
+from tubeint.cli import build_parser, main
 
 
 def run(argv):
@@ -177,6 +178,15 @@ def test_gplot_drift_single_curve(tmp_path):
     script = tmp_path / "d.gp"
     assert run(["gplot", "--csv", str(csv), "--out", str(script)]) == 0
     assert "1:3" in script.read_text()
+
+
+def test_help_one_liners_run(tmp_path, capsys):
+    parser, _ = build_parser()
+    lines = re.findall(r"`([^`]+)`", parser.epilog)
+    assert len(lines) == 6
+    for i, line in enumerate(lines):
+        assert main(line.split() + ["--out", str(tmp_path / f"{i}.csv")]) == 0, line
+    assert capsys.readouterr().err == ""
 
 
 def test_version_flag():

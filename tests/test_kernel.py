@@ -148,7 +148,8 @@ _RUNS = [
 def test_kernel_source_compiles_without_warnings():
     # an unused field argument or an implicit conversion keeps the bits, so
     # the parity tests would not see it
-    done = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(rk4.SOURCE)],
+    flags = ["-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off"]
+    done = subprocess.run(["cc", *flags, "-fsyntax-only", str(rk4.SOURCE)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
@@ -198,6 +199,41 @@ def test_corrupt_cached_build_is_rebuilt(tmp_path, capfd, damage):
     assert traj.data.tobytes() == reference.data.tobytes()
     [rebuilt] = cache.iterdir()
     assert rebuilt == rk4._cached(cache, rk4._key())
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_new_build_removes_builds_of_other_keys(tmp_path, capfd):
+    system, a, cfg = _RUNS[0]
+    cache = tmp_path / "tubeint"
+    cache.mkdir(mode=0o700)
+    stale = [cache / "_rk4-0000000000000000-1111111111111111.so", cache / "_rk4-old-x.so"]
+    kept = [cache / "notes.txt", cache / "_rk4-0000000000000000.so", cache / ".build-x.so",
+            cache / "_rk4-a-b.so.bak"]
+    locked = cache / "_rk4-4444444444444444-5555555555555555.so"
+    for path in stale + kept + [locked]:
+        path.write_bytes(b"an old build\n")
+    (cache / "_rk4-dir-x.so").mkdir()
+    outside = tmp_path / "outside.so"
+    outside.write_bytes(b"not in the cache\n")
+    link = cache / "_rk4-2222222222222222-3333333333333333.so"
+    link.symlink_to(outside)
+    unlink = Path.unlink
+
+    def refuse(path, *args, **kwargs):
+        if path == locked:
+            raise PermissionError(f"cannot remove {path}")
+        return unlink(path, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _fresh_load(mp, tmp_path)
+        mp.setattr(Path, "unlink", refuse)
+        assert _integrate(system, a, cfg).meta["kernel"] == "c"
+    build = rk4._cached(cache, rk4._key())
+    assert build is not None
+    left = kept + [locked, cache / "_rk4-dir-x.so", link, build]
+    assert sorted(cache.iterdir()) == sorted(left)
+    assert outside.read_bytes() == b"not in the cache\n"
     assert capfd.readouterr() == ("", "")
 
 
