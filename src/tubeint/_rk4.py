@@ -1,11 +1,12 @@
 """Build and load the compiled library of ``_rk4.c``: the RK4 steps and the CSV rows.
 
 ``_rk4.c`` writes each system (y, z, coupled, Ermakov) once, as a vector field
-evaluated in the same order as the stages of that system's Python step, under
-one RK4 stage routine and one exported function, ``tubeint_rk4``.  Its second
-export, ``tubeint_csv``, writes a block of float64 rows as CSV lines, each
-float as ``repr`` writes it (``csv_rows``).  On first
-use, never at import, the file is compiled with the C compiler ``cc`` into a
+under one RK4 stage routine and one exported function, ``tubeint_rk4``: the
+same field in C and in Python (``tubeint.integrate``), under one RK4 each,
+with the same expressions in the same order.  Its second export,
+``tubeint_csv``, writes a block of float64 rows as CSV lines, each float as
+``repr`` writes it (``csv_rows``).  On first use, never at import, the file
+is compiled with the C compiler ``cc`` into a
 per-user cache, ``$XDG_CACHE_HOME/tubeint`` or else ``~/.cache/tubeint``.  The
 file name is keyed by the sha256 of the source and the flags and ends in a
 digest of the build's own bytes.  A build is written to a temporary file and
@@ -16,7 +17,7 @@ cannot be written or other users may write to it, the kernel is built in a
 per-process temporary directory instead.
 
 When there is no compiler, or the build or the load fails, ``library()`` is
-None, silently: the driver runs the Python steps, and ``csv_rows`` joins
+None, silently: the driver runs the Python RK4, and ``csv_rows`` joins
 ``repr`` strings.  Either way the bits and bytes are the same.
 """
 
@@ -35,10 +36,9 @@ COMPILER = "cc"
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 LIBS = ("-lm",)
 
-#: The systems of ``tubeint_rk4``, in the order of its system enum: the state
-#: dimension and the name of the component that must stay positive (None: no
-#: positivity test).
-KERNELS = {"y": (4, "y"), "z": (2, None), "coupled": (6, "y"), "ermakov": (4, "w")}
+#: The systems of ``tubeint_rk4``, in the order of its system enum, and the
+#: dimension of the state that each reads and writes.
+KERNELS = {"y": 4, "z": 2, "coupled": 6, "ermakov": 4}
 
 #: Status codes of ``tubeint_rk4`` (the enum in ``_rk4.c``).  A positivity
 #: violation is NONPOSITIVE + stage, the stage being 0 at t, 1 at t + h/2 and
@@ -227,7 +227,7 @@ def kernel(system: str, constants, x, out, escape_index, escape_z, record_every)
     lib = library()
     if lib is None:
         return None
-    dim = KERNELS[system][0]
+    dim = KERNELS[system]
     if not (len(x) == dim and out.shape[1:] == (dim,) and out.dtype == np.float64
             and out.flags.c_contiguous):
         raise ValueError(f"{system} kernel needs {dim} states and a C-contiguous float64 out")

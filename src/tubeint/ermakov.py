@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NonPositive, NonPositiveF, OutOfRange, PositivityViolation
+from .errors import InvalidInput, NonPositive, NonPositiveF, OutOfRange
 from .integrate import IntegrationConfig, _drive
 from .model import Trajectory
 
@@ -237,62 +237,14 @@ def integrate_ermakov(
     """
     if config is None:
         config = IntegrationConfig(t_end=200.0)
-    h = config.h
-    half = 0.5 * h
-    sixth = h / 6.0
-    f = build_driver(driver, config.plan()[0] * h)
+    f = build_driver(driver, config.plan()[0] * config.h)
 
     if w0 is None:
         w0 = f(0.0) ** -0.25
     if not (math.isfinite(w0) and w0 > 0.0):
         raise NonPositive("w0", w0)
 
-    def step(t, x, fc, fm, fe):
-        z, p, w, dw = x
-
-        if w <= 0.0:
-            raise PositivityViolation(t, w, "w")
-        a1_z = p
-        a1_p = -fc * z
-        a1_w = dw
-        a1_dw = -fc * w + w**-3
-
-        z2 = z + half * a1_z
-        w2 = w + half * a1_w
-        if w2 <= 0.0:
-            raise PositivityViolation(t + half, w2, "w")
-        a2_z = p + half * a1_p
-        a2_p = -fm * z2
-        a2_w = dw + half * a1_dw
-        a2_dw = -fm * w2 + w2**-3
-
-        z3 = z + half * a2_z
-        w3 = w + half * a2_w
-        if w3 <= 0.0:
-            raise PositivityViolation(t + half, w3, "w")
-        a3_z = p + half * a2_p
-        a3_p = -fm * z3
-        a3_w = dw + half * a2_dw
-        a3_dw = -fm * w3 + w3**-3
-
-        z4 = z + h * a3_z
-        w4 = w + h * a3_w
-        if w4 <= 0.0:
-            raise PositivityViolation(t + h, w4, "w")
-        a4_z = p + h * a3_p
-        a4_p = -fe * z4
-        a4_w = dw + h * a3_dw
-        a4_dw = -fe * w4 + w4**-3
-
-        return (
-            z + sixth * (a1_z + 2.0 * (a2_z + a3_z) + a4_z),
-            p + sixth * (a1_p + 2.0 * (a2_p + a3_p) + a4_p),
-            w + sixth * (a1_w + 2.0 * (a2_w + a3_w) + a4_w),
-            dw + sixth * (a1_dw + 2.0 * (a2_dw + a3_dw) + a4_dw),
-        )
-
-    t, states, path = _drive(step, f, (z0, p0, w0, dw0), config,
-                             kernel=("ermakov", (h, 0.0, 0.0)))
+    t, states, path = _drive("ermakov", f, (z0, p0, w0, dw0), config)
     return Trajectory(
         times=t,
         columns=("t", "f", "z", "p", "w", "dw"),

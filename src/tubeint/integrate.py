@@ -1,20 +1,20 @@
 """Deterministic fixed-step classical RK4 integration.
 
 One driver, ``_drive``, runs the three integrators here and the Ermakov pair
-in ``ermakov``.  Each system supplies a plain-float ``step`` that writes out
-its four RK4 stages, plus a vectorised time-only coefficient (the unit
-forcing profile, g(t) or the spline driver).  The driver evaluates that
-coefficient once per chunk of steps on the half-step grid t = (h/2) * i and
-hands each step its values at t, t + h/2 and t + h, so no coefficient is
+in ``ermakov``.  Each system is named in ``_SYSTEMS``: a plain-float vector
+field, its dimension, the component that must stay positive and the one
+tested for escape.  Its caller supplies a vectorised time-only coefficient
+(the unit forcing profile, g(t) or the spline driver).  The driver evaluates
+that coefficient once per chunk of steps on the half-step grid t = (h/2) * i
+and hands each step its values at t, t + h/2 and t + h, so no coefficient is
 evaluated per stage in Python.  A 500-unit run at h = 1e-3 is half a million
 steps; identical inputs produce bit-identical trajectories, whatever the
 chunk size.  There is no adaptivity and no interpolation.
 
-Each system also has a compiled vector field in ``_rk4.c``, evaluated in the
-same order as the stages of its Python step under one C RK4 stage routine and
-built on first use (see ``_rk4``).  When it loads, the driver runs the
-compiled RK4 on each chunk instead of the Python step, with bit-identical
-results and the same errors; otherwise the Python step runs.
+Each system is the same field in C, in ``_rk4.c`` (built on first use, see
+``_rk4``), and in Python, here, under one RK4 each.  When the compiled
+library loads, the driver runs the compiled RK4 on each chunk, with
+bit-identical results and the same errors; otherwise the Python RK4 runs.
 ``Trajectory.meta["kernel"]`` records "c" or "python".
 
 Positivity of the coefficient solution is enforced at every RK4 stage: true
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,34 +86,132 @@ class IntegrationConfig:
         return intervals * self.record_every, intervals
 
 
-def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None = None,
-           kernel: tuple[str, tuple] | None = None):
-    """Run ``step`` over ``config.plan()`` and record every record_every steps.
+# The vector fields of the four systems, as in ``_rk4.c``: each maps the
+# constants (eps, omega) to ``field(x, c)``, the derivative of the state x at
+# coefficient value c, written with the C field's expressions in the same
+# order and association.  The positivity test is the step's, not the field's.
 
-    ``step(t, x, c0, cm, c1)`` advances the state tuple x by one RK4 step from
-    t, given the coefficient at t, t + h/2 and t + h.  ``coef`` maps an array
-    of times to coefficient values (a scalar broadcasts).  With escape_index
-    set, the run raises Escape at the first step where |x[escape_index]|
-    exceeds config.escape_z or is NaN.  A plan too large to allocate raises
+
+def _field_y(eps, om):
+    """(y, y', y'', J) in rescaled time; c is the unit forcing profile."""
+
+    def field(x, c):
+        y, dy, ddy, _ = x
+        pw = y**-2.5
+        return dy, ddy, eps * c * pw - 4.0 * dy, pw * c
+
+    return field
+
+
+def _field_z(eps, om):
+    """(z, p) of z'' + omega^2 z + g(t) z^2 = 0; c is g."""
+    om2 = om * om
+
+    def field(x, c):
+        z, p = x
+        return p, -om2 * z - c * z * z
+
+    return field
+
+
+def _field_coupled(eps, om):
+    """(y, y', y'', J, z, p) in physical time, g = y^(-5/2); c is the forcing profile."""
+    om2 = om * om
+
+    def field(x, c):
+        y, dy, ddy, _, z, p = x
+        pw = y**-2.5
+        return (om * dy, om * ddy, om * (eps * c * pw - 4.0 * dy), om * pw * c,
+                p, -om2 * z - pw * z * z)
+
+    return field
+
+
+def _field_ermakov(eps, om):
+    """(z, p, w, w') of z'' = -f z and w'' = -f w + w^-3; c is f."""
+
+    def field(x, c):
+        z, p, w, dw = x
+        return p, -c * z, dw, -c * w + w**-3
+
+    return field
+
+
+class _System(NamedTuple):
+    field: Callable  # (eps, omega) -> field(x, c)
+    dim: int
+    positive: tuple[int, str] | None  # (index, name) of the component kept > 0
+    escape: int | None  # index of the component tested against escape_z
+
+
+#: The systems of ``_drive``, each with the compiled field of the same name in
+#: ``_rk4.c``.
+_SYSTEMS = {
+    "y": _System(_field_y, 4, (0, "y"), None),
+    "z": _System(_field_z, 2, None, 0),
+    "coupled": _System(_field_coupled, 6, (0, "y"), 4),
+    "ermakov": _System(_field_ermakov, 4, (2, "w"), None),
+}
+
+
+def _rk4_step(field, h: float, positive: tuple[int, str] | None):
+    """``step(t, x, c0, cm, c1)``: one RK4 step of ``field`` from t, as ``rk4()`` in ``_rk4.c``.
+
+    c0, cm and c1 are the coefficient at t, t + h/2 and t + h.  Before each of
+    the four field calls the positive component of the stage state is tested,
+    and a value <= 0 raises PositivityViolation with that stage's time: t,
+    t + h/2, t + h/2 or t + h.
+    """
+    half = 0.5 * h
+    sixth = h / 6.0
+    i, name = positive or (None, None)
+
+    def stage(xs, c, t):
+        if i is not None and xs[i] <= 0.0:
+            raise PositivityViolation(t, xs[i], name)
+        return field(xs, c)
+
+    def step(t, x, c0, cm, c1):
+        k1 = stage(x, c0, t)
+        k2 = stage([a + half * b for a, b in zip(x, k1)], cm, t + half)
+        k3 = stage([a + half * b for a, b in zip(x, k2)], cm, t + half)
+        k4 = stage([a + h * b for a, b in zip(x, k3)], c1, t + h)
+        return [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+                for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+
+    return step
+
+
+def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
+           omega: float = 0.0):
+    """Run RK4 of ``system`` over ``config.plan()`` and record every record_every steps.
+
+    ``system`` names an entry of ``_SYSTEMS``, whose field runs with the
+    constants eps and omega (a field ignores the ones it does not use).
+    ``coef`` maps an array of times to coefficient values (a scalar
+    broadcasts).  For a system with an escape component, the run raises
+    Escape at the first step where that component's magnitude exceeds
+    config.escape_z or is NaN.  A plan too large to allocate raises
     InvalidInput.
 
-    ``kernel`` is (system, (h, eps, omega)): the system whose field in
-    ``_rk4.c`` matches ``step``, and the constants of the compiled RK4 (0.0
-    for one the field does not use).  When the compiled RK4 can be built and
-    loaded it runs each chunk, with the same results to the bit and the same
-    errors; otherwise the Python ``step`` does.
+    The same field is written in C, in ``_rk4.c``, and in Python, above, each
+    under one RK4.  When the compiled RK4 can be built and loaded it runs each
+    chunk, with the same results to the bit and the same errors; otherwise the
+    Python one does.
 
     Returns (recorded times, recorded states, the path that ran: "c" or
     "python"); sample i is at (i*record_every)*h.
     """
     from . import _rk4  # on first use: starting the command line does not need it
 
+    spec = _SYSTEMS[system]
     x = tuple(float(v) for v in x0)
     if not all(map(math.isfinite, x)):
         raise InvalidInput(f"initial state must be finite, got {x!r}")
     h = config.h
     rec = config.record_every
     limit = config.escape_z
+    escape = spec.escape
     n_steps, n_intervals = config.plan()
     try:
         out = np.empty((n_intervals + 1, len(x)))
@@ -121,7 +219,9 @@ def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None =
         raise InvalidInput(f"cannot allocate {n_intervals + 1} recorded samples ({exc})") from exc
     out[0] = x
     rows = 1
-    run = None if kernel is None else _rk4.kernel(*kernel, x, out, escape_index, limit, rec)
+    run = _rk4.kernel(system, (h, eps, omega), x, out, escape, limit, rec)
+    if run is None:
+        step = _rk4_step(spec.field(eps, omega), h, spec.positive)
     for start in range(0, n_steps, _CHUNK):
         stop = min(start + _CHUNK, n_steps)
         times = 0.5 * h * np.arange(2 * start, 2 * stop + 1)
@@ -135,7 +235,7 @@ def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None =
                 raise NonFinite(t)
             if status != _rk4.OK:  # at stage t, t + h/2 or t + h of step at
                 stage = (t, t + 0.5 * h, t + h)[status - _rk4.NONPOSITIVE]
-                raise PositivityViolation(stage, value, _rk4.KERNELS[kernel[0]][1])
+                raise PositivityViolation(stage, value, spec.positive[1])
             continue
         c = c.tolist()
         try:
@@ -143,7 +243,7 @@ def _drive(step, coef, x0, config: IntegrationConfig, escape_index: int | None =
                 x = step(k * h, x, c0, cm, c1)
                 kk = k + 1
                 # Written so that a NaN coordinate escapes too.
-                if escape_index is not None and not abs(x[escape_index]) <= limit:
+                if escape is not None and not abs(x[escape]) <= limit:
                     raise Escape(kk * h)
                 if kk % rec == 0:
                     if not all(map(math.isfinite, x)):
@@ -173,57 +273,8 @@ def integrate_y(params: SystemParams, config: IntegrationConfig) -> Trajectory:
     component so it shares the integrator's O(h^4) accuracy.  config.t_end is
     the final rescaled time.
     """
-    eps = params.epsilon
-    h = config.h
-    half = 0.5 * h
-    sixth = h / 6.0
-
-    def step(tau, x, c0, cm, c1):
-        y, dy, ddy, J = x
-
-        if y <= 0.0:
-            raise PositivityViolation(tau, y)
-        pw = y**-2.5
-        a1_y, a1_dy, a1_ddy = dy, ddy, eps * c0 * pw - 4.0 * dy
-        a1_J = pw * c0
-
-        y2 = y + half * a1_y
-        if y2 <= 0.0:
-            raise PositivityViolation(tau + half, y2)
-        pw = y2**-2.5
-        force = eps * cm
-        a2_y = dy + half * a1_dy
-        a2_dy = ddy + half * a1_ddy
-        a2_ddy = force * pw - 4.0 * a2_y
-        a2_J = pw * cm
-
-        y3 = y + half * a2_y
-        if y3 <= 0.0:
-            raise PositivityViolation(tau + half, y3)
-        pw = y3**-2.5
-        a3_y = dy + half * a2_dy
-        a3_dy = ddy + half * a2_ddy
-        a3_ddy = force * pw - 4.0 * a3_y
-        a3_J = pw * cm
-
-        y4 = y + h * a3_y
-        if y4 <= 0.0:
-            raise PositivityViolation(tau + h, y4)
-        pw = y4**-2.5
-        a4_y = dy + h * a3_dy
-        a4_dy = ddy + h * a3_ddy
-        a4_ddy = eps * c1 * pw - 4.0 * a4_y
-        a4_J = pw * c1
-
-        return (
-            y + sixth * (a1_y + 2.0 * (a2_y + a3_y) + a4_y),
-            dy + sixth * (a1_dy + 2.0 * (a2_dy + a3_dy) + a4_dy),
-            ddy + sixth * (a1_ddy + 2.0 * (a2_ddy + a3_ddy) + a4_ddy),
-            J + sixth * (a1_J + 2.0 * (a2_J + a3_J) + a4_J),
-        )
-
     x0 = (params.y0, params.yp0, params.ypp0, 0.0)
-    tau, states, path = _drive(step, _profile(params), x0, config, kernel=("y", (h, eps, 0.0)))
+    tau, states, path = _drive("y", _profile(params), x0, config, eps=params.epsilon)
     return Trajectory(
         times=tau,
         columns=("tau", "y", "dy", "ddy", "J"),
@@ -248,36 +299,7 @@ def integrate_z(
     """
     if not (math.isfinite(omega) and omega > 0.0):
         raise NonPositive("omega", omega)
-    h = config.h
-    half = 0.5 * h
-    sixth = h / 6.0
-    om2 = omega * omega
-
-    def step(t, x, g0, gm, g1):
-        z, p = x
-
-        a1_z = p
-        a1_p = -om2 * z - g0 * z * z
-
-        z2 = z + half * a1_z
-        a2_z = p + half * a1_p
-        a2_p = -om2 * z2 - gm * z2 * z2
-
-        z3 = z + half * a2_z
-        a3_z = p + half * a2_p
-        a3_p = -om2 * z3 - gm * z3 * z3
-
-        z4 = z + h * a3_z
-        a4_z = p + h * a3_p
-        a4_p = -om2 * z4 - g1 * z4 * z4
-
-        return (
-            z + sixth * (a1_z + 2.0 * (a2_z + a3_z) + a4_z),
-            p + sixth * (a1_p + 2.0 * (a2_p + a3_p) + a4_p),
-        )
-
-    t, states, path = _drive(step, g, (z0, p0), config, escape_index=0,
-                             kernel=("z", (h, 0.0, omega)))
+    t, states, path = _drive("z", g, (z0, p0), config, omega=omega)
     return Trajectory(
         times=t,
         columns=("z", "p"),
@@ -300,95 +322,17 @@ def integrate_coupled(
     Times are physical; the tau column stores omega*t.  Raises Escape at the
     step where |z| exceeds config.escape_z.
     """
-    eps = params.epsilon
     om = params.omega
-    om2 = om * om
-    h = config.h
-    half = 0.5 * h
-    sixth = h / 6.0
     profile = _profile(params)
-
-    def step(t, x, c0, cm, c1):
-        y, dy, ddy, J, z, p = x
-
-        if y <= 0.0:
-            raise PositivityViolation(t, y)
-        pw = y**-2.5
-        a1_y = om * dy
-        a1_dy = om * ddy
-        a1_ddy = om * (eps * c0 * pw - 4.0 * dy)
-        a1_J = om * pw * c0
-        a1_z = p
-        a1_p = -om2 * z - pw * z * z
-
-        y2 = y + half * a1_y
-        if y2 <= 0.0:
-            raise PositivityViolation(t + half, y2)
-        pw = y2**-2.5
-        force = eps * cm
-        dy2 = dy + half * a1_dy
-        ddy2 = ddy + half * a1_ddy
-        z2 = z + half * a1_z
-        a2_y = om * dy2
-        a2_dy = om * ddy2
-        a2_ddy = om * (force * pw - 4.0 * dy2)
-        a2_J = om * pw * cm
-        a2_z = p + half * a1_p
-        a2_p = -om2 * z2 - pw * z2 * z2
-
-        y3 = y + half * a2_y
-        if y3 <= 0.0:
-            raise PositivityViolation(t + half, y3)
-        pw = y3**-2.5
-        dy3 = dy + half * a2_dy
-        ddy3 = ddy + half * a2_ddy
-        z3 = z + half * a2_z
-        a3_y = om * dy3
-        a3_dy = om * ddy3
-        a3_ddy = om * (force * pw - 4.0 * dy3)
-        a3_J = om * pw * cm
-        a3_z = p + half * a2_p
-        a3_p = -om2 * z3 - pw * z3 * z3
-
-        y4 = y + h * a3_y
-        if y4 <= 0.0:
-            raise PositivityViolation(t + h, y4)
-        pw = y4**-2.5
-        dy4 = dy + h * a3_dy
-        ddy4 = ddy + h * a3_ddy
-        z4 = z + h * a3_z
-        a4_y = om * dy4
-        a4_dy = om * ddy4
-        a4_ddy = om * (eps * c1 * pw - 4.0 * dy4)
-        a4_J = om * pw * c1
-        a4_z = p + h * a3_p
-        a4_p = -om2 * z4 - pw * z4 * z4
-
-        return (
-            y + sixth * (a1_y + 2.0 * (a2_y + a3_y) + a4_y),
-            dy + sixth * (a1_dy + 2.0 * (a2_dy + a3_dy) + a4_dy),
-            ddy + sixth * (a1_ddy + 2.0 * (a2_ddy + a3_ddy) + a4_ddy),
-            J + sixth * (a1_J + 2.0 * (a2_J + a3_J) + a4_J),
-            z + sixth * (a1_z + 2.0 * (a2_z + a3_z) + a4_z),
-            p + sixth * (a1_p + 2.0 * (a2_p + a3_p) + a4_p),
-        )
-
     x0 = (params.y0, params.yp0, params.ypp0, 0.0, z0, p0)
-    t, states, path = _drive(step, lambda t: profile(om * t), x0, config, escape_index=4,
-                             kernel=("coupled", (h, eps, om)))
+    t, states, path = _drive("coupled", lambda t: profile(om * t), x0, config,
+                             eps=params.epsilon, omega=om)
     return Trajectory(
         times=t,
         columns=("tau", "y", "dy", "ddy", "J", "z", "p"),
         data=np.column_stack([om * t, states]),
         meta={"system": "coupled", "params": params, "config": config, "kernel": path},
     )
-
-
-_STATE_COLUMNS = {
-    "y": ("y", "dy", "ddy", "J"),
-    "z": ("z", "p"),
-    "coupled": ("y", "dy", "ddy", "J", "z", "p"),
-}
 
 
 def convergence_order(
@@ -407,8 +351,9 @@ def convergence_order(
     both differences are below 1e-13 (the solution is exact on this grid,
     e.g. the unforced constant case).
     """
-    if system not in _STATE_COLUMNS:
+    if system not in ("y", "z", "coupled"):
         raise InvalidInput(f"unknown system {system!r}")
+    dim = _SYSTEMS[system].dim
 
     def final_state(step: float) -> np.ndarray:
         cfg = IntegrationConfig(t_end=t_end, h=step, record_every=1)
@@ -419,7 +364,7 @@ def convergence_order(
             traj = integrate_z(g_fn, z0, p0, params.omega, cfg)
         else:
             traj = integrate_coupled(params, z0, p0, cfg)
-        return np.array([traj.column(c)[-1] for c in _STATE_COLUMNS[system]])
+        return traj.data[-1, -dim:]
 
     x1 = final_state(h)
     x2 = final_state(h / 2.0)

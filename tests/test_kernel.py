@@ -1,10 +1,10 @@
-"""The compiled RK4 against the Python steps.
+"""The compiled RK4 against the Python RK4.
 
-``_rk4.c`` writes each system as a vector field evaluated in the same order
-as the stages of its Python step, under one C stage routine.  Each case runs
-twice: on the compiled RK4 and on the Python steps, chosen by setting the
-loaded library to None.  Both paths must record the same times and data to
-the bit, or raise the same error with the same message.
+Each system is the same field in C and in Python, under one RK4 each
+(``_rk4.c`` and ``tubeint.integrate``).  Each case runs twice: on the compiled
+RK4 and on the Python one, chosen by setting the loaded library to None.  Both
+paths must record the same times and data to the bit, or raise the same error
+with the same message.
 """
 
 import shutil
@@ -97,7 +97,7 @@ def cases(draw):
     return system, a, cfg, draw(st.sampled_from([1, 7, 4096]))
 
 
-# The failures of the Python steps, each with the error it raises.
+# Failures of the Python RK4, each with the error it raises.
 # y = 0.5 - sin(2 tau) crosses zero near pi/12
 _Y_POSITIVITY = ("y", _args(c1=0.0, y0=0.5, yp0=-2.0), IntegrationConfig(t_end=5.0), 4096)
 _W_POSITIVITY = ("ermakov", _args(w0=0.01, dw0=-10.0), IntegrationConfig(t_end=5.0, h=0.5), 7)
@@ -108,8 +108,23 @@ _ESCAPE = ("z", _args(z0=-5.0), IntegrationConfig(t_end=50.0, record_every=10, e
 _NAN_ESCAPE = ("coupled", _args(z0=1e200), IntegrationConfig(t_end=1.0, record_every=1000), 7)
 # y0^-2.5 overflows: Python's ** raises, C's pow returns inf
 _OVERFLOW = ("y", _args(c1=0.0, y0=1e-250), IntegrationConfig(t_end=0.001), 1)
-_FAILURES = [(_Y_POSITIVITY, "PositivityViolation"), (_W_POSITIVITY, "PositivityViolation"),
-             (_ESCAPE, "Escape"), (_NAN_ESCAPE, "Escape"), (_OVERFLOW, "NonFinite")]
+# Nonpositive first at a given stage of a known step, with h a power of two so
+# that the stage times are exact: y (coupled) at t + h/2 of step 3, y at t + h
+# of step 1, w at t + h of step 12 and w at t of step 13 (constant drivers, so
+# that a shorter run sees the same f).
+_Y_HALF = ("coupled", _args(c1=0.0, y0=0.5, yp0=-1.0), IntegrationConfig(t_end=5.0, h=0.25), 7)
+_Y_END = ("y", _args(c1=0.0, y0=0.2, yp0=-0.5), IntegrationConfig(t_end=5.0, h=0.25), 4096)
+_W_END = ("ermakov", _args(w0=0.5, dw0=-0.5, driver=(0.37, 1.0, 1.0, 0.0)),
+          IntegrationConfig(t_end=10.0, h=0.5), 7)
+_W_START = ("ermakov", _args(w0=0.3, dw0=-2.0, driver=(0.37, 1.0, 4.0, 0.0)),
+            IntegrationConfig(t_end=5.0, h=0.125), 4096)
+# (case, error, stage): a positivity failure at stage t + stage * h of its step
+_FAILURES = [(_Y_POSITIVITY, "PositivityViolation", None),
+             (_W_POSITIVITY, "PositivityViolation", 0.5),
+             (_ESCAPE, "Escape", None), (_NAN_ESCAPE, "Escape", None),
+             (_OVERFLOW, "NonFinite", None),
+             (_Y_HALF, "PositivityViolation", 0.5), (_Y_END, "PositivityViolation", 1.0),
+             (_W_END, "PositivityViolation", 1.0), (_W_START, "PositivityViolation", 0.0)]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -119,6 +134,10 @@ _FAILURES = [(_Y_POSITIVITY, "PositivityViolation"), (_W_POSITIVITY, "Positivity
 @example(_ESCAPE)
 @example(_NAN_ESCAPE)
 @example(_OVERFLOW)
+@example(_Y_HALF)
+@example(_Y_END)
+@example(_W_END)
+@example(_W_START)
 def test_kernel_matches_python_steps(case):
     compiled, python = _both(*case)
     if isinstance(python[0], type):
@@ -129,11 +148,26 @@ def test_kernel_matches_python_steps(case):
         assert compiled[2] == ("python" if rk4.library() is None else "c")
 
 
-@pytest.mark.parametrize("case, error", _FAILURES)
-def test_examples_raise_their_failure(case, error):
+@pytest.mark.parametrize("case, error, stage", _FAILURES,
+                         ids=[f"case{i}-{error}" for i, (_, error, _) in enumerate(_FAILURES)])
+def test_examples_raise_their_failure(case, error, stage):
     compiled, python = _both(*case)
     assert compiled == python
     assert compiled[0].__name__ == error
+    if stage is None:
+        return
+    system, a, cfg, chunk = case
+    t, h = compiled[2], cfg.h
+    k = round(t / h - stage)
+    assert t - k * h == stage * h
+    # k is the failing step: a run of k steps completes, one of k + 1 does not
+    for steps, fails in ((k, False), (k + 1, True)):
+        if steps:
+            cut, cut_python = _both(system, a, IntegrationConfig(t_end=steps * h, h=h), chunk)
+            if fails:
+                assert cut == cut_python == compiled
+            else:
+                assert cut[:2] == cut_python[:2] and not isinstance(cut[0], type)
 
 
 _RUNS = [
