@@ -28,20 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InsufficientWindows, InvalidInput, MissingInput, TubeIntError
+from .errors import InvalidInput, MissingInput, TubeIntError
 from .ermakov import LogisticDriver, integrate_ermakov, lewis_invariant
 from .integrate import IntegrationConfig, integrate_y
 from .invariant import drift_experiment, drift_percent, exact_drift_experiment
 from .model import SystemParams
-from .perturb import _composites, resonance_coefficients, validity, y_composite
-from .resonance import (
-    TWO_PI,
-    _complete_windows,
-    _window_project,
-    project_harmonics,
-    secular_slope,
-    third_harmonic_check,
-)
+from .perturb import _composites, resonance_coefficients, validity
+from .resonance import TWO_PI, fourier_windows
 
 
 def _fmt(v) -> str:
@@ -158,29 +151,12 @@ def cmd_fourier(args) -> int:
     params = _params_from_args(args)
     cfg = IntegrationConfig(t_end=args.tau_max, h=args.h, record_every=args.record_every)
     traj = integrate_y(params, cfg)
-    tau = traj.column("tau")
-    y = traj.column("y")
-    windows = _complete_windows(tau)
-    if len(windows) < 5:
-        raise InsufficientWindows(f"need >= 5 complete windows, got {len(windows)}")
-
+    c, s, fit, resid_s3, (s3_measured, s3_pred) = fourier_windows(params, traj)
     eps = params.epsilon
     y0 = params.y0
-    fit = secular_slope(traj, harmonic=2, windows=windows, params=params)
-    s3_measured, s3_pred = third_harmonic_check(params, traj)
-    resid3 = y - y_composite(tau, params, 2)
     series = resonance_coefficients()
     slope_pred = float(series["secular_slope"]) * eps**2 * y0**-6.0
     s1_pred = eps * y0**-2.5 / float(1 / series["s1"])
-
-    rows = []
-    for i, k in enumerate(windows):
-        hw = project_harmonics(traj, k, n_harmonics=3)
-        _, s3_win = _window_project(tau, resid3, k, 3)
-        rows.append(
-            (k, TWO_PI * (k + 0.5), hw.c[0], hw.c[1], hw.c[2], hw.c[3],
-             hw.s[0], hw.s[1], hw.s[2], fit.amplitudes[i], s3_win[2], s3_pred)
-        )
     meta = [("kind", "fourier")] + _param_meta(params, cfg)
     meta += [
         ("secular_slope_measured", _fmt(fit.slope)),
@@ -192,7 +168,9 @@ def cmd_fourier(args) -> int:
     ]
     header = ["k", "tau_center", "c0", "c1", "c2", "c3", "s1", "s2", "s3",
               "resid_s2", "resid_s3", "s3_pred"]
-    write_csv(args.out, meta, header, list(zip(*rows)))
+    k = fit.windows
+    write_csv(args.out, meta, header, [k, TWO_PI * (k + 0.5), *c, *s, fit.amplitudes, resid_s3,
+                                       np.full(len(k), s3_pred)])
     return 0
 
 

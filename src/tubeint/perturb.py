@@ -160,7 +160,9 @@ def resonance_coefficients() -> dict[str, Fraction]:
     ``s1`` is the sin(tau) coefficient of R_1, so the first harmonic of y has
     amplitude s1 eps y0^(-5/2); ``secular_slope`` is the tau sin(2 tau)
     coefficient of R_2, so the sin(2 tau) amplitude of y - y0 (1 + delta R_1)
-    grows at secular_slope eps^2 y0^(-6) per unit tau.
+    grows at secular_slope eps^2 y0^(-6) per unit tau.  ``s3`` is R_3's windowed
+    sin(3 tau) amplitude at window centre 0: tau cos(k tau) adds -1/(3+k) - 1/(3-k)
+    (without a zero frequency), tau sin(3 tau) the centre, which is 0 there.
     """
     rho = _tables()["rho"]
 
@@ -168,7 +170,12 @@ def resonance_coefficients() -> dict[str, Fraction]:
         # c e^(ik tau) + conj(c) e^(-ik tau) carries -2 Im(c) sin(k tau)
         return -2 * table.get((m, k), (0, 0))[1]
 
-    return {"s1": sin_coefficient(rho[1], 0, 1), "secular_slope": sin_coefficient(rho[2], 1, 2)}
+    # ... and 2 Re(c) cos(k tau), or Re(c) when k = 0
+    s3 = sin_coefficient(rho[3], 0, 3) + sum(
+        (re if k == 0 else 2 * re) * -sum(Fraction(1, j) for j in (3 + k, 3 - k) if j)
+        for (m, k), (re, _) in rho[3].items() if m == 1 and k >= 0)
+    return {"s1": sin_coefficient(rho[1], 0, 1), "secular_slope": sin_coefficient(rho[2], 1, 2),
+            "s3": s3}
 
 
 @functools.cache

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientSamples, InsufficientWindows, InvalidInput
 from .model import SystemParams, Trajectory
-from .perturb import rho1, validity, y_composite
+from .perturb import resonance_coefficients, rho1, validity, y_composite
 
 __all__ = [
     "HarmonicWindow",
@@ -28,6 +28,7 @@ __all__ = [
     "project_harmonics",
     "secular_slope",
     "third_harmonic_check",
+    "fourier_windows",
     "periodicity_defect",
 ]
 
@@ -59,43 +60,69 @@ class HarmonicWindow:
         return float(self.c[n])
 
 
-def _window_project(tau: np.ndarray, values: np.ndarray, k: int, n_harmonics: int):
-    a = TWO_PI * k
-    b = a + TWO_PI
-    if tau[0] > a + 1e-12 or tau[-1] < b - 1e-12:
-        raise InsufficientSamples(f"trajectory does not cover window {k} ([{a}, {b}])")
-    inside = np.count_nonzero((tau >= a) & (tau <= b))
-    if inside < MIN_WINDOW_SAMPLES:
-        raise InsufficientSamples(
-            f"window {k} holds {inside} samples; need >= {MIN_WINDOW_SAMPLES}"
-        )
-    grid = a + TWO_PI * np.arange(WINDOW_NODES) / WINDOW_NODES
-    yg = np.interp(grid, tau, values)
-    c = np.empty(n_harmonics + 1)
-    s = np.empty(n_harmonics)
-    c[0] = yg.mean()
-    for n in range(1, n_harmonics + 1):
-        c[n] = 2.0 * np.mean(yg * np.cos(n * grid))
-        s[n - 1] = 2.0 * np.mean(yg * np.sin(n * grid))
-    return c, s
+def _complete_windows(tau: np.ndarray) -> list[int]:
+    return list(range(int(math.floor(tau[-1] / TWO_PI + 1e-12))))
 
 
-def project_harmonics(
-    traj: Trajectory,
-    window_k: int,
-    n_harmonics: int = 8,
-    column: str = "y",
-) -> HarmonicWindow:
+def _cover(tau: np.ndarray, windows) -> None:
+    """Raise InsufficientSamples unless tau covers each window with enough samples."""
+    for k in windows:
+        a = TWO_PI * k
+        b = a + TWO_PI
+        if tau[0] > a + 1e-12 or tau[-1] < b - 1e-12:
+            raise InsufficientSamples(f"trajectory does not cover window {k} ([{a}, {b}])")
+        inside = np.count_nonzero((tau >= a) & (tau <= b))
+        if inside < MIN_WINDOW_SAMPLES:
+            raise InsufficientSamples(f"window {k} holds {inside} samples; "
+                                      f"need >= {MIN_WINDOW_SAMPLES}")
+
+
+def _project(tau: np.ndarray, series, windows, n_harmonics: int) -> list[tuple]:
+    """(c, s) per series: c[n, i], s[n - 1, i] the cos/sin(n tau) amplitudes over windows[i]
+    (checked by ``_cover``), c[0, i] its mean; one grid and basis per window serve all series."""
+    tau = np.ascontiguousarray(tau)
+    series = [np.ascontiguousarray(values) for values in series]
+    out = [(np.empty((n_harmonics + 1, len(windows))), np.empty((n_harmonics, len(windows))))
+           for _ in series]
+    nodes = TWO_PI * np.arange(WINDOW_NODES) / WINDOW_NODES
+    for i, k in enumerate(windows):
+        grid = TWO_PI * k + nodes
+        basis = [(np.cos(n * grid), np.sin(n * grid)) for n in range(1, n_harmonics + 1)]
+        for values, (c, s) in zip(series, out):
+            yg = np.interp(grid, tau, values)
+            c[0, i] = yg.mean()
+            for n, (cos, sin) in enumerate(basis, 1):
+                c[n, i] = 2.0 * np.mean(yg * cos)
+                s[n - 1, i] = 2.0 * np.mean(yg * sin)
+    return out
+
+
+def project_harmonics(traj: Trajectory, window_k: int, n_harmonics: int = 8,
+                      column: str = "y") -> HarmonicWindow:
     """Extract c0..cN and s1..sN of a trajectory column over one 2-pi window."""
     if n_harmonics < 1 or n_harmonics > 8:
         raise InvalidInput(f"n_harmonics must be in 1..8, got {n_harmonics!r}")
     tau = traj.times if "tau" not in traj.columns else traj.column("tau")
-    c, s = _window_project(tau, traj.column(column), window_k, n_harmonics)
-    return HarmonicWindow(k=window_k, c=c, s=s)
+    values = traj.column(column)
+    _cover(tau, [window_k])
+    [(c, s)] = _project(tau, [values], [window_k], n_harmonics)
+    return HarmonicWindow(k=window_k, c=c[:, 0], s=s[:, 0])
 
 
-def _complete_windows(tau: np.ndarray) -> list[int]:
-    return list(range(int(math.floor(tau[-1] / TWO_PI + 1e-12))))
+def _check_horizon(params: SystemParams, last_window: int, message: str) -> None:
+    """InvalidInput(message, formatted with horizon and limit) past 0.2 tau*."""
+    horizon = TWO_PI * (last_window + 1)
+    limit = 0.2 * validity(params).tau_star
+    if horizon > limit:
+        raise InvalidInput(message.format(horizon=horizon, limit=limit))
+
+
+def _secular_residual(params: SystemParams, traj: Trajectory, windows) -> np.ndarray:
+    """y - y0 - eps y0 rho1, once the windows are checked against the fit horizon."""
+    _check_horizon(params, max(windows),
+                   "fit horizon {horizon:.1f} exceeds 0.2 tau* = {limit:.1f}")
+    y0, eps = params.y0, params.epsilon
+    return traj.column("y") - y0 - eps * y0 * rho1(traj.column("tau"), y0)
 
 
 @dataclass(frozen=True)
@@ -110,12 +137,18 @@ class SecularFit:
     amplitudes: np.ndarray
 
 
-def secular_slope(
-    traj: Trajectory,
-    harmonic: int = 2,
-    windows: list[int] | None = None,
-    params: SystemParams | None = None,
-) -> SecularFit:
+def _secular_fit(harmonic: int, windows, amps: np.ndarray) -> SecularFit:
+    centers = TWO_PI * (np.asarray(windows, dtype=float) + 0.5)
+    slope, intercept = np.polyfit(centers, amps, 1)
+    fit = slope * centers + intercept
+    ss_res = float(np.sum((amps - fit) ** 2))
+    ss_tot = float(np.sum((amps - amps.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return SecularFit(harmonic, float(slope), float(intercept), r2, np.asarray(windows), amps)
+
+
+def secular_slope(traj: Trajectory, harmonic: int = 2, windows: list[int] | None = None,
+                  params: SystemParams | None = None) -> SecularFit:
     """Growth rate of the sin(harmonic * tau) amplitude of y - y0 - eps y0 rho1.
 
     The first-order term is removed in closed form, so the leading content of
@@ -132,74 +165,61 @@ def secular_slope(
         windows = _complete_windows(tau)
     if len(windows) < 5:
         raise InsufficientWindows(f"need >= 5 windows, got {len(windows)}")
-    horizon = TWO_PI * (max(windows) + 1)
-    tau_star = validity(params).tau_star
-    if horizon > 0.2 * tau_star:
-        raise InvalidInput(
-            f"fit horizon {horizon:.1f} exceeds 0.2 tau* = {0.2 * tau_star:.1f}"
-        )
-    y0 = params.y0
-    eps = params.epsilon
-    residual = traj.column("y") - y0 - eps * y0 * rho1(tau, y0)
-    amps = np.empty(len(windows))
-    for i, k in enumerate(windows):
-        _, s = _window_project(tau, residual, k, harmonic)
-        amps[i] = s[harmonic - 1]
-    centers = TWO_PI * (np.asarray(windows, dtype=float) + 0.5)
-    slope, intercept = np.polyfit(centers, amps, 1)
-    fit = slope * centers + intercept
-    ss_res = float(np.sum((amps - fit) ** 2))
-    ss_tot = float(np.sum((amps - amps.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return SecularFit(
-        harmonic=harmonic,
-        slope=float(slope),
-        intercept=float(intercept),
-        r2=r2,
-        windows=np.asarray(windows),
-        amplitudes=amps,
-    )
+    residual = _secular_residual(params, traj, windows)
+    _cover(tau, windows)
+    [(_, s)] = _project(tau, [residual], windows, harmonic)
+    return _secular_fit(harmonic, windows, s[harmonic - 1])
 
 
-def third_harmonic_check(
-    params: SystemParams,
-    traj: Trajectory,
-    windows: tuple[int, int] = (0, 1),
-) -> tuple[float, float]:
+def _third_harmonic(params: SystemParams, amps: np.ndarray, windows) -> tuple[float, float]:
+    """(measured, predicted): the sin(3 tau) amplitudes of two windows, extrapolated
+    linearly from their centers 2 pi (k + 1/2) to center 0, and the series value."""
+    c_lo, c_hi = (k + 0.5 for k in windows)
+    slope = (amps[1] - amps[0]) / (c_hi - c_lo)
+    predicted = float(resonance_coefficients()["s3"]) * params.epsilon**3 * params.y0**-9.5
+    return float(amps[0] - slope * c_lo), predicted
+
+
+def third_harmonic_check(params: SystemParams, traj: Trajectory,
+                         windows: tuple[int, int] = (0, 1)) -> tuple[float, float]:
     """(measured, predicted) third-harmonic amplitude, canonical sign.
 
     The residual subtracts the order-2 composite in its exponential form,
     which removes every first- and second-order harmonic together with their
     cross products, leaving the third-order content.  Its windowed sin(3 tau)
-    amplitude still carries a contamination that grows linearly with the
-    window center (next-order secular terms), so the amplitude is measured on
-    two windows and extrapolated linearly to window center zero; that is the
-    detrended value.  Predicted is the forced-response coefficient
-    (7/864) eps^3 y0^(-19/2).
+    amplitude grows linearly with the window center (R_3's tau sin(3 tau)
+    term, next-order secular terms), so it is measured on two windows and
+    extrapolated linearly to window center zero: the detrended value.
+    Predicted is that value of the series, ``resonance_coefficients()["s3"]``
+    eps^3 y0^(-19/2).
     """
-    if params is None:
-        params = traj.meta.get("params")
     tau = traj.column("tau")
     k_lo, k_hi = windows
     if k_hi <= k_lo:
         raise InvalidInput("windows must be two distinct indices (low, high)")
-    if max(windows) + 1 > len(_complete_windows(tau)):
-        raise InsufficientWindows(f"trajectory does not cover window {max(windows)}")
-    tau_star = validity(params).tau_star
-    if TWO_PI * (max(windows) + 1) > 0.2 * tau_star:
-        raise InvalidInput("measurement horizon exceeds 0.2 tau*")
+    if k_hi + 1 > len(_complete_windows(tau)):
+        raise InsufficientWindows(f"trajectory does not cover window {k_hi}")
+    _check_horizon(params, k_hi, "measurement horizon exceeds 0.2 tau*")
     residual = traj.column("y") - y_composite(tau, params, order=2)
-    amps = []
-    for k in (k_lo, k_hi):
-        _, s = _window_project(tau, residual, k, 3)
-        amps.append(float(s[2]))
-    # linear extrapolation from centers 2 pi (k + 1/2) to center 0
-    c_lo = k_lo + 0.5
-    c_hi = k_hi + 0.5
-    slope = (amps[1] - amps[0]) / (c_hi - c_lo)
-    measured = amps[0] - slope * c_lo
-    predicted = (7.0 / 864.0) * params.epsilon**3 * params.y0**-9.5
-    return measured, predicted
+    _cover(tau, windows)
+    [(_, s)] = _project(tau, [residual], windows, 3)
+    return _third_harmonic(params, s[2], windows)
+
+
+def fourier_windows(params: SystemParams, traj: Trajectory) -> tuple:
+    """(c, s, fit, s3, third) over the complete windows of an ``integrate_y`` run, one pass:
+    rows c0..c3 and s1..s3 of y, the ``secular_slope`` fit, the order-2 residual's
+    sin(3 tau) amplitudes and ``third_harmonic_check`` on their windows 0 and 1."""
+    tau = traj.column("tau")
+    windows = _complete_windows(tau)
+    if len(windows) < 5:
+        raise InsufficientWindows(f"need >= 5 complete windows, got {len(windows)}")
+    residual1 = _secular_residual(params, traj, windows)
+    _cover(tau, windows)
+    y = traj.column("y")
+    (c, s), (_, s2), (_, s3) = _project(
+        tau, [y, residual1, y - y_composite(tau, params, 2)], windows, 3)
+    return c, s, _secular_fit(2, windows, s2[1]), s3[2], _third_harmonic(params, s3[2], (0, 1))
 
 
 @dataclass(frozen=True)
@@ -214,11 +234,8 @@ class DefectSeries:
         return float(np.max(self.defect))
 
 
-def periodicity_defect(
-    traj: Trajectory,
-    period: float = TWO_PI,
-    columns: tuple[str, ...] = ("y", "dy", "ddy"),
-) -> DefectSeries:
+def periodicity_defect(traj: Trajectory, period: float = TWO_PI,
+                       columns: tuple[str, ...] = ("y", "dy", "ddy")) -> DefectSeries:
     """How far the trajectory is from being periodic with the given period.
 
     Strictly zero only for genuinely periodic signals: the unforced constant
@@ -232,20 +249,12 @@ def periodicity_defect(
         raise InsufficientSamples("trajectory must cover at least two periods")
     h = tau[1] - tau[0]
     m = round(period / h)
-    n = len(tau)
     aligned = m >= 1 and abs(m * h - period) < 1e-9
-    if aligned:
-        base = slice(0, n - m)
-        defect = np.zeros(n - m)
-        for name in columns:
-            col = traj.column(name)
-            defect = np.maximum(defect, np.abs(col[m:] - col[:-m]))
-        return DefectSeries(tau=tau[base].copy(), defect=defect)
-    keep = tau + period <= tau[-1] + 1e-12
+    keep = slice(0, len(tau) - m) if aligned else tau + period <= tau[-1] + 1e-12
     base_tau = tau[keep]
     defect = np.zeros(len(base_tau))
     for name in columns:
         col = traj.column(name)
-        shifted = np.interp(base_tau + period, tau, col)
+        shifted = col[m:] if aligned else np.interp(base_tau + period, tau, col)
         defect = np.maximum(defect, np.abs(shifted - col[keep]))
     return DefectSeries(tau=base_tau.copy(), defect=defect)

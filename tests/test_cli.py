@@ -124,6 +124,25 @@ def test_fourier_unforced_amplitudes_vanish(tmp_path):
     assert np.allclose(rows[:, cols["c0"]], 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("argv, line", [
+    ("--tau-max 20", "InsufficientWindows: need >= 5 complete windows, got 3"),
+    ("--eps 0.4 --y0 0.8 --tau-max 60 --record-every 1",
+     "InvalidInput: fit horizon 56.5 exceeds 0.2 tau* = 6.3"),
+    ("--tau-max 44 --record-every 10",
+     "InsufficientSamples: window 0 holds 629 samples; need >= 1000"),
+    # the window coverage is checked before the order-2 composite needs a canonical forcing
+    ("--c2 0.1 --tau-max 44 --record-every 10",
+     "InsufficientSamples: window 0 holds 629 samples; need >= 1000"),
+    ("--c2 0.1 --tau-max 44 --record-every 5",
+     "InvalidInput: series functions require the canonical forcing orientation (c2=0, c1>=0)"),
+])
+def test_fourier_error_lines(argv, line, capsys):
+    assert run(["fourier", *argv.split(), "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {line}\n"
+    assert captured.out == ""
+
+
 def test_ermakov_csv(tmp_path):
     out = tmp_path / "e.csv"
     assert run(["ermakov", "--t-max", "30", "--out", str(out)]) == 0

@@ -37,3 +37,12 @@ def test_relative_imports_are_found():
 @pytest.mark.parametrize("module", ["model", "perturb"])
 def test_series_layer_does_not_import_the_integrators(module):
     assert relative_imports(module) & ABOVE_SERIES == set()
+
+
+def test_cli_imports_no_private_resonance_name():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             and node.module == "resonance" for alias in node.names]
+    assert "fourier_windows" in names
+    assert [name for name in names if name.startswith("_")] == []

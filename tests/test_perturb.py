@@ -213,6 +213,8 @@ def test_generated_series_solves_the_recursion_exactly():
 
 
 def test_resonance_coefficients_are_exact():
-    # the first harmonic eps y0^(-5/2)/3 and the secular slope (5/96) eps^2 y0^(-6)
-    assert resonance_coefficients() == {"s1": Fraction(1, 3), "secular_slope": Fraction(5, 96)}
+    # the first harmonic eps y0^(-5/2)/3, the secular slope (5/96) eps^2 y0^(-6)
+    # and the detrended third harmonic (1783/290304) eps^3 y0^(-19/2)
+    assert resonance_coefficients() == {"s1": Fraction(1, 3), "secular_slope": Fraction(5, 96),
+                                        "s3": Fraction(1783, 290304)}
     assert float(resonance_coefficients()["secular_slope"]) == 5.0 / 96.0

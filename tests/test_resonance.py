@@ -8,6 +8,7 @@ from tubeint.integrate import IntegrationConfig, integrate_y
 from tubeint.model import SystemParams, Trajectory, validate_params
 from tubeint.perturb import drho1, rho1
 from tubeint.resonance import (
+    fourier_windows,
     periodicity_defect,
     project_harmonics,
     secular_slope,
@@ -111,9 +112,26 @@ def test_third_harmonic_within_band():
         p = params(eps=eps, y0=y0)
         traj = integrate_y(p, IntegrationConfig(t_end=3.0 * TWO_PI, h=1e-3, record_every=2))
         measured, predicted = third_harmonic_check(p, traj)
-        assert predicted == pytest.approx((7.0 / 864.0) * eps**3 * y0**-9.5, rel=1e-14)
+        assert predicted == pytest.approx((1783.0 / 290304.0) * eps**3 * y0**-9.5, rel=1e-14)
         assert measured > 0.0  # canonical sign
         assert abs(abs(measured) - predicted) / predicted < 0.25
+
+
+def test_fourier_windows_match_the_public_functions():
+    # one pass over every window gives the bits of the per-window functions
+    p = params(eps=0.1, y0=1.0)
+    traj = integrate_y(p, IntegrationConfig(t_end=44.0, h=1e-3, record_every=5))
+    c, s, fit, resid_s3, third = fourier_windows(p, traj)
+    assert c.shape == (4, 7) and s.shape == (3, 7) and resid_s3.shape == (7,)
+    for i, k in enumerate(fit.windows):
+        hw = project_harmonics(traj, int(k), n_harmonics=3)
+        assert hw.k == k
+        assert np.array_equal(c[:, i], hw.c) and np.array_equal(s[:, i], hw.s)
+    ref = secular_slope(traj, params=p)
+    assert np.array_equal(fit.windows, ref.windows)
+    assert np.array_equal(fit.amplitudes, ref.amplitudes)
+    assert (fit.slope, fit.intercept, fit.r2) == (ref.slope, ref.intercept, ref.r2)
+    assert third == third_harmonic_check(p, traj)
 
 
 def test_third_harmonic_unforced():
