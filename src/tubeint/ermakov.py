@@ -55,10 +55,10 @@ class LogisticDriver:
     def __post_init__(self):
         if not 0.0 <= self.l0 <= 1.0:
             raise OutOfRange(self.l0)
-        if not self.ts > 0.0:
-            raise InvalidInput(f"ts must be > 0, got {self.ts!r}")
-        if not self.f0 > 0.0:
-            raise InvalidInput(f"f0 must be > 0, got {self.f0!r}")
+        for name in ("ts", "f0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidInput(f"{name} must be finite and > 0, got {value!r}")
         if not 0.0 <= self.df < self.f0:
             raise InvalidInput(f"df must lie in [0, f0), got {self.df!r}")
 
@@ -100,7 +100,6 @@ class CubicSpline:
         self.y = y
         self.h = h
         self.M = M
-        self._uniform = bool(np.allclose(h, h[0], rtol=1e-12, atol=0.0))
 
     def _interval(self, t):
         return np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.x) - 2)
@@ -108,7 +107,7 @@ class CubicSpline:
     def __call__(self, t, deriv: int = 0):
         scalar = np.isscalar(t)
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.x[0] - 1e-12) or np.any(t > self.x[-1] + 1e-12):
+        if not np.all((t >= self.x[0] - 1e-12) & (t <= self.x[-1] + 1e-12)):
             raise InvalidInput("evaluation outside the knot range")
         i = self._interval(t)
         h = self.h[i]
@@ -136,64 +135,32 @@ class CubicSpline:
             raise InvalidInput(f"deriv must be 0, 1 or 2, got {deriv!r}")
         return float(out) if scalar else out
 
-    def eval_scalar(self, t: float) -> float:
-        """Scalar value by a uniform-knot shortcut; same value as ``self(t)``.
-
-        Not used by the integrator, which tabulates ``self`` over arrays of
-        times; kept because ``bench/tracer.py`` wraps it by name.
-        """
-        x0 = self.x[0]
-        if self._uniform:
-            i = int((t - x0) / self.h[0])
-            if i < 0:
-                i = 0
-            last = len(self.x) - 2
-            if i > last:
-                i = last
-        else:
-            i = int(self._interval(t))
-        h = self.h[i]
-        a = self.x[i + 1] - t
-        b = t - self.x[i]
-        return (
-            (self.M[i] * a * a * a + self.M[i + 1] * b * b * b) / (6.0 * h)
-            + (self.y[i] / h - self.M[i] * h / 6.0) * a
-            + (self.y[i + 1] / h - self.M[i + 1] * h / 6.0) * b
-        )
+    # self(t) under a second name, kept because bench/tracer.py wraps it by name
+    eval_scalar = __call__
 
     def piecewise_minimum(self) -> tuple[float, float]:
-        """(t_min, value) of the global minimum, exact per cubic piece."""
-        best_t = self.x[0]
-        best_v = float(self(self.x[0]))
-        for i in range(len(self.x) - 1):
-            candidates = [self.x[i], self.x[i + 1]]
-            # stationary points: quadratic roots of the derivative on [x_i, x_{i+1}]
-            c2 = (self.M[i + 1] - self.M[i]) / (2.0 * self.h[i])
-            c1 = (self.M[i] * self.x[i + 1] - self.M[i + 1] * self.x[i]) / self.h[i]
-            # derivative: c2*t^2 + c1*t + c0 in expanded form
-            c0 = (
-                (self.M[i + 1] * self.x[i] ** 2 - self.M[i] * self.x[i + 1] ** 2)
-                / (2.0 * self.h[i])
-                + (self.y[i + 1] - self.y[i]) / self.h[i]
-                - (self.M[i + 1] - self.M[i]) * self.h[i] / 6.0
-            )
-            if c2 != 0.0:
-                disc = c1 * c1 - 4.0 * c2 * c0
-                if disc >= 0.0:
-                    root = math.sqrt(disc)
-                    for r in ((-c1 - root) / (2.0 * c2), (-c1 + root) / (2.0 * c2)):
-                        if self.x[i] < r < self.x[i + 1]:
-                            candidates.append(r)
-            elif c1 != 0.0:
-                r = -c0 / c1
-                if self.x[i] < r < self.x[i + 1]:
-                    candidates.append(r)
-            for t in candidates:
-                v = float(self(t))
-                if v < best_v:
-                    best_v = v
-                    best_t = t
-        return best_t, best_v
+        """(t_min, value) of the global minimum, exact per cubic piece.
+
+        On piece i the slope that ``self(t, 1)`` evaluates, with a = h_i - b,
+        is in b = t - x_i the quadratic q2 b^2 + q1 b + q0 with
+        q2 = (M_i+1 - M_i) / (2 h_i), q1 = M_i and
+        q0 = (y_i+1 - y_i) / h_i - h_i (2 M_i + M_i+1) / 6.  Its real roots
+        strictly inside (0, h_i) and all knots are the candidates, evaluated
+        in one call; a tie goes to the smallest t.
+        """
+        h, Mi, Mj = self.h, self.M[:-1], self.M[1:]
+        q2 = (Mj - Mi) / (2.0 * h)
+        q0 = np.diff(self.y) / h - h * (2.0 * Mi + Mj) / 6.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the root of larger magnitude from q, the other as q0 / q: no
+            # cancellation, and q2 = 0 leaves only the linear root -q0 / q1
+            q = -0.5 * (Mi + np.copysign(np.sqrt(Mi * Mi - 4.0 * q2 * q0), Mi))
+            roots = np.stack([q / q2, q0 / q])
+        inside = (roots > 0.0) & (roots < h)
+        t = np.concatenate([self.x, (self.x[:-1] + roots)[inside]])
+        v = self(t)
+        k = np.lexsort((t, v))[0]
+        return float(t[k]), float(v[k])
 
 
 def build_driver(driver: LogisticDriver, t_max: float) -> CubicSpline:

@@ -307,13 +307,14 @@ def alpha2_derivatives(tau, params: SystemParams, order: int = 3):
     alpha2' is the exact logarithmic derivative of the truncated composite;
     alpha2'' comes from the once-integrated form
     alpha2'' = 4 (y0 - alpha2) + eps * J with J in closed form, which avoids
-    amplifying truncation error by repeated differentiation.
+    amplifying truncation error by repeated differentiation.  y0 - alpha2 is
+    formed as -y0 expm1(rho), not as a difference of two numbers near y0.
     """
     weights = _prepare(params, order)
     rho, drho, J = _sum(tau, ("rho", weights), ("drho", weights), ("J", weights[:order]))
-    yc = params.y0 * np.exp(rho)
-    d2 = 4.0 * (params.y0 - yc) + params.epsilon * (params.y0**-2.5 * J)
-    return yc * drho, d2
+    y0 = params.y0
+    d2 = -4.0 * y0 * np.expm1(rho) + params.epsilon * (y0**-2.5 * J)
+    return y0 * np.exp(rho) * drho, d2
 
 
 @dataclass(frozen=True)

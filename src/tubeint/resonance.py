@@ -244,6 +244,8 @@ def periodicity_defect(traj: Trajectory, period: float = TWO_PI,
     sample grid divides the period the comparison is sample-exact; otherwise
     the shifted values are linearly interpolated.
     """
+    if not (math.isfinite(period) and period > 0.0):
+        raise InvalidInput(f"period must be finite and > 0, got {period!r}")
     tau = traj.times if "tau" not in traj.columns else traj.column("tau")
     if tau[-1] - tau[0] < 2.0 * period:
         raise InsufficientSamples("trajectory must cover at least two periods")

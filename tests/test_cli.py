@@ -169,6 +169,17 @@ def test_ermakov_settles_after_logistic_fixed_point(tmp_path):
     assert np.max(np.abs(late - 0.7)) < 1e-2  # f0 - df once the map sits at 0
 
 
+@pytest.mark.parametrize("flag, line", [
+    ("--f0", "InvalidInput: f0 must be finite and > 0, got inf"),
+    ("--ts", "InvalidInput: ts must be finite and > 0, got inf"),
+])
+def test_ermakov_rejects_infinite_driver_field(flag, line, capsys):
+    assert run(["ermakov", flag, "inf", "--t-max", "10", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {line}\n"
+    assert captured.out == ""
+
+
 def test_gplot_from_metadata(tmp_path):
     csv = tmp_path / "y.csv"
     run(["simulate-y", "--tau-max", "10", "--out", str(csv)])

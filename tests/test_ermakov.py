@@ -9,7 +9,13 @@ from tubeint.ermakov import (
     lewis_invariant,
     logistic_sequence,
 )
-from tubeint.errors import NonPositive, NonPositiveF, OutOfRange, PositivityViolation
+from tubeint.errors import (
+    InvalidInput,
+    NonPositive,
+    NonPositiveF,
+    OutOfRange,
+    PositivityViolation,
+)
 from tubeint.integrate import IntegrationConfig
 
 
@@ -46,6 +52,10 @@ def test_driver_validation():
         LogisticDriver(f0=-1.0)
     with pytest.raises(ValueError):
         LogisticDriver(df=1.0)  # df must stay below f0
+    for name in ("ts", "f0"):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(InvalidInput, match=f"^{name} must be finite and > 0"):
+                LogisticDriver(**{name: bad})
 
 
 def test_driver_knot_values():
@@ -78,6 +88,37 @@ def test_spline_reproduces_constants_without_overshoot():
     assert vmin == pytest.approx(1.3, rel=1e-14)
 
 
+def random_splines(count=6, n=12):
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        x = np.cumsum(rng.uniform(0.5, 1.5, size=n))
+        yield CubicSpline(x, rng.uniform(0.5, 1.5, size=n))
+
+
+def test_spline_minimum_is_a_spline_value_and_below_every_sample():
+    interior = 0
+    for sp in random_splines():
+        t_min, v_min = sp.piecewise_minimum()
+        assert v_min == sp(t_min)
+        samples = sp(np.linspace(sp.x[0], sp.x[-1], 1_000_000))
+        assert v_min <= samples.min() + 1e-15
+        interior += t_min not in sp.x
+    assert interior >= 1
+
+
+def test_spline_minimum_makes_one_spline_call():
+    calls = []
+
+    class Counting(CubicSpline):
+        def __call__(self, t, deriv=0):
+            calls.append(deriv)
+            return super().__call__(t, deriv)
+
+    for sp in random_splines(count=1):
+        Counting(sp.x, sp.y).piecewise_minimum()
+    assert calls == [0]
+
+
 def test_spline_scalar_fast_path_matches():
     drv = LogisticDriver()
     sp = build_driver(drv, 20.0)
@@ -91,6 +132,9 @@ def test_spline_rejects_out_of_range_and_bad_knots():
     sp = CubicSpline(np.arange(5.0), np.ones(5))
     with pytest.raises(ValueError):
         sp(-1.0)
+    for bad in (np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(InvalidInput, match="outside the knot range"):
+            sp(bad)
     with pytest.raises(ValueError):
         CubicSpline(np.array([0.0, 0.0, 1.0]), np.ones(3))
 

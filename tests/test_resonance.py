@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tubeint.errors import InsufficientSamples, InsufficientWindows
+from tubeint.errors import InsufficientSamples, InsufficientWindows, InvalidInput
 from tubeint.integrate import IntegrationConfig, integrate_y
 from tubeint.model import SystemParams, Trajectory, validate_params
 from tubeint.perturb import drho1, rho1
@@ -185,6 +185,13 @@ def test_periodicity_defect_interpolating_path():
     d = periodicity_defect(traj)
     assert d.defect.min() >= 0.0
     assert d.max > 1e-5
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+def test_periodicity_defect_rejects_bad_period(period):
+    traj = integrate_y(params(), IntegrationConfig(t_end=3.0 * TWO_PI, h=1e-2, record_every=1))
+    with pytest.raises(InvalidInput, match="period must be finite and > 0"):
+        periodicity_defect(traj, period=period)
 
 
 def test_periodicity_defect_needs_two_periods():

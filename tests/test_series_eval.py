@@ -113,6 +113,24 @@ def test_outputs_move_only_at_roundoff(y0):
     assert np.max(np.abs(d2 - d2_ref)) <= 1e-14 * 4.0 * y0
 
 
+def test_alpha2_second_derivative_has_no_cancellation():
+    # the same formula from the same float rho and J, in 200-bit arithmetic;
+    # forming y0 - alpha2 as a difference of two numbers near y0 erred by
+    # 1.3e-14 of max|alpha2''| here, -y0 expm1(rho) by 2.8e-16
+    p = SystemParams(epsilon=0.05, y0=1.2)
+    w = _prepare(p, 3)
+    tau = np.linspace(0.0, 500.0, 5001)
+    rho, J = _sum(tau, ("rho", w), ("J", w[:3]))
+    with mpmath.workprec(200):
+        y0, eps = mpmath.mpf(p.y0), mpmath.mpf(p.epsilon)
+        exact = np.array([
+            float(4 * (y0 - y0 * mpmath.exp(r)) + eps * (y0 ** mpmath.mpf(-2.5) * j))
+            for r, j in zip(rho.tolist(), J.tolist())
+        ])
+    _, d2 = alpha2_derivatives(tau, p)
+    assert np.max(np.abs(d2 - exact)) <= 1e-15 * np.max(np.abs(exact))
+
+
 def test_recurrence_is_closer_to_the_exact_sum_than_the_per_k_path():
     # the exact sum of the same float coefficients at the same float tau, in
     # 200-bit arithmetic: rounding k * tau costs the per-k path up to
