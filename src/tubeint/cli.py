@@ -33,7 +33,7 @@ from .ermakov import LogisticDriver, integrate_ermakov, lewis_invariant
 from .integrate import IntegrationConfig, integrate_y
 from .invariant import drift_experiment, drift_percent, exact_drift_experiment
 from .model import SystemParams
-from .perturb import _composites, resonance_coefficients, validity
+from .perturb import ORDER, _composites, resonance_coefficients, validity
 from .resonance import TWO_PI, fourier_windows
 
 
@@ -88,14 +88,6 @@ def _param_meta(params: SystemParams, cfg: IntegrationConfig) -> list[tuple[str,
         ("h", _fmt(cfg.h)),
         ("record_every", str(cfg.record_every)),
     ]
-
-
-def _maybe_emit_plot(args) -> None:
-    if getattr(args, "emit_plot", False):
-        if args.out == "-":
-            raise InvalidInput("--emit-plot needs --out pointing to a file")
-        script = _plot_script(args.out, args.command)
-        Path(args.out + ".gp").write_text(script, encoding="utf-8")
 
 
 def cmd_simulate_y(args) -> int:
@@ -266,8 +258,8 @@ def cmd_gplot(args) -> int:
     return 0
 
 
-def _add_common(sub, tau_axis: bool, t_default: float, h_default: float = 1e-3) -> None:
-    sub.add_argument("--h", type=float, default=h_default, help="integration step")
+def _add_common(sub, tau_axis: bool, t_default: float) -> None:
+    sub.add_argument("--h", type=float, default=1e-3, help="integration step")
     sub.add_argument("--record-every", type=int, default=100,
                      help="store every Nth step (CSV decimation)")
     sub.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
@@ -282,7 +274,7 @@ def _add_common(sub, tau_axis: bool, t_default: float, h_default: float = 1e-3) 
         sub.add_argument("--t-max", type=float, default=t_default, help="final time")
 
 
-def _add_params(sub, eps_default: float = 0.1, y0_default: float = 1.0) -> None:
+def _add_params(sub, eps_default: float = 0.1) -> None:
     sub.add_argument("--omega", type=float, default=1.0, help="angular frequency")
     sub.add_argument("--eps", type=float, default=None,
                      help=f"reduced forcing strength C/omega^3 (default {eps_default} "
@@ -291,7 +283,7 @@ def _add_params(sub, eps_default: float = 0.1, y0_default: float = 1.0) -> None:
                      help="cos forcing coefficient; eps is derived from c1, c2 and omega, "
                           "and an explicit --eps must agree")
     sub.add_argument("--c2", type=float, default=None, help="sin forcing coefficient")
-    sub.add_argument("--y0", type=float, default=y0_default,
+    sub.add_argument("--y0", type=float, default=1.0,
                      help="initial coefficient value (> 0)")
     sub.set_defaults(eps_default=eps_default)
 
@@ -325,7 +317,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s = subs.add_parser("invariant-drift", help="invariant deviation along an oscillator run")
     _add_params(s, eps_default=0.05)
     s.add_argument("--mode", choices=("exact", "perturbative"), default="perturbative")
-    s.add_argument("--order", type=int, choices=(1, 2, 3), default=3,
+    s.add_argument("--order", type=int, choices=range(1, ORDER + 1), default=ORDER,
                    help="series truncation order (perturbative mode)")
     s.add_argument("--z0", type=float, default=0.2)
     s.add_argument("--p0", type=float, default=0.0)
@@ -420,10 +412,15 @@ def main(argv: list[str] | None = None) -> int:
             at = argv.index(command) + 1
             argv[at:at] = _config_tokens(config_path, table[command], command)
         args = parser.parse_args(argv)
+        emit_plot = getattr(args, "emit_plot", False)
+        if emit_plot and args.out == "-":
+            raise InvalidInput("--emit-plot needs --out pointing to a file")
         # numpy overflow ends as an error class or inf/NaN; a warning breaks one-line stderr
         with np.errstate(all="ignore"):
             code = args.func(args)
-        _maybe_emit_plot(args)
+        if emit_plot:
+            script = _plot_script(args.out, args.command)
+            Path(args.out + ".gp").write_text(script, encoding="utf-8")
         return code
     except (TubeIntError, OSError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -340,20 +340,20 @@ def convergence_order(
     params: SystemParams,
     h: float,
     t_end: float,
-    z0: float = 0.2,
-    p0: float = 0.0,
     g: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Richardson order estimate at t_end from runs at h, h/2, h/4.
 
-    Compares final states in the max norm over the dynamical components and
-    returns log2(|x_h - x_{h/2}| / |x_{h/2} - x_{h/4}|).  Returns +inf when
+    The oscillator starts at z0 = 0.2, p0 = 0.  Compares final states in the
+    max norm over the dynamical components and returns
+    log2(|x_h - x_{h/2}| / |x_{h/2} - x_{h/4}|).  Returns +inf when
     both differences are below 1e-13 (the solution is exact on this grid,
     e.g. the unforced constant case).
     """
     if system not in ("y", "z", "coupled"):
         raise InvalidInput(f"unknown system {system!r}")
     dim = _SYSTEMS[system].dim
+    z0, p0 = 0.2, 0.0
 
     def final_state(step: float) -> np.ndarray:
         cfg = IntegrationConfig(t_end=t_end, h=step, record_every=1)

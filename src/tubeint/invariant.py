@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidInput, NonPositive, UnsupportedOmega
 from .integrate import IntegrationConfig, integrate_coupled, integrate_z
 from .model import SystemParams, Trajectory
-from .perturb import _prepare, _sum, g_of_t
+from .perturb import ORDER, _prepare, _sum, g_of_t
 
 __all__ = [
     "TubeFilament",
@@ -86,15 +86,15 @@ def _coeff_arrays(t, params: SystemParams, order: int):
     return a1, a2, a3, a4, a5, a6
 
 
-def drift_percent(values: np.ndarray, guard: float = DRIFT_GUARD) -> tuple[np.ndarray, bool]:
+def drift_percent(values: np.ndarray) -> tuple[np.ndarray, bool]:
     """Deviation-from-initial series; percent of |I(0)|, or absolute when tiny.
 
-    Returns (drift, absolute_mode); absolute_mode=True means |I(0)| < guard
+    Returns (drift, absolute_mode); absolute_mode=True means |I(0)| < DRIFT_GUARD
     and the series holds |I - I(0)| instead of percentages.
     """
     i0 = float(values[0])
     dev = np.abs(values - i0)
-    if abs(i0) < guard:
+    if abs(i0) < DRIFT_GUARD:
         return dev, True
     return 100.0 * dev / abs(i0), False
 
@@ -121,7 +121,7 @@ def drift_experiment(
     z0: float = 0.2,
     p0: float = 0.0,
     t_end: float = 500.0,
-    order: int = 3,
+    order: int = ORDER,
     h: float = 1e-3,
     record_every: int = 100,
 ) -> Trajectory:

@@ -156,4 +156,6 @@ class Trajectory:
         return len(self.data)
 
     def column(self, name: str) -> np.ndarray:
+        if name not in self.columns:
+            raise InvalidInput(f"no column {name!r}; the trajectory has {', '.join(self.columns)}")
         return self.data[:, self.columns.index(name)]

@@ -3,8 +3,9 @@
 Everything here works in rescaled time and assumes the canonical single-cosine
 forcing orientation (c2 = 0, c1 >= 0) with initial data y'(0) = y''(0) = 0;
 a ``SystemParams`` is valid by construction, and one built from an
-epsilon-only input satisfies both.  Truncation order is an explicit argument
-(1, 2 or 3) everywhere.
+epsilon-only input satisfies both.  The series run through order ``ORDER``:
+the tables hold R_1 .. R_ORDER, every function takes a truncation order
+1 .. ORDER (``ORDER`` by default), and there are no per-order functions.
 
 The composite is y = y0 exp(rho) with rho = sum_n delta^n R_n and
 delta = eps y0^(-7/2) (``SystemParams.eps_eff``), so it is strictly positive.
@@ -33,12 +34,7 @@ from .errors import InvalidInput
 from .model import SystemParams
 
 __all__ = [
-    "rho1",
-    "rho2",
-    "rho3",
-    "drho1",
-    "drho2",
-    "drho3",
+    "ORDER",
     "y_composite",
     "g_of_t",
     "alpha2_derivatives",
@@ -47,6 +43,9 @@ __all__ = [
     "equation_residual",
     "resonance_coefficients",
 ]
+
+#: The truncation order of the series: the highest power of delta they hold.
+ORDER = 3
 
 
 # A table maps (m, k) to a complex rational c = (re, im): the sum of c tau^m e^(i k tau).
@@ -118,39 +117,39 @@ def _cauchy(a: list, b: list, n: int) -> dict:
 
 
 @functools.cache
-def _tables(n_max: int = 3) -> dict[str, list[dict]]:
-    """Exact tables by power of delta, from R_1 .. R_(n_max).
+def _tables() -> dict[str, list[dict]]:
+    """Exact tables by power of delta, from R_1 .. R_ORDER.
 
     ``rho`` (R_n) and ``drho`` (R_n'); ``J`` (the delta^n part of the integral
-    from 0 of cos * exp(-5 rho/2), n = 0 .. n_max - 1); ``a4`` (-alpha2'/y0) and
+    from 0 of cos * exp(-5 rho/2), n = 0 .. ORDER - 1); ``a4`` (-alpha2'/y0) and
     ``a31`` (alpha2''/(2 y0) from alpha2'' = 4 (y0 - alpha2) + eps J).
     Index n holds the delta^n table.
     """
     one = {(0, 0): (1, 0)}
     cos = {(0, -1): (Fraction(1, 2), 0), (0, 1): (Fraction(1, 2), 0)}
-    rho, drho, ddrho, drho2 = [{}], [{}], [{}], [{}]
+    rho, drho, ddrho, drho_sq = [{}], [{}], [{}], [{}]
     exps = {Fraction(-7, 2): [one], Fraction(-5, 2): [one], Fraction(1): [one]}
-    for n in range(1, n_max + 1):
+    for n in range(1, ORDER + 1):
         force = _combine(((1, 0), _product(cos, exps[Fraction(-7, 2)][n - 1])),
                          ((-3, 0), _cauchy(drho, ddrho, n)),
-                         ((-1, 0), _cauchy(drho, drho2, n)))
+                         ((-1, 0), _cauchy(drho, drho_sq, n)))
         rho.append(_solve(force))
         drho.append(_derivative(rho[n]))
         ddrho.append(_derivative(drho[n]))
-        drho2.append(_cauchy(drho, drho, n))
+        drho_sq.append(_cauchy(drho, drho, n))
         for a, e in exps.items():
             # exp(a rho) by power of delta: n E_n = a sum_j j R_j E_(n-j)
             e.append(_combine(*(((a * j / n, 0), _product(rho[j], e[n - j]))
                                 for j in range(1, n + 1))))
     e1 = exps[Fraction(1)]
-    J = [_integral(_product(cos, e)) for e in exps[Fraction(-5, 2)][:n_max]]
+    J = [_integral(_product(cos, e)) for e in exps[Fraction(-5, 2)][:ORDER]]
     return {
         "rho": rho,
         "drho": drho,
         "J": J,
-        "a4": [{}] + [_combine(((-1, 0), _derivative(e1[n]))) for n in range(1, n_max + 1)],
+        "a4": [{}] + [_combine(((-1, 0), _derivative(e1[n]))) for n in range(1, ORDER + 1)],
         "a31": [{}] + [_combine(((-2, 0), e1[n]), ((Fraction(1, 2), 0), J[n - 1]))
-                       for n in range(1, n_max + 1)],
+                       for n in range(1, ORDER + 1)],
     }
 
 
@@ -248,8 +247,8 @@ def _prepare(params: SystemParams, order: int) -> list[float]:
         raise InvalidInput(
             "series functions require the canonical forcing orientation (c2=0, c1>=0)"
         )
-    if order not in (1, 2, 3):
-        raise InvalidInput(f"order must be 1, 2 or 3, got {order!r}")
+    if order not in range(1, ORDER + 1):
+        raise InvalidInput(f"order must be 1 .. {ORDER}, got {order!r}")
     try:
         weights = [params.eps_eff**n for n in range(order + 1)]
         if math.isfinite(weights[-1]):
@@ -261,47 +260,23 @@ def _prepare(params: SystemParams, order: int) -> list[float]:
     )
 
 
-def _term(kind: str, n: int):
-    def term(tau, y0):
-        """The delta^n term of rho (or rho') at eps = 1: y0^(-7n/2) R_n(tau)."""
-        weights = _prepare(SystemParams(epsilon=1.0, y0=y0), n)
-        return weights[n] * _sum(tau, (kind, [0.0] * n + [1.0]))[0]
-
-    term.__name__ = term.__qualname__ = f"{kind}{n}"
-    return term
-
-
-rho1, rho2, rho3 = (_term("rho", n) for n in (1, 2, 3))
-drho1, drho2, drho3 = (_term("drho", n) for n in (1, 2, 3))
-
-
 def _composites(tau, params: SystemParams, orders) -> list:
     """The composite through each of the orders, from one pass over tau."""
     rhos = _sum(tau, *(("rho", _prepare(params, order)) for order in orders))
     return [params.y0 * np.exp(rho) for rho in rhos]
 
 
-def y_composite(tau, params: SystemParams, order: int = 3):
+def y_composite(tau, params: SystemParams, order: int = ORDER):
     """Composite y0 * exp(sum delta^n R_n), strictly positive by construction."""
     return _composites(tau, params, (order,))[0]
 
 
-def g_of_t(t, params: SystemParams, order: int = 3):
+def g_of_t(t, params: SystemParams, order: int = ORDER):
     """Coefficient g(t) = y(omega t)^(-5/2) built from the composite."""
     return y_composite(params.omega * np.asarray(t, dtype=float), params, order) ** -2.5
 
 
-def volterra_series(tau, params: SystemParams, order: int):
-    """J(tau) = integral of the expanded y^(-5/2) cos, order-matched.
-
-    The integrand is expanded through delta^(order-1) so that eps*J carries
-    the full eps^order information of the second derivative.
-    """
-    weights = _prepare(params, order)
-    return params.y0**-2.5 * _sum(tau, ("J", weights[:order]))[0]
-
-
-def alpha2_derivatives(tau, params: SystemParams, order: int = 3):
+def alpha2_derivatives(tau, params: SystemParams, order: int = ORDER):
     """(alpha2', alpha2'') of the composite at rescaled time tau.
 
     alpha2' is the exact logarithmic derivative of the truncated composite;
@@ -339,14 +314,15 @@ def validity(params: SystemParams) -> ValidityWindow:
     return ValidityWindow(tau_star=tau_star, eps_eff=params.eps_eff)
 
 
-def equation_residual(tau, params: SystemParams, order: int = 3, dtau: float = 2e-3):
+def equation_residual(tau, params: SystemParams, order: int = ORDER):
     """Residual y''' + 4 y' - eps cos(tau) y^(-5/2) of the composite.
 
-    Derivatives are taken by 5-point central differences so the check is
-    independent of the closed-form derivative chain; the residual of the
-    order-3 composite is O(eps^4).
+    Derivatives are taken by 5-point central differences of step 2e-3, so the
+    check is independent of the closed-form derivative chain; the residual of
+    the order-3 composite is O(eps^4).
     """
     tau = np.asarray(tau, dtype=float)
+    dtau = 2e-3
     ym2 = y_composite(tau - 2.0 * dtau, params, order)
     ym1 = y_composite(tau - dtau, params, order)
     yc = y_composite(tau, params, order)

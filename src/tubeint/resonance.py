@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientSamples, InsufficientWindows, InvalidInput
 from .model import SystemParams, Trajectory
-from .perturb import resonance_coefficients, rho1, validity, y_composite
+from .perturb import _sum, resonance_coefficients, validity, y_composite
 
 __all__ = [
     "HarmonicWindow",
@@ -97,13 +97,12 @@ def _project(tau: np.ndarray, series, windows, n_harmonics: int) -> list[tuple]:
     return out
 
 
-def project_harmonics(traj: Trajectory, window_k: int, n_harmonics: int = 8,
-                      column: str = "y") -> HarmonicWindow:
-    """Extract c0..cN and s1..sN of a trajectory column over one 2-pi window."""
+def project_harmonics(traj: Trajectory, window_k: int, n_harmonics: int = 8) -> HarmonicWindow:
+    """Extract c0..cN and s1..sN of the y column over one 2-pi window."""
     if n_harmonics < 1 or n_harmonics > 8:
         raise InvalidInput(f"n_harmonics must be in 1..8, got {n_harmonics!r}")
     tau = traj.times if "tau" not in traj.columns else traj.column("tau")
-    values = traj.column(column)
+    values = traj.column("y")
     _cover(tau, [window_k])
     [(c, s)] = _project(tau, [values], [window_k], n_harmonics)
     return HarmonicWindow(k=window_k, c=c[:, 0], s=s[:, 0])
@@ -118,18 +117,18 @@ def _check_horizon(params: SystemParams, last_window: int, message: str) -> None
 
 
 def _secular_residual(params: SystemParams, traj: Trajectory, windows) -> np.ndarray:
-    """y - y0 - eps y0 rho1, once the windows are checked against the fit horizon."""
+    """y - y0 (1 + delta R_1), once the windows are checked against the fit horizon."""
     _check_horizon(params, max(windows),
                    "fit horizon {horizon:.1f} exceeds 0.2 tau* = {limit:.1f}")
     y0, eps = params.y0, params.epsilon
-    return traj.column("y") - y0 - eps * y0 * rho1(traj.column("tau"), y0)
+    [r1] = _sum(traj.column("tau"), ("rho", [0.0, 1.0]))
+    return traj.column("y") - y0 - eps * y0 * (y0**-3.5 * r1)
 
 
 @dataclass(frozen=True)
 class SecularFit:
-    """Linear fit of a per-window harmonic amplitude against window center."""
+    """Linear fit of the per-window sin(2 tau) amplitude against window center."""
 
-    harmonic: int
     slope: float
     intercept: float
     r2: float
@@ -137,79 +136,65 @@ class SecularFit:
     amplitudes: np.ndarray
 
 
-def _secular_fit(harmonic: int, windows, amps: np.ndarray) -> SecularFit:
+def _secular_fit(windows, amps: np.ndarray) -> SecularFit:
     centers = TWO_PI * (np.asarray(windows, dtype=float) + 0.5)
     slope, intercept = np.polyfit(centers, amps, 1)
     fit = slope * centers + intercept
     ss_res = float(np.sum((amps - fit) ** 2))
     ss_tot = float(np.sum((amps - amps.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return SecularFit(harmonic, float(slope), float(intercept), r2, np.asarray(windows), amps)
+    return SecularFit(float(slope), float(intercept), r2, np.asarray(windows), amps)
 
 
-def secular_slope(traj: Trajectory, harmonic: int = 2, windows: list[int] | None = None,
-                  params: SystemParams | None = None) -> SecularFit:
-    """Growth rate of the sin(harmonic * tau) amplitude of y - y0 - eps y0 rho1.
-
-    The first-order term is removed in closed form, so the leading content of
-    the residual is the secular second-order response; its fitted slope is
-    compared against (5/96) eps^2 y0^(-6) by callers.  Requires the fitted
-    horizon to stay within a fifth of the validity window.
-    """
-    if params is None:
-        params = traj.meta.get("params")
-    if params is None:
-        raise InvalidInput("params not given and not present in trajectory meta")
-    tau = traj.column("tau")
-    if windows is None:
-        windows = _complete_windows(tau)
-    if len(windows) < 5:
-        raise InsufficientWindows(f"need >= 5 windows, got {len(windows)}")
-    residual = _secular_residual(params, traj, windows)
-    _cover(tau, windows)
-    [(_, s)] = _project(tau, [residual], windows, harmonic)
-    return _secular_fit(harmonic, windows, s[harmonic - 1])
-
-
-def _third_harmonic(params: SystemParams, amps: np.ndarray, windows) -> tuple[float, float]:
-    """(measured, predicted): the sin(3 tau) amplitudes of two windows, extrapolated
+def _third_harmonic(params: SystemParams, amps: np.ndarray) -> tuple[float, float]:
+    """(measured, predicted): the sin(3 tau) amplitudes of windows 0 and 1, extrapolated
     linearly from their centers 2 pi (k + 1/2) to center 0, and the series value."""
-    c_lo, c_hi = (k + 0.5 for k in windows)
-    slope = (amps[1] - amps[0]) / (c_hi - c_lo)
     predicted = float(resonance_coefficients()["s3"]) * params.epsilon**3 * params.y0**-9.5
-    return float(amps[0] - slope * c_lo), predicted
+    return float(amps[0] - (amps[1] - amps[0]) * 0.5), predicted
 
 
-def third_harmonic_check(params: SystemParams, traj: Trajectory,
-                         windows: tuple[int, int] = (0, 1)) -> tuple[float, float]:
+def third_harmonic_check(params: SystemParams, traj: Trajectory) -> tuple[float, float]:
     """(measured, predicted) third-harmonic amplitude, canonical sign.
 
     The residual subtracts the order-2 composite in its exponential form,
     which removes every first- and second-order harmonic together with their
     cross products, leaving the third-order content.  Its windowed sin(3 tau)
     amplitude grows linearly with the window center (R_3's tau sin(3 tau)
-    term, next-order secular terms), so it is measured on two windows and
+    term, next-order secular terms), so it is measured on windows 0 and 1 and
     extrapolated linearly to window center zero: the detrended value.
     Predicted is that value of the series, ``resonance_coefficients()["s3"]``
     eps^3 y0^(-19/2).
     """
     tau = traj.column("tau")
-    k_lo, k_hi = windows
-    if k_hi <= k_lo:
-        raise InvalidInput("windows must be two distinct indices (low, high)")
-    if k_hi + 1 > len(_complete_windows(tau)):
-        raise InsufficientWindows(f"trajectory does not cover window {k_hi}")
-    _check_horizon(params, k_hi, "measurement horizon exceeds 0.2 tau*")
+    if len(_complete_windows(tau)) < 2:
+        raise InsufficientWindows("trajectory does not cover window 1")
+    _check_horizon(params, 1, "measurement horizon exceeds 0.2 tau*")
     residual = traj.column("y") - y_composite(tau, params, order=2)
-    _cover(tau, windows)
-    [(_, s)] = _project(tau, [residual], windows, 3)
-    return _third_harmonic(params, s[2], windows)
+    _cover(tau, (0, 1))
+    [(_, s)] = _project(tau, [residual], (0, 1), 3)
+    return _third_harmonic(params, s[2])
+
+
+def secular_slope(traj: Trajectory, params: SystemParams | None = None) -> SecularFit:
+    """Growth rate of the sin(2 tau) amplitude of y - y0 (1 + delta R_1): the fit of
+    ``fourier_windows``, whose checks apply.
+
+    The first-order term is removed in closed form, so the leading content of
+    the residual is the secular second-order response; its fitted slope is
+    compared against (5/96) eps^2 y0^(-6) by callers.  ``params`` defaults to
+    the trajectory's own.
+    """
+    if params is None:
+        params = traj.meta.get("params")
+    if params is None:
+        raise InvalidInput("params not given and not present in trajectory meta")
+    return fourier_windows(params, traj)[2]
 
 
 def fourier_windows(params: SystemParams, traj: Trajectory) -> tuple:
     """(c, s, fit, s3, third) over the complete windows of an ``integrate_y`` run, one pass:
-    rows c0..c3 and s1..s3 of y, the ``secular_slope`` fit, the order-2 residual's
-    sin(3 tau) amplitudes and ``third_harmonic_check`` on their windows 0 and 1."""
+    rows c0..c3 and s1..s3 of y, the fit ``secular_slope`` returns, the order-2
+    residual's sin(3 tau) amplitudes and ``third_harmonic_check`` on their windows 0 and 1."""
     tau = traj.column("tau")
     windows = _complete_windows(tau)
     if len(windows) < 5:
@@ -219,7 +204,7 @@ def fourier_windows(params: SystemParams, traj: Trajectory) -> tuple:
     y = traj.column("y")
     (c, s), (_, s2), (_, s3) = _project(
         tau, [y, residual1, y - y_composite(tau, params, 2)], windows, 3)
-    return c, s, _secular_fit(2, windows, s2[1]), s3[2], _third_harmonic(params, s3[2], (0, 1))
+    return c, s, _secular_fit(windows, s2[1]), s3[2], _third_harmonic(params, s3[2])
 
 
 @dataclass(frozen=True)
@@ -234,9 +219,8 @@ class DefectSeries:
         return float(np.max(self.defect))
 
 
-def periodicity_defect(traj: Trajectory, period: float = TWO_PI,
-                       columns: tuple[str, ...] = ("y", "dy", "ddy")) -> DefectSeries:
-    """How far the trajectory is from being periodic with the given period.
+def periodicity_defect(traj: Trajectory, period: float = TWO_PI) -> DefectSeries:
+    """How far the y, dy and ddy columns are from being periodic with the given period.
 
     Strictly zero only for genuinely periodic signals: the unforced constant
     solution and the first-order truncation.  For nonzero forcing the defect
@@ -255,7 +239,7 @@ def periodicity_defect(traj: Trajectory, period: float = TWO_PI,
     keep = slice(0, len(tau) - m) if aligned else tau + period <= tau[-1] + 1e-12
     base_tau = tau[keep]
     defect = np.zeros(len(base_tau))
-    for name in columns:
+    for name in ("y", "dy", "ddy"):
         col = traj.column(name)
         shifted = col[m:] if aligned else np.interp(base_tau + period, tau, col)
         defect = np.maximum(defect, np.abs(shifted - col[keep]))

@@ -25,17 +25,7 @@ from tubeint.ermakov import LogisticDriver, integrate_ermakov, lewis_invariant
 from tubeint.integrate import IntegrationConfig, integrate_coupled, integrate_y
 from tubeint.invariant import drift_experiment, invariant_exact_series
 from tubeint.model import SystemParams, validate_params
-from tubeint.perturb import (
-    drho1,
-    drho2,
-    drho3,
-    equation_residual,
-    rho1,
-    rho2,
-    rho3,
-    validity,
-    y_composite,
-)
+from tubeint.perturb import _sum, equation_residual, validity, y_composite
 from tubeint.resonance import (
     periodicity_defect,
     project_harmonics,
@@ -201,10 +191,11 @@ def test_criterion_4_drift_bands(runs):
 
 
 def test_criterion_5_series_identities(runs):
-    boundary = max(
-        max(abs(float(f(0.0, y0))) for f in (rho1, rho2, rho3, drho1, drho2, drho3))
-        for y0 in (0.7, 1.0, 1.3)
-    )
+    # the delta^n terms y0^(-7n/2) R_n(0) and y0^(-7n/2) R_n'(0) at eps = 1
+    orders = (1, 2, 3, 1, 2, 3)
+    values = _sum(0.0, *((kind, [0.0] * n + [1.0]) for kind in ("rho", "drho") for n in (1, 2, 3)))
+    boundary = max(abs(float((y0**-3.5) ** n * value))
+                   for y0 in (0.7, 1.0, 1.3) for n, value in zip(orders, values))
     taus = np.linspace(0.0, 20.0, 2001)
     sups = {
         eps: float(np.max(np.abs(equation_residual(taus, params(eps, 1.0), 3))))
@@ -272,8 +263,9 @@ def test_criterion_7_periodicity_obstruction(runs):
     tau = h * np.arange(5 * 2048 + 1)
     from tubeint.model import Trajectory
 
-    y = y0 * (1.0 + eps * rho1(tau, y0))
-    dy = y0 * eps * drho1(tau, y0)
+    r1, dr1 = _sum(tau, ("rho", [0.0, 1.0]), ("drho", [0.0, 1.0]))
+    y = y0 * (1.0 + eps * (y0**-3.5 * r1))
+    dy = y0 * eps * (y0**-3.5 * dr1)
     ddy = y0 * eps * y0**-3.5 * (-np.sin(tau) / 3.0 + 2.0 * np.sin(2.0 * tau) / 3.0)
     synth = Trajectory(times=tau, columns=("tau", "y", "dy", "ddy"),
                        data=np.column_stack([tau, y, dy, ddy]))

@@ -236,6 +236,21 @@ def test_emit_plot_writes_script(tmp_path):
     assert (tmp_path / "d.csv.gp").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_emit_plot_to_stdout_rejected_before_the_run(tmp_path, capsys, source):
+    argv = ["simulate-y", "--tau-max", "20", "--out", "-"]
+    if source == "flag":
+        argv.append("--emit-plot")
+    else:
+        cfg = tmp_path / "plot.cfg"
+        cfg.write_text("emit_plot = true\n")
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: InvalidInput: --emit-plot needs --out pointing to a file\n"
+    assert captured.out == ""
+
+
 def test_config_file_defaults_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("y0 = 2.0\ntau_max = 10\n# comment\n")

@@ -133,6 +133,8 @@ def test_trajectory_invariants():
     assert len(traj) == 3
     assert np.array_equal(traj.times, [0.0, 0.5, 1.0])
     assert np.array_equal(traj.column("b"), [1.0, 2.0, 3.0])
+    with pytest.raises(InvalidInput, match=r"^no column 'tau'; the trajectory has a, b$"):
+        traj.column("tau")
     with pytest.raises(ValueError):
         Trajectory(times=times, columns=("a",), data=data)
     with pytest.raises(ValueError):

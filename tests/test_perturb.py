@@ -9,18 +9,12 @@ from tubeint.integrate import IntegrationConfig, integrate_y
 from tubeint.model import SystemParams, validate_params
 from tubeint.perturb import (
     alpha2_derivatives,
-    drho1,
-    drho2,
-    drho3,
     equation_residual,
     g_of_t,
-    rho1,
-    rho2,
-    rho3,
     resonance_coefficients,
+    _sum,
     _tables,
     validity,
-    volterra_series,
     y_composite,
 )
 
@@ -37,40 +31,45 @@ def params(eps=0.1, y0=1.0):
     return validate_params(SystemParams(epsilon=eps, y0=y0))
 
 
-@pytest.mark.parametrize("fn", [rho1, rho2, rho3])
-def test_series_terms_vanish_at_zero(fn):
-    for y0 in (0.7, 1.0, 2.3):
-        assert abs(float(fn(0.0, y0))) < 1e-12
+def term(kind, n, tau, y0):
+    """The delta^n term of rho (or rho') at eps = 1: y0^(-7n/2) R_n(tau) (or R_n')."""
+    return (y0**-3.5) ** n * _sum(tau, (kind, [0.0] * n + [1.0]))[0]
 
 
-@pytest.mark.parametrize("dfn", [drho1, drho2, drho3])
-def test_series_derivatives_vanish_at_zero(dfn):
+@pytest.mark.parametrize("n", [1, 2, 3], ids=["rho1", "rho2", "rho3"])
+def test_series_terms_vanish_at_zero(n):
     for y0 in (0.7, 1.0, 2.3):
-        assert abs(float(dfn(0.0, y0))) < 1e-12
+        assert abs(float(term("rho", n, 0.0, y0))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3], ids=["drho1", "drho2", "drho3"])
+def test_series_derivatives_vanish_at_zero(n):
+    for y0 in (0.7, 1.0, 2.3):
+        assert abs(float(term("drho", n, 0.0, y0))) < 1e-12
 
 
 def test_rho1_probe_values():
-    assert float(rho1(math.pi / 2.0, 1.0)) == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert float(rho1(math.pi / 2.0, 4.0)) == pytest.approx(1.0 / 384.0, rel=1e-14)
+    assert float(term("rho", 1, math.pi / 2.0, 1.0)) == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert float(term("rho", 1, math.pi / 2.0, 4.0)) == pytest.approx(1.0 / 384.0, rel=1e-14)
 
 
 def test_rho2_probe_values():
-    assert float(rho2(math.pi, 1.0)) == pytest.approx(1.0 / 9.0, rel=1e-13)
+    assert float(term("rho", 2, math.pi, 1.0)) == pytest.approx(1.0 / 9.0, rel=1e-13)
 
 
 def test_rho3_regression_constants():
-    assert float(rho3(math.pi / 2.0, 1.0)) == pytest.approx(RHO3_HALF_PI, rel=1e-13)
-    assert float(rho3(1.3, 1.0)) == pytest.approx(RHO3_AT_1P3, rel=1e-13)
-    assert float(rho3(1.3, 0.8)) == pytest.approx(RHO3_AT_1P3_Y08, rel=1e-13)
-    assert float(drho3(1.3, 1.0)) == pytest.approx(DRHO3_AT_1P3, rel=1e-13)
+    assert float(term("rho", 3, math.pi / 2.0, 1.0)) == pytest.approx(RHO3_HALF_PI, rel=1e-13)
+    assert float(term("rho", 3, 1.3, 1.0)) == pytest.approx(RHO3_AT_1P3, rel=1e-13)
+    assert float(term("rho", 3, 1.3, 0.8)) == pytest.approx(RHO3_AT_1P3_Y08, rel=1e-13)
+    assert float(term("drho", 3, 1.3, 1.0)) == pytest.approx(DRHO3_AT_1P3, rel=1e-13)
 
 
-@pytest.mark.parametrize("fn,dfn", [(rho1, drho1), (rho2, drho2), (rho3, drho3)])
-def test_closed_form_derivatives_match_finite_differences(fn, dfn):
+@pytest.mark.parametrize("n", [1, 2, 3], ids=["rho1-drho1", "rho2-drho2", "rho3-drho3"])
+def test_closed_form_derivatives_match_finite_differences(n):
     taus = np.linspace(0.3, 15.0, 40)
     d = 1e-6
-    fd = (fn(taus + d, 1.1) - fn(taus - d, 1.1)) / (2.0 * d)
-    assert np.max(np.abs(fd - dfn(taus, 1.1))) < 1e-8
+    fd = (term("rho", n, taus + d, 1.1) - term("rho", n, taus - d, 1.1)) / (2.0 * d)
+    assert np.max(np.abs(fd - term("drho", n, taus, 1.1))) < 1e-8
 
 
 def test_composite_unforced_is_constant():
@@ -123,7 +122,7 @@ def test_alpha2_second_derivative_matches_finite_difference():
 def test_volterra_series_regression_probe():
     # eps^2 level closed-form integral at tau=1.3, y0=1.1
     p = params(eps=1.0, y0=1.1)
-    lvl2 = (volterra_series(1.3, p, 3) - volterra_series(1.3, p, 2)) * 1.1**2.5
+    lvl2 = _sum(1.3, ("J", [0.0, 0.0, p.eps_eff**2]))[0]
     assert float(lvl2) == pytest.approx(I2_AT_1P3_Y1P1, rel=1e-13)
 
 

@@ -6,7 +6,7 @@ import pytest
 from tubeint.errors import InsufficientSamples, InsufficientWindows, InvalidInput
 from tubeint.integrate import IntegrationConfig, integrate_y
 from tubeint.model import SystemParams, Trajectory, validate_params
-from tubeint.perturb import drho1, rho1
+from tubeint.perturb import _sum
 from tubeint.resonance import (
     fourier_windows,
     periodicity_defect,
@@ -100,6 +100,14 @@ def test_secular_slope_needs_five_windows():
         secular_slope(traj)
 
 
+@pytest.mark.parametrize("c1, c2", [(0.0, 0.1), (-0.1, 0.0)])
+def test_secular_slope_rejects_non_canonical_forcing(c1, c2):
+    p = SystemParams(c1=c1, c2=c2)
+    traj = integrate_y(p, IntegrationConfig(t_end=44.0, h=1e-3, record_every=5))
+    with pytest.raises(InvalidInput, match="canonical forcing orientation"):
+        secular_slope(traj)
+
+
 def test_secular_slope_enforces_validity_horizon():
     p = params(eps=0.4, y0=0.8)  # tau* = 96*0.8^6/(5*0.16) ~ 31.5
     traj = integrate_y(p, IntegrationConfig(t_end=8.0 * TWO_PI, h=1e-3, record_every=2))
@@ -164,13 +172,14 @@ def test_periodicity_defect_positive_and_growing():
 
 
 def test_periodicity_defect_first_order_truncation_is_periodic():
-    # y0 (1 + eps rho1) is exactly 2 pi periodic; build its trajectory on an
+    # y0 (1 + delta R_1) is exactly 2 pi periodic; build its trajectory on an
     # aligned grid so the comparison is sample-exact
     eps, y0 = 0.1, 1.0
     h = TWO_PI / 2048
     tau = h * np.arange(5 * 2048 + 1)
-    y = y0 * (1.0 + eps * rho1(tau, y0))
-    dy = y0 * eps * drho1(tau, y0)
+    r1, dr1 = _sum(tau, ("rho", [0.0, 1.0]), ("drho", [0.0, 1.0]))
+    y = y0 * (1.0 + eps * (y0**-3.5 * r1))
+    dy = y0 * eps * (y0**-3.5 * dr1)
     ddy = y0 * eps * y0**-3.5 * (-np.sin(tau) / 3.0 + 2.0 * np.sin(2.0 * tau) / 3.0)
     traj = Trajectory(times=tau, columns=("tau", "y", "dy", "ddy"),
                       data=np.column_stack([tau, y, dy, ddy]))
