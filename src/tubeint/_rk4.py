@@ -3,11 +3,12 @@
 ``_rk4.c`` writes each system (y, z, coupled, Ermakov) once, as a vector field
 under one RK4 stage routine and one exported function, ``tubeint_rk4``: the
 same field in C and in Python (``tubeint.integrate``), under one RK4 each,
-with the same expressions in the same order.  Its second export,
-``tubeint_csv``, writes a block of float64 rows as CSV lines, each float as
-``repr`` writes it (``csv_rows``).  On first use, never at import, the file
-is compiled with the C compiler ``cc`` into a
-per-user cache, ``$XDG_CACHE_HOME/tubeint`` or else ``~/.cache/tubeint``.  The
+with the same expressions in the same order.  The coupled system carries N
+(z, p) pairs behind one coefficient block, so a run passes its dimension.
+Its second export, ``tubeint_csv``, writes a block of float64 rows as CSV
+lines, each float as ``repr`` writes it (``csv_rows``).  On first use, never
+at import, the file is compiled with the C compiler ``cc`` into a per-user
+cache, ``$XDG_CACHE_HOME/tubeint`` or else ``~/.cache/tubeint``.  The
 file name is keyed by the sha256 of the source and the flags and ends in a
 digest of the build's own bytes.  A build is written to a temporary file and
 moved into place, so concurrent first runs are safe, and a cached build whose
@@ -36,9 +37,8 @@ COMPILER = "cc"
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 LIBS = ("-lm",)
 
-#: The systems of ``tubeint_rk4``, in the order of its system enum, and the
-#: dimension of the state that each reads and writes.
-KERNELS = {"y": 4, "z": 2, "coupled": 6, "ermakov": 4}
+#: The systems of ``tubeint_rk4``, in the order of its system enum.
+KERNELS = ("y", "z", "coupled", "ermakov")
 
 #: Status codes of ``tubeint_rk4`` (the enum in ``_rk4.c``).  A positivity
 #: violation is NONPOSITIVE + stage, the stage being 0 at t, 1 at t + h/2 and
@@ -47,6 +47,7 @@ OK, ESCAPE, NONFINITE, NONPOSITIVE = 0, 1, 2, 3
 
 _ARGTYPES = [
     ctypes.c_int,  # system: its index in KERNELS
+    ctypes.c_int,  # dim: the state's number of components
     ctypes.c_void_p,  # par: (h, eps, omega)
     ctypes.c_void_p,  # coef: the chunk's half-step coefficient table
     ctypes.c_int64,  # start
@@ -55,6 +56,7 @@ _ARGTYPES = [
     ctypes.c_int,  # escape index, -1 for none
     ctypes.c_double,  # escape limit
     ctypes.c_void_p,  # state, updated in place
+    ctypes.c_void_p,  # work: 5 * dim doubles
     ctypes.c_void_p,  # out: the recorded rows
     ctypes.POINTER(ctypes.c_int64),  # rows recorded so far, updated
     ctypes.POINTER(ctypes.c_int64),  # step index of a failure
@@ -216,33 +218,36 @@ def _build(directory: Path, key: str) -> Path | None:
 
 
 def kernel(system: str, constants, x, out, escape_index, escape_z, record_every):
-    """A runner of ``system``'s compiled steps for one trajectory, or None.
+    """A runner of ``system``'s compiled steps for one run, or None.
 
     constants is (h, eps, omega); a system ignores the ones it does not use.
-    x is the initial state and out the array of recorded rows (C-contiguous
-    float64, row 0 already written).  ``run(coef, start, stop)`` advances the
-    state over steps start .. stop-1 with the chunk's half-step table coef and
-    returns (status, step index, value).
+    x is the initial state, of the run's dimension (4 + 2N for the coupled
+    system with N oscillators), and out the array of recorded rows
+    (C-contiguous float64, row 0 already written).  ``run(coef, start, stop)``
+    advances the state over steps start .. stop-1 with the chunk's half-step
+    table coef and returns (status, step index, value).
     """
     lib = library()
     if lib is None:
         return None
-    dim = KERNELS[system]
-    if not (len(x) == dim and out.shape[1:] == (dim,) and out.dtype == np.float64
-            and out.flags.c_contiguous):
-        raise ValueError(f"{system} kernel needs {dim} states and a C-contiguous float64 out")
+    dim = len(x)
+    if not (out.shape[1:] == (dim,) and out.dtype == np.float64 and out.flags.c_contiguous):
+        raise ValueError(f"{system} kernel needs a C-contiguous float64 out of {dim} columns")
     fn = lib.tubeint_rk4
-    index = list(KERNELS).index(system)
+    index = KERNELS.index(system)
     par = (ctypes.c_double * 3)(*constants)
-    state = (ctypes.c_double * len(x))(*x)
+    state = (ctypes.c_double * dim)(*x)
+    work = (ctypes.c_double * (5 * dim))()
     rows, at, value = ctypes.c_int64(1), ctypes.c_int64(0), ctypes.c_double(0.0)
     esc = -1 if escape_index is None else escape_index
     dest = out.ctypes.data
 
     def run(coef, start, stop):
         # coef: float64, C-contiguous, 2 * (stop - start) + 1 values
-        status = fn(index, par, coef.ctypes.data, start, stop, record_every, esc, escape_z,
-                    state, dest, rows, at, value)
+        status = fn(index, dim, par, coef.ctypes.data, start, stop, record_every, esc,
+                    escape_z, state, work, dest, rows, at, value)
+        if status < 0:
+            raise ValueError(f"{system} kernel has no state of dimension {dim}")
         return status, at.value, value.value
 
     return run

@@ -147,7 +147,8 @@ def cmd_fourier(args) -> int:
     eps = params.epsilon
     y0 = params.y0
     series = resonance_coefficients()
-    slope_pred = float(series["secular_slope"]) * eps**2 * y0**-6.0
+    # 0 when unforced, where y0^-6 may overflow
+    slope_pred = float(series["secular_slope"]) * eps**2 * y0**-6.0 if eps else 0.0
     s1_pred = eps * y0**-2.5 / float(1 / series["s1"])
     meta = [("kind", "fourier")] + _param_meta(params, cfg)
     meta += [

@@ -83,23 +83,26 @@ class CubicSpline:
             raise InvalidInput("knot abscissae must be strictly increasing")
         n = len(x)
         h = np.diff(x)
-        # Thomas algorithm for the second derivatives M with M[0] = M[-1] = 0.
-        M = np.zeros(n)
-        cp = np.zeros(n - 1)
-        dp = np.zeros(n - 1)
+        # Thomas algorithm for the second derivatives M with M[0] = M[-1] = 0,
+        # on Python floats: the float64 operations of numpy scalars, in the
+        # same order, without a numpy scalar per operation.
+        ys, hs = y.tolist(), h.tolist()
+        M = [0.0] * n
+        cp = [0.0] * (n - 1)
+        dp = [0.0] * (n - 1)
         for i in range(1, n - 1):
-            rhs = 6.0 * ((y[i + 1] - y[i]) / h[i] - (y[i] - y[i - 1]) / h[i - 1])
-            diag = 2.0 * (h[i - 1] + h[i])
-            lower = h[i - 1]
+            rhs = 6.0 * ((ys[i + 1] - ys[i]) / hs[i] - (ys[i] - ys[i - 1]) / hs[i - 1])
+            diag = 2.0 * (hs[i - 1] + hs[i])
+            lower = hs[i - 1]
             denom = diag - lower * cp[i - 1]
-            cp[i] = h[i] / denom
+            cp[i] = hs[i] / denom
             dp[i] = (rhs - lower * dp[i - 1]) / denom
         for i in range(n - 2, 0, -1):
             M[i] = dp[i] - cp[i] * M[i + 1]
         self.x = x
         self.y = y
         self.h = h
-        self.M = M
+        self.M = np.array(M)
 
     def _interval(self, t):
         return np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.x) - 2)

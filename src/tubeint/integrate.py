@@ -1,11 +1,14 @@
 """Deterministic fixed-step classical RK4 integration.
 
-One driver, ``_drive``, runs the three integrators here and the Ermakov pair
-in ``ermakov``.  Each system is named in ``_SYSTEMS``: a plain-float vector
-field, its dimension, the component that must stay positive and the one
-tested for escape.  Its caller supplies a vectorised time-only coefficient
-(the unit forcing profile, g(t) or the spline driver).  The driver evaluates
-that coefficient once per chunk of steps on the half-step grid t = (h/2) * i
+One driver, ``_drive``, runs the three integrators here, the Ermakov pair in
+``ermakov`` and the tube filaments of ``invariant``.  Each system is named in
+``_SYSTEMS``: a plain-float vector field, the component that must stay
+positive and the first one tested for escape.  The coupled system carries N
+oscillators (z, p) behind one coefficient block, so that one run steps a
+whole grid of filaments; ``integrate_coupled`` is its N = 1 case.  The
+driver's caller supplies a vectorised time-only coefficient (the unit
+forcing profile, g(t) or the spline driver).  The driver evaluates that
+coefficient once per chunk of steps on the half-step grid t = (h/2) * i
 and hands each step its values at t, t + h/2 and t + h, so no coefficient is
 evaluated per stage in Python.  A 500-unit run at h = 1e-3 is half a million
 steps; identical inputs produce bit-identical trajectories, whatever the
@@ -115,14 +118,17 @@ def _field_z(eps, om):
 
 
 def _field_coupled(eps, om):
-    """(y, y', y'', J, z, p) in physical time, g = y^(-5/2); c is the forcing profile."""
+    """(y, y', y'', J) in physical time, then N pairs (z, p), each driven by
+    g = y^(-5/2), one pow for all of them; c is the forcing profile."""
     om2 = om * om
 
     def field(x, c):
-        y, dy, ddy, _, z, p = x
+        y, dy, ddy = x[0], x[1], x[2]
         pw = y**-2.5
-        return (om * dy, om * ddy, om * (eps * c * pw - 4.0 * dy), om * pw * c,
-                p, -om2 * z - pw * z * z)
+        k = [om * dy, om * ddy, om * (eps * c * pw - 4.0 * dy), om * pw * c]
+        for z, p in zip(x[4::2], x[5::2]):
+            k += p, -om2 * z - pw * z * z
+        return k
 
     return field
 
@@ -139,18 +145,18 @@ def _field_ermakov(eps, om):
 
 class _System(NamedTuple):
     field: Callable  # (eps, omega) -> field(x, c)
-    dim: int
     positive: tuple[int, str] | None  # (index, name) of the component kept > 0
-    escape: int | None  # index of the component tested against escape_z
+    escape: int | None  # first component tested against escape_z, then every second one
 
 
 #: The systems of ``_drive``, each with the compiled field of the same name in
-#: ``_rk4.c``.
+#: ``_rk4.c``.  A run's dimension is that of its initial state: 4 for y and
+#: Ermakov, 2 for z, and 4 + 2N for the coupled system with N oscillators.
 _SYSTEMS = {
-    "y": _System(_field_y, 4, (0, "y"), None),
-    "z": _System(_field_z, 2, None, 0),
-    "coupled": _System(_field_coupled, 6, (0, "y"), 4),
-    "ermakov": _System(_field_ermakov, 4, (2, "w"), None),
+    "y": _System(_field_y, (0, "y"), None),
+    "z": _System(_field_z, None, 0),
+    "coupled": _System(_field_coupled, (0, "y"), 4),
+    "ermakov": _System(_field_ermakov, (2, "w"), None),
 }
 
 
@@ -190,7 +196,8 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
     constants eps and omega (a field ignores the ones it does not use).
     ``coef`` maps an array of times to coefficient values (a scalar
     broadcasts).  For a system with an escape component, the run raises
-    Escape at the first step where that component's magnitude exceeds
+    Escape at the first step where the magnitude of that component, or of
+    every second one after it (each z of a coupled run), exceeds
     config.escape_z or is NaN.  A plan too large to allocate raises
     InvalidInput.
 
@@ -211,7 +218,7 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
     h = config.h
     rec = config.record_every
     limit = config.escape_z
-    escape = spec.escape
+    escape = None if spec.escape is None else slice(spec.escape, None, 2)
     n_steps, n_intervals = config.plan()
     try:
         out = np.empty((n_intervals + 1, len(x)))
@@ -219,7 +226,7 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
         raise InvalidInput(f"cannot allocate {n_intervals + 1} recorded samples ({exc})") from exc
     out[0] = x
     rows = 1
-    run = _rk4.kernel(system, (h, eps, omega), x, out, escape, limit, rec)
+    run = _rk4.kernel(system, (h, eps, omega), x, out, spec.escape, limit, rec)
     if run is None:
         step = _rk4_step(spec.field(eps, omega), h, spec.positive)
     for start in range(0, n_steps, _CHUNK):
@@ -243,7 +250,7 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
                 x = step(k * h, x, c0, cm, c1)
                 kk = k + 1
                 # Written so that a NaN coordinate escapes too.
-                if escape is not None and not abs(x[escape]) <= limit:
+                if escape is not None and not all(abs(v) <= limit for v in x[escape]):
                     raise Escape(kk * h)
                 if kk % rec == 0:
                     if not all(map(math.isfinite, x)):
@@ -322,16 +329,32 @@ def integrate_coupled(
     Times are physical; the tau column stores omega*t.  Raises Escape at the
     step where |z| exceeds config.escape_z.
     """
+    return next(_coupled(params, [(z0, p0)], config))
+
+
+def _coupled(params: SystemParams, pairs, config: IntegrationConfig):
+    """Lockstep RK4 of one coefficient block and one oscillator per (z0, p0) of pairs.
+
+    All oscillators share the block's stages, so each trajectory equals the
+    ``integrate_coupled`` run of its pair to the bit.  The one ``_drive``
+    call runs here, so it raises here; the trajectories, in the order of
+    pairs, are built as they are taken.
+    """
     om = params.omega
     profile = _profile(params)
-    x0 = (params.y0, params.yp0, params.ypp0, 0.0, z0, p0)
+    x0 = (params.y0, params.yp0, params.ypp0, 0.0, *(v for pair in pairs for v in pair))
     t, states, path = _drive("coupled", lambda t: profile(om * t), x0, config,
                              eps=params.epsilon, omega=om)
-    return Trajectory(
-        times=t,
-        columns=("tau", "y", "dy", "ddy", "J", "z", "p"),
-        data=np.column_stack([om * t, states]),
-        meta={"system": "coupled", "params": params, "config": config, "kernel": path},
+    tau = om * t
+    meta = {"system": "coupled", "params": params, "config": config, "kernel": path}
+    return (
+        Trajectory(
+            times=t,
+            columns=("tau", "y", "dy", "ddy", "J", "z", "p"),
+            data=np.column_stack([tau, states[:, :4], states[:, j:j + 2]]),
+            meta=dict(meta),
+        )
+        for j in range(4, states.shape[1], 2)
     )
 
 
@@ -352,19 +375,18 @@ def convergence_order(
     """
     if system not in ("y", "z", "coupled"):
         raise InvalidInput(f"unknown system {system!r}")
-    dim = _SYSTEMS[system].dim
     z0, p0 = 0.2, 0.0
 
     def final_state(step: float) -> np.ndarray:
         cfg = IntegrationConfig(t_end=t_end, h=step, record_every=1)
+        if system == "z":
+            g_fn = g if g is not None else (lambda t: 0.0)
+            return integrate_z(g_fn, z0, p0, params.omega, cfg).data[-1]
         if system == "y":
             traj = integrate_y(params, cfg)
-        elif system == "z":
-            g_fn = g if g is not None else (lambda t: 0.0)
-            traj = integrate_z(g_fn, z0, p0, params.omega, cfg)
         else:
             traj = integrate_coupled(params, z0, p0, cfg)
-        return traj.data[-1, -dim:]
+        return traj.data[-1, 1:]  # without the tau column
 
     x1 = final_state(h)
     x2 = final_state(h / 2.0)

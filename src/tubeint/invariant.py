@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NonPositive, UnsupportedOmega
-from .integrate import IntegrationConfig, integrate_coupled, integrate_z
+from .errors import InvalidInput, NonPositive, TubeIntError, UnsupportedOmega
+from .integrate import IntegrationConfig, _coupled, integrate_coupled, integrate_z
 from .model import SystemParams, Trajectory
 from .perturb import ORDER, _prepare, _sum, g_of_t
 
@@ -190,28 +190,35 @@ def tube_surface_samples(
 
     For each (z0, p0) in the Cartesian product of the grids, integrates the
     coupled system and tags the (z, p, t) triples with the conserved value K;
-    this is the data behind the tube visualization.
+    this is the data behind the tube visualization.  All filaments run in one
+    lockstep integration under one coefficient state, each to the bit as its
+    own ``integrate_coupled`` run.  When that integration fails, the grid is
+    run again one filament at a time, so the error raised is that of the
+    first failing filament in grid order.
     """
     z0_grid = np.atleast_1d(np.asarray(z0_grid, dtype=float))
     p0_grid = np.atleast_1d(np.asarray(p0_grid, dtype=float))
     if z0_grid.size == 0 or p0_grid.size == 0:
         raise InvalidInput("initial-condition grids must be nonempty")
     cfg = IntegrationConfig(t_end=t_end, h=h, record_every=record_every)
+    pairs = [(z0, p0) for z0 in z0_grid.tolist() for p0 in p0_grid.tolist()]
+    try:
+        trajectories = _coupled(params, pairs, cfg)
+    except TubeIntError:  # Escape, NonFinite, PositivityViolation or InvalidInput
+        trajectories = (integrate_coupled(params, z0, p0, cfg) for z0, p0 in pairs)
     filaments = []
-    for z0 in z0_grid:
-        for p0 in p0_grid:
-            traj = integrate_coupled(params, float(z0), float(p0), cfg)
-            values = invariant_exact_series(traj, params)
-            K = float(values[0])
-            filaments.append(
-                TubeFilament(
-                    z0=float(z0),
-                    p0=float(p0),
-                    K=K,
-                    t=traj.times,
-                    z=traj.column("z").copy(),
-                    p=traj.column("p").copy(),
-                    max_abs_deviation=float(np.max(np.abs(values - K))),
-                )
+    for (z0, p0), traj in zip(pairs, trajectories):
+        values = invariant_exact_series(traj, params)
+        K = float(values[0])
+        filaments.append(
+            TubeFilament(
+                z0=z0,
+                p0=p0,
+                K=K,
+                t=traj.times,
+                z=traj.column("z").copy(),
+                p=traj.column("p").copy(),
+                max_abs_deviation=float(np.max(np.abs(values - K))),
             )
+        )
     return filaments

@@ -117,10 +117,16 @@ def _check_horizon(params: SystemParams, last_window: int, message: str) -> None
 
 
 def _secular_residual(params: SystemParams, traj: Trajectory, windows) -> np.ndarray:
-    """y - y0 (1 + delta R_1), once the windows are checked against the fit horizon."""
+    """y - y0 (1 + delta R_1), once the windows are checked against the fit horizon.
+
+    Unforced, delta is 0 and the residual is y - y0, with no power of y0 to
+    overflow.
+    """
     _check_horizon(params, max(windows),
                    "fit horizon {horizon:.1f} exceeds 0.2 tau* = {limit:.1f}")
     y0, eps = params.y0, params.epsilon
+    if eps == 0.0:
+        return traj.column("y") - y0
     [r1] = _sum(traj.column("tau"), ("rho", [0.0, 1.0]))
     return traj.column("y") - y0 - eps * y0 * (y0**-3.5 * r1)
 
@@ -148,8 +154,10 @@ def _secular_fit(windows, amps: np.ndarray) -> SecularFit:
 
 def _third_harmonic(params: SystemParams, amps: np.ndarray) -> tuple[float, float]:
     """(measured, predicted): the sin(3 tau) amplitudes of windows 0 and 1, extrapolated
-    linearly from their centers 2 pi (k + 1/2) to center 0, and the series value."""
-    predicted = float(resonance_coefficients()["s3"]) * params.epsilon**3 * params.y0**-9.5
+    linearly from their centers 2 pi (k + 1/2) to center 0, and the series value
+    (0 when unforced, where y0^(-19/2) may overflow)."""
+    eps = params.epsilon
+    predicted = float(resonance_coefficients()["s3"]) * eps**3 * params.y0**-9.5 if eps else 0.0
     return float(amps[0] - (amps[1] - amps[0]) * 0.5), predicted
 
 

@@ -124,6 +124,19 @@ def test_fourier_unforced_amplitudes_vanish(tmp_path):
     assert np.allclose(rows[:, cols["c0"]], 1.0, atol=1e-12)
 
 
+def test_fourier_unforced_tiny_y0_predicts_zero(capsys):
+    # y0^-3.5, y0^-6 and y0^-9.5 overflow a float here; unforced, every
+    # predicted quantity is 0 and the residual is y - y0
+    assert run(["fourier", "--eps", "0", "--y0", "1e-90", "--tau-max", "40",
+                "--record-every", "1", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    meta = dict(line[2:].split("=", 1) for line in captured.out.splitlines()
+                if line.startswith("# "))
+    for name in ("secular_slope_predicted", "s1_predicted", "s3_predicted"):
+        assert meta[name] == "0.0"
+
+
 @pytest.mark.parametrize("argv, line", [
     ("--tau-max 20", "InsufficientWindows: need >= 5 complete windows, got 3"),
     ("--eps 0.4 --y0 0.8 --tau-max 60 --record-every 1",

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tubeint.errors import Escape, UnsupportedOmega
+import tubeint._rk4 as rk4
+import tubeint.integrate
+from tubeint.errors import Escape, TubeIntError, UnsupportedOmega
 from tubeint.integrate import IntegrationConfig, integrate_coupled
 from tubeint.invariant import (
     _coeff_arrays,
@@ -228,3 +231,96 @@ def test_tube_autonomous_sections_lie_on_one_closed_curve():
 def test_tube_empty_grid_rejected():
     with pytest.raises(ValueError):
         tube_surface_samples(params(), [], [0.0], t_end=10.0)
+
+
+def _filament_loop(p, z0_grid, p0_grid, cfg):
+    """The tube filaments as one integrate_coupled run per (z0, p0), in grid order:
+    the reference of the lockstep batch."""
+    out = []
+    for z0 in z0_grid:
+        for p0 in p0_grid:
+            traj = integrate_coupled(p, z0, p0, cfg)
+            values = invariant_exact_series(traj, p)
+            K = float(values[0])
+            out.append((z0, p0, K, traj.times, traj.column("z"), traj.column("p"),
+                        float(np.max(np.abs(values - K)))))
+    return out
+
+
+def _bytes(filaments):
+    return [np.array([z0, p0, K, dev]).tobytes() + t.tobytes() + z.tobytes() + p.tobytes()
+            for z0, p0, K, t, z, p, dev in filaments]
+
+
+def _failure(run):
+    """(class, message, time) of the error that run() raises."""
+    with pytest.raises(TubeIntError) as info:
+        run()
+    return type(info.value), str(info.value), info.value.t
+
+
+@st.composite
+def tube_grids(draw):
+    grid = st.lists(st.floats(-0.5, 0.5, allow_nan=False), min_size=1, max_size=9)
+    h = draw(st.floats(1e-3, 0.1))
+    cfg = IntegrationConfig(t_end=h * draw(st.integers(1, 40)), h=h,
+                            record_every=draw(st.integers(1, 12)))
+    p = params(eps=draw(st.floats(0.0, 0.2)), y0=draw(st.floats(0.8, 1.5)))
+    return p, draw(grid), draw(grid), cfg, draw(st.sampled_from([1, 7, 4096]))
+
+
+@pytest.mark.parametrize("path", ["c", "python"])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(case=tube_grids())
+def test_tube_batch_matches_one_run_per_filament(path, case):
+    p, z0_grid, p0_grid, cfg, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tubeint.integrate, "_CHUNK", chunk)
+        if path == "python":
+            mp.setattr(rk4, "_lib", None)
+        batch = tube_surface_samples(p, z0_grid, p0_grid, cfg.t_end, cfg.h, cfg.record_every)
+        loop = _filament_loop(p, z0_grid, p0_grid, cfg)
+    got = [(f.z0, f.p0, f.K, f.t, f.z, f.p, f.max_abs_deviation) for f in batch]
+    assert _bytes(got) == _bytes(loop)
+
+
+# (params, z0 grid, p0 grid, config): a grid whose integration fails
+_TUBE_FAILURES = {
+    # -3 escapes first (t = 2.23), but -2 (t = 3.04) comes first in the grid
+    "escape": (params(), [0.1, -2.0, -3.0, 0.2], [0.0, 0.1],
+               IntegrationConfig(t_end=20.0, h=1e-2, record_every=5)),
+    "positivity": (params(eps=0.5, y0=0.3), [0.1, 0.2], [0.0],
+                   IntegrationConfig(t_end=20.0, h=1e-2, record_every=5)),
+    "overflow": (params(eps=0.0, y0=1e-250), [0.1, 0.2], [0.0],
+                 IntegrationConfig(t_end=0.01, h=1e-3)),
+}
+
+
+@pytest.mark.parametrize("path", ["c", "python"])
+@pytest.mark.parametrize("name", list(_TUBE_FAILURES))
+def test_tube_batch_failure_is_that_of_the_first_failing_filament(path, name):
+    p, z0_grid, p0_grid, cfg = _TUBE_FAILURES[name]
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "python":
+            mp.setattr(rk4, "_lib", None)
+        batch = _failure(lambda: tube_surface_samples(p, z0_grid, p0_grid, cfg.t_end, cfg.h,
+                                                      cfg.record_every))
+        loop = _failure(lambda: _filament_loop(p, z0_grid, p0_grid, cfg))
+    assert batch == loop
+    assert batch[0].__name__ == {"escape": "Escape", "positivity": "PositivityViolation",
+                                 "overflow": "NonFinite"}[name]
+
+
+def test_tube_grid_is_one_lockstep_integration():
+    calls = []
+    drive = tubeint.integrate._drive
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return drive(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tubeint.integrate, "_drive", counted)
+        filaments = tube_surface_samples(params(), [0.1, 0.2, 0.3], [0.0, 0.1], t_end=2.0)
+    assert calls == ["coupled"]
+    assert len(filaments) == 6

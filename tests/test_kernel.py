@@ -4,7 +4,8 @@ Each system is the same field in C and in Python, under one RK4 each
 (``_rk4.c`` and ``tubeint.integrate``).  Each case runs twice: on the compiled
 RK4 and on the Python one, chosen by setting the loaded library to None.  Both
 paths must record the same times and data to the bit, or raise the same error
-with the same message.
+with the same message.  A coupled case carries one (z, p) pair or several
+behind its coefficient block.
 """
 
 import subprocess
@@ -20,7 +21,8 @@ import tubeint._rk4 as rk4
 import tubeint.integrate
 from tubeint.ermakov import LogisticDriver, integrate_ermakov
 from tubeint.errors import TubeIntError
-from tubeint.integrate import IntegrationConfig, integrate_coupled, integrate_y, integrate_z
+from tubeint.integrate import (IntegrationConfig, _coupled, integrate_coupled, integrate_y,
+                               integrate_z)
 from tubeint.model import SystemParams, validate_params
 
 
@@ -37,6 +39,8 @@ def _integrate(system, a, cfg):
     if system == "z":
         g0, g1 = a["g"]
         return integrate_z(lambda t: g0 + g1 * np.cos(t), a["z0"], a["p0"], a["omega"], cfg)
+    if system == "coupled" and a["pairs"]:  # one trajectory per pair
+        return list(_coupled(_params(a), [(a["z0"], a["p0"]), *a["pairs"]], cfg))
     if system == "coupled":
         return integrate_coupled(_params(a), a["z0"], a["p0"], cfg)
     return integrate_ermakov(LogisticDriver(*a["driver"]), a["z0"], a["p0"], a["w0"], a["dw0"],
@@ -46,10 +50,12 @@ def _integrate(system, a, cfg):
 def _outcome(system, a, cfg):
     """(times, data, kernel) of a run, or (error class, message, time)."""
     try:
-        traj = _integrate(system, a, cfg)
+        run = _integrate(system, a, cfg)
     except TubeIntError as exc:
         return type(exc), str(exc), getattr(exc, "t", None)
-    return traj.times.tobytes(), traj.data.tobytes(), traj.meta["kernel"]
+    runs = run if isinstance(run, list) else [run]
+    return (runs[0].times.tobytes(), b"".join(traj.data.tobytes() for traj in runs),
+            runs[0].meta["kernel"])
 
 
 def _both(system, a, cfg, chunk):
@@ -81,7 +87,7 @@ needs_compiler = pytest.mark.skipif(not _compiler_builds(),
 
 def _args(**kw):
     a = dict(omega=1.0, c1=0.1, c2=0.0, y0=1.0, yp0=0.0, ypp0=0.0, g=(1.0, 0.0), z0=0.2,
-             p0=0.0, driver=(0.37, 1.0, 1.0, 0.3), w0=None, dw0=0.0)
+             p0=0.0, pairs=[], driver=(0.37, 1.0, 1.0, 0.3), w0=None, dw0=0.0)
     a.update(kw)
     return a
 
@@ -107,6 +113,9 @@ def cases(draw):
         g=(draw(_num(-2.0, 2.0)), draw(_num(-2.0, 2.0))),
         z0=draw(_num(-5.0, 5.0)),
         p0=draw(_num(-5.0, 5.0)),
+        # 1, 2 or 5 (z, p) pairs in a coupled state
+        pairs=[(draw(_num(-5.0, 5.0)), draw(_num(-5.0, 5.0)))
+               for _ in range(draw(st.sampled_from([0, 1, 4])))],
         driver=(draw(_num(0.0, 1.0)), draw(_num(0.2, 2.0)), 1.0, draw(_num(0.0, 0.6))),
         w0=draw(st.one_of(st.none(), _num(0.01, 3.0))),
         dw0=draw(_num(-10.0, 10.0)),
@@ -198,8 +207,9 @@ _RUNS = [
 @needs_compiler
 def test_kernel_source_compiles_without_warnings():
     # an unused field argument or an implicit conversion keeps the bits, so
-    # the parity tests would not see it
-    flags = ["-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off"]
+    # the parity tests would not see it; nor would they see a variable-length
+    # array, which would put a coupled state of any size on the stack
+    flags = ["-std=c99", "-pedantic", "-Wall", "-Wextra", "-Wvla", "-Werror", "-ffp-contract=off"]
     done = subprocess.run([rk4.COMPILER, *flags, "-fsyntax-only", str(rk4.SOURCE)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
