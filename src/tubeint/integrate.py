@@ -338,7 +338,7 @@ def _coupled(params: SystemParams, pairs, config: IntegrationConfig):
     All oscillators share the block's stages, so each trajectory equals the
     ``integrate_coupled`` run of its pair to the bit.  The one ``_drive``
     call runs here, so it raises here; the trajectories, in the order of
-    pairs, are built as they are taken.
+    pairs, are built as they are taken, one (rows, 7) table at a time.
     """
     om = params.omega
     profile = _profile(params)
@@ -346,13 +346,12 @@ def _coupled(params: SystemParams, pairs, config: IntegrationConfig):
     t, states, path = _drive("coupled", lambda t: profile(om * t), x0, config,
                              eps=params.epsilon, omega=om)
     tau = om * t
-    meta = {"system": "coupled", "params": params, "config": config, "kernel": path}
     return (
         Trajectory(
             times=t,
             columns=("tau", "y", "dy", "ddy", "J", "z", "p"),
             data=np.column_stack([tau, states[:, :4], states[:, j:j + 2]]),
-            meta=dict(meta),
+            meta={"system": "coupled", "params": params, "config": config, "kernel": path},
         )
         for j in range(4, states.shape[1], 2)
     )
