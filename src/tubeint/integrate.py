@@ -329,32 +329,27 @@ def integrate_coupled(
     Times are physical; the tau column stores omega*t.  Raises Escape at the
     step where |z| exceeds config.escape_z.
     """
-    return next(_coupled(params, [(z0, p0)], config))
+    t, states, path = _coupled(params, [(z0, p0)], config)
+    return Trajectory(
+        times=t,
+        columns=("tau", "y", "dy", "ddy", "J", "z", "p"),
+        data=np.column_stack([params.omega * t, states]),
+        meta={"system": "coupled", "params": params, "config": config, "kernel": path},
+    )
 
 
 def _coupled(params: SystemParams, pairs, config: IntegrationConfig):
     """Lockstep RK4 of one coefficient block and one oscillator per (z0, p0) of pairs.
 
-    All oscillators share the block's stages, so each trajectory equals the
-    ``integrate_coupled`` run of its pair to the bit.  The one ``_drive``
-    call runs here, so it raises here; the trajectories, in the order of
-    pairs, are built as they are taken, one (rows, 7) table at a time.
+    All oscillators share the block's stages, so each oscillator's columns
+    equal the ``integrate_coupled`` run of its pair to the bit.  Returns
+    ``_drive``'s (physical times, state table, RK4 path); the table's columns
+    are (y, y', y'', J), then (z, p) of each pair in the order of pairs.
     """
     om = params.omega
     profile = _profile(params)
     x0 = (params.y0, params.yp0, params.ypp0, 0.0, *(v for pair in pairs for v in pair))
-    t, states, path = _drive("coupled", lambda t: profile(om * t), x0, config,
-                             eps=params.epsilon, omega=om)
-    tau = om * t
-    return (
-        Trajectory(
-            times=t,
-            columns=("tau", "y", "dy", "ddy", "J", "z", "p"),
-            data=np.column_stack([tau, states[:, :4], states[:, j:j + 2]]),
-            meta={"system": "coupled", "params": params, "config": config, "kernel": path},
-        )
-        for j in range(4, states.shape[1], 2)
-    )
+    return _drive("coupled", lambda t: profile(om * t), x0, config, eps=params.epsilon, omega=om)
 
 
 def convergence_order(

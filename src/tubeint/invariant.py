@@ -7,7 +7,11 @@ probe values of every order.  They agree with the composite derivatives to
 O(eps^4).
 
 Each invariant is evaluated once, vectorised over a whole trajectory at the
-trajectory's own sample times.
+trajectory's own sample times.  The exact invariant is one expression that
+broadcasts: a tube grid evaluates it once for all its filaments, with the
+time-only terms (the forcing's cos and sin, y^(-3/2) and the other
+coefficient products) computed once per grid, and each filament's values are
+the bits of its own single-trajectory evaluation.
 """
 
 from __future__ import annotations
@@ -43,21 +47,19 @@ def _dalpha1(t, params: SystemParams):
     return 0.5 * om * (-params.c1 * np.sin(om * t) + params.c2 * np.cos(om * t))
 
 
-def invariant_exact_series(traj: Trajectory, params: SystemParams) -> np.ndarray:
-    """Exact invariant along a coupled trajectory, at its sample times.
+def _exact(params: SystemParams, t, y, dy, ddy, z, p) -> np.ndarray:
+    """The exact invariant I(z, p, t), broadcast over its arguments.
 
+    t, y, dy and ddy are the times and coefficient state, z and p the
+    oscillators'.  Given as (rows, 1) columns against (rows, N) oscillator
+    tables, the time-only terms are computed once for all N oscillators, and
+    column j holds the bits of the evaluation on oscillator j alone.
     Coefficient derivatives come from the integrated state via the chain rule
     (alpha2'(t) = omega * y'(tau), alpha2''(t) = omega^2 * y''(tau)).
     """
-    om = params.omega
-    t = traj.times
-    y = traj.column("y")
-    dy = traj.column("dy")
-    ddy = traj.column("ddy")
-    z = traj.column("z")
-    p = traj.column("p")
     if np.any(y <= 0.0):
         raise NonPositive("y", float(y.min()))
+    om = params.omega
     return (
         y * p * p
         - om * dy * z * p
@@ -66,6 +68,11 @@ def invariant_exact_series(traj: Trajectory, params: SystemParams) -> np.ndarray
         - _dalpha1(t, params) * z
         + (2.0 / 3.0) * y**-1.5 * z**3
     )
+
+
+def invariant_exact_series(traj: Trajectory, params: SystemParams) -> np.ndarray:
+    """Exact invariant along a coupled trajectory, at its sample times."""
+    return _exact(params, traj.times, *(traj.column(c) for c in ("y", "dy", "ddy", "z", "p")))
 
 
 def _coeff_arrays(t, params: SystemParams, order: int):
@@ -178,6 +185,16 @@ class TubeFilament:
     max_abs_deviation: float
 
 
+def _grid(values, name: str) -> np.ndarray:
+    """The initial values as a nonempty 1-D float grid; other shapes are InvalidInput."""
+    grid = np.atleast_1d(np.asarray(values, dtype=float))
+    if grid.ndim != 1:
+        raise InvalidInput(f"{name} grid must be 1-D, got shape {grid.shape}")
+    if grid.size == 0:
+        raise InvalidInput("initial-condition grids must be nonempty")
+    return grid
+
+
 def tube_surface_samples(
     params: SystemParams,
     z0_grid,
@@ -188,37 +205,34 @@ def tube_surface_samples(
 ) -> list[TubeFilament]:
     """Sample the invariant level sets: one filament per initial condition.
 
-    For each (z0, p0) in the Cartesian product of the grids, integrates the
-    coupled system and tags the (z, p, t) triples with the conserved value K;
-    this is the data behind the tube visualization.  All filaments run in one
-    lockstep integration under one coefficient state, each to the bit as its
-    own ``integrate_coupled`` run.  When that integration fails, the grid is
-    run again one filament at a time, so the error raised is that of the
-    first failing filament in grid order.
+    For each (z0, p0) in the Cartesian product of the 1-D grids, integrates
+    the coupled system and tags the (z, p, t) triples with the conserved
+    value K; this is the data behind the tube visualization.  All filaments
+    run in one lockstep integration under one coefficient state, and the
+    exact invariant is evaluated once over the whole state table; each
+    filament is, to the bit, its own ``integrate_coupled`` run and
+    ``invariant_exact_series``.  When the integration fails, the grid is run
+    again one filament at a time, so the error raised is that of the first
+    failing filament in grid order (or the grid's own, a state table too
+    large to allocate, when every filament runs alone).
     """
-    z0_grid = np.atleast_1d(np.asarray(z0_grid, dtype=float))
-    p0_grid = np.atleast_1d(np.asarray(p0_grid, dtype=float))
-    if z0_grid.size == 0 or p0_grid.size == 0:
-        raise InvalidInput("initial-condition grids must be nonempty")
+    z0_grid = _grid(z0_grid, "z0")
+    p0_grid = _grid(p0_grid, "p0")
     cfg = IntegrationConfig(t_end=t_end, h=h, record_every=record_every)
     pairs = [(z0, p0) for z0 in z0_grid.tolist() for p0 in p0_grid.tolist()]
     try:
-        trajectories = _coupled(params, pairs, cfg)
+        t, states, _ = _coupled(params, pairs, cfg)
     except TubeIntError:  # Escape, NonFinite, PositivityViolation or InvalidInput
-        trajectories = (integrate_coupled(params, z0, p0, cfg) for z0, p0 in pairs)
-    filaments = []
-    for (z0, p0), traj in zip(pairs, trajectories):
-        values = invariant_exact_series(traj, params)
-        K = float(values[0])
-        filaments.append(
-            TubeFilament(
-                z0=z0,
-                p0=p0,
-                K=K,
-                t=traj.times,
-                z=traj.column("z").copy(),
-                p=traj.column("p").copy(),
-                max_abs_deviation=float(np.max(np.abs(values - K))),
-            )
-        )
-    return filaments
+        for z0, p0 in pairs:
+            integrate_coupled(params, z0, p0, cfg)
+        raise
+    z = states[:, 4::2]
+    p = states[:, 5::2]
+    values = _exact(params, t[:, None], states[:, 0:1], states[:, 1:2], states[:, 2:3], z, p)
+    K = values[0]
+    deviation = np.max(np.abs(values - K), axis=0)
+    return [
+        TubeFilament(z0=z0, p0=p0, K=k, t=t, z=zj, p=pj, max_abs_deviation=dev)
+        for (z0, p0), k, dev, zj, pj in zip(pairs, K.tolist(), deviation.tolist(),
+                                             z.T.copy(), p.T.copy())
+    ]

@@ -332,6 +332,8 @@ def test_validation_failure_exit_code_two(capsys):
         ["invariant-drift", "--p0", "inf"],
         ["simulate-y", "--tau-max", "1e12", "--record-every", "1"],
         ["simulate-y", "--tau-max", "1e20", "--record-every", "1"],
+        # a record interval longer than the run would set the run's length: 1e11 steps
+        ["simulate-y", "--eps", "0", "--tau-max", "1", "--record-every", "100000000000"],
         ["ermakov", "--ts", "1e-12", "--t-max", "100"],
         # omega^3 underflows to 0 or overflows; the derived epsilon or c1 is inf
         ["simulate-y", "--tau-max", "1", "--omega", "1e-300"],

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import tubeint._rk4 as rk4
 import tubeint.integrate
-from tubeint.errors import Escape, TubeIntError, UnsupportedOmega
+import tubeint.invariant
+from tubeint.errors import Escape, InvalidInput, TubeIntError, UnsupportedOmega
 from tubeint.integrate import IntegrationConfig, integrate_coupled
 from tubeint.invariant import (
     _coeff_arrays,
@@ -233,6 +234,11 @@ def test_tube_empty_grid_rejected():
         tube_surface_samples(params(), [], [0.0], t_end=10.0)
 
 
+def test_tube_grid_must_be_1d():
+    with pytest.raises(InvalidInput, match="z0 grid must be 1-D, got shape"):
+        tube_surface_samples(params(), [[0.1, 0.2]], [0.0], 1.0)
+
+
 def _filament_loop(p, z0_grid, p0_grid, cfg):
     """The tube filaments as one integrate_coupled run per (z0, p0), in grid order:
     the reference of the lockstep batch."""
@@ -323,4 +329,23 @@ def test_tube_grid_is_one_lockstep_integration():
         mp.setattr(tubeint.integrate, "_drive", counted)
         filaments = tube_surface_samples(params(), [0.1, 0.2, 0.3], [0.0, 0.1], t_end=2.0)
     assert calls == ["coupled"]
+    assert len(filaments) == 6
+
+
+def test_tube_time_only_terms_are_evaluated_once_per_grid():
+    calls = []
+
+    def counted(fn):
+        def wrapper(t, params):
+            calls.append((fn.__name__, np.shape(t)))
+            return fn(t, params)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_alpha1", "_dalpha1"):
+            mp.setattr(tubeint.invariant, name, counted(getattr(tubeint.invariant, name)))
+        filaments = tube_surface_samples(params(), [0.1, 0.2, 0.3], [0.0, 0.1], t_end=2.0)
+    rows = len(filaments[0].t)
+    assert calls == [("_alpha1", (rows, 1)), ("_dalpha1", (rows, 1))]
     assert len(filaments) == 6

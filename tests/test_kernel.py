@@ -39,8 +39,8 @@ def _integrate(system, a, cfg):
     if system == "z":
         g0, g1 = a["g"]
         return integrate_z(lambda t: g0 + g1 * np.cos(t), a["z0"], a["p0"], a["omega"], cfg)
-    if system == "coupled" and a["pairs"]:  # one trajectory per pair
-        return list(_coupled(_params(a), [(a["z0"], a["p0"]), *a["pairs"]], cfg))
+    if system == "coupled" and a["pairs"]:  # (times, one state table, path)
+        return _coupled(_params(a), [(a["z0"], a["p0"]), *a["pairs"]], cfg)
     if system == "coupled":
         return integrate_coupled(_params(a), a["z0"], a["p0"], cfg)
     return integrate_ermakov(LogisticDriver(*a["driver"]), a["z0"], a["p0"], a["w0"], a["dw0"],
@@ -53,9 +53,9 @@ def _outcome(system, a, cfg):
         run = _integrate(system, a, cfg)
     except TubeIntError as exc:
         return type(exc), str(exc), getattr(exc, "t", None)
-    runs = run if isinstance(run, list) else [run]
-    return (runs[0].times.tobytes(), b"".join(traj.data.tobytes() for traj in runs),
-            runs[0].meta["kernel"])
+    times, data, kernel = run if isinstance(run, tuple) else (run.times, run.data,
+                                                              run.meta["kernel"])
+    return times.tobytes(), data.tobytes(), kernel
 
 
 def _both(system, a, cfg, chunk):
