@@ -1,5 +1,5 @@
-/* Compiled RK4 for tubeint's four systems (y, z, coupled and Ermakov), and the
- * CSV rows of the command-line tool.
+/* Compiled RK4 for tubeint's four systems (y, z, coupled and Ermakov), the
+ * series sums of ``perturb._sum`` and the CSV rows of the command-line tool.
  *
  * Each system is written once, as a vector field evaluated in the same order
  * and association as the stages of its Python ``step``, and one stage routine,
@@ -7,7 +7,12 @@
  * reproduces the Python loop of ``tubeint.integrate._drive`` bit for bit, when
  * compiled without floating-point contraction and without fast-math:
  *
- *     cc -O2 -shared -fPIC -ffp-contract=off -o _rk4.so _rk4.c -lm
+ *     cc -O3 -shared -fPIC -ffp-contract=off -o _rk4.so _rk4.c -lm
+ *
+ * -O3 vectorises the block loops of ``tubeint_sum`` and the coupled system's
+ * loops over its pairs.  That changes no result: each vector lane does one
+ * point's or one pair's operations in their written order, and without
+ * contraction or fast-math no operation is fused, reassociated or dropped.
  *
  * ``pow`` is the libm function that Python's float ``**`` calls.  Python raises
  * OverflowError where ``**`` overflows; C returns inf, so every ``pow`` result
@@ -22,7 +27,11 @@
  * (y, y', y'', J) block, so its state has 4 + 2N components; the caller
  * passes the state's dimension and a work buffer of 5 doubles per component.
  *
- * The second export, ``tubeint_csv`` (at the end of the file), writes a block
+ * The second export, ``tubeint_sum``, runs ``perturb._sum``'s Chebyshev
+ * recurrence and Horner sums over one block of points, with numpy's cos and
+ * sin of the points given, in the operations and order of the numpy loop.
+ *
+ * The third export, ``tubeint_csv`` (at the end of the file), writes a block
  * of rows as CSV text with each float exactly as Python's ``repr`` writes it,
  * so the CSV bytes are the same with and without this library.
  */
@@ -232,6 +241,93 @@ int tubeint_rk4(int system, int dim, const double *par, const double *coef, int6
     }
     memcpy(x, local, sizeof local[0] * (size_t)dim);
     return status;
+}
+
+/* Adds one row's polynomial of m coefficients a (lowest first) at each of
+ * the n points t, Horner-summed from the top, into sum: times the basis for
+ * a harmonic k > 0, alone for k = 0. */
+static inline void add_row(int64_t n, int m, int k, const double *restrict a,
+                           const double *restrict t, const double *restrict basis,
+                           double *restrict sum)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double v = a[m - 1];
+        for (int j = m - 2; j >= 0; j--)
+            v = v * t[i] + a[j];
+        sum[i] += k ? v * basis[i] : v;
+    }
+}
+
+#define SUM_BLOCK 512 /* points summed at a time: their recurrence stays in the L1 cache */
+
+/* tubeint_sum over at most SUM_BLOCK points. */
+static void sum_block(int64_t n, const double *restrict t, const double *restrict c1,
+                      const double *restrict s1, int pairs, int top, int width,
+                      const int64_t *restrict len, const double *restrict coef,
+                      double *restrict out, int64_t stride)
+{
+    double cp[SUM_BLOCK], sp[SUM_BLOCK], ck[SUM_BLOCK], sk[SUM_BLOCK];
+    int64_t i;
+
+    for (i = 0; i < n; i++) {
+        cp[i] = 1.0;
+        sp[i] = 0.0;
+        ck[i] = c1[i];
+        sk[i] = s1[i];
+    }
+    for (int k = 0; k <= top; k++) {
+        if (k > 1) {
+            for (i = 0; i < n; i++) {
+                const double twice = 2.0 * c1[i];
+                const double cn = twice * ck[i] - cp[i], sn = twice * sk[i] - sp[i];
+                cp[i] = ck[i];
+                sp[i] = sk[i];
+                ck[i] = cn;
+                sk[i] = sn;
+            }
+        }
+        for (int p = 0; p < pairs; p++) {
+            for (int r = 0; r < 2; r++) {
+                const int64_t row = ((int64_t)p * (top + 1) + k) * 2 + r;
+                const int m = (int)len[row];
+                const double *a = coef + row * width, *basis = r ? sk : ck;
+                double *sum = out + p * stride;
+                /* A constant m unrolls the Horner loop, so the point loop
+                 * vectorises: the series have at most 3 coefficients. */
+                switch (m) {
+                case 0: break;
+                case 1: add_row(n, 1, k, a, t, basis, sum); break;
+                case 2: add_row(n, 2, k, a, t, basis, sum); break;
+                case 3: add_row(n, 3, k, a, t, basis, sum); break;
+                default: add_row(n, m, k, a, t, basis, sum);
+                }
+            }
+        }
+    }
+}
+
+/* The series sums of ``perturb._sum`` over n points: the same operations in
+ * the same order for each point, so the same bits.
+ *
+ * t holds the points and c1, s1 their cos and sin, which the caller computes.
+ * For each of the pairs, harmonic k = 0 .. top and row r (0: cos k tau, 1:
+ * sin k tau), len[(p (top + 1) + k) 2 + r] is the number of polynomial
+ * coefficients in tau, lowest first, at coef + ((p (top + 1) + k) 2 + r)
+ * width.  Pair p's sum is added into out + p stride, which holds zeros or the
+ * sum so far.
+ *
+ * The loops run harmonic by harmonic over a block of points, as numpy runs
+ * them: cos k tau and sin k tau by the Chebyshev recurrence for k > 1, then
+ * each row Horner-summed and added in.  A loop over the points outside the
+ * one over k, with every harmonic of a point in registers, was no faster
+ * than numpy. */
+void tubeint_sum(int64_t n, const double *t, const double *c1, const double *s1, int pairs,
+                 int top, int width, const int64_t *len, const double *coef, double *out,
+                 int64_t stride)
+{
+    for (int64_t i = 0; i < n; i += SUM_BLOCK)
+        sum_block(n - i < SUM_BLOCK ? n - i : SUM_BLOCK, t + i, c1 + i, s1 + i, pairs, top,
+                  width, len, coef, out + i, stride);
 }
 
 /* CSV rows with floats written as Python's repr writes them.

@@ -1,14 +1,24 @@
-"""Build and load the compiled library of ``_rk4.c``: the RK4 steps and the CSV rows.
+"""Build and load the compiled library of ``_rk4.c``: the RK4 steps, the series
+sums and the CSV rows.
 
 ``_rk4.c`` writes each system (y, z, coupled, Ermakov) once, as a vector field
 under one RK4 stage routine and one exported function, ``tubeint_rk4``: the
 same field in C and in Python (``tubeint.integrate``), under one RK4 each,
 with the same expressions in the same order.  The coupled system carries N
 (z, p) pairs behind one coefficient block, so a run passes its dimension.
-Its second export, ``tubeint_csv``, writes a block of float64 rows as CSV
-lines, each float as ``repr`` writes it (``csv_rows``).  On first use, never
-at import, the file is compiled with the C compiler ``cc`` into a per-user
-cache, ``$XDG_CACHE_HOME/tubeint`` or else ``~/.cache/tubeint``.  The
+Its second export, ``tubeint_sum``, runs the loops over the harmonics of
+``perturb._sum`` on one block of points, with the numpy loop's operations in
+its order.  The third, ``tubeint_csv``, writes a block of float64 rows as CSV
+lines, each float as ``repr`` writes it (``csv_rows``).
+
+The bits are the same on both paths because ``FLAGS`` hold
+``-ffp-contract=off`` and no fast-math flag: no multiply and add is fused and
+no operation is reassociated.  ``-O3`` only vectorises loops whose lanes each
+do one point's operations in order.
+
+On first use, never at import, the file is compiled with the C compiler
+``cc`` into a per-user cache, ``$XDG_CACHE_HOME/tubeint`` or else
+``~/.cache/tubeint``.  The
 file name is keyed by the sha256 of the source and the flags and ends in a
 digest of the build's own bytes.  A build is written to a temporary file and
 moved into place, so concurrent first runs are safe, and a cached build whose
@@ -18,8 +28,9 @@ cannot be written or other users may write to it, the kernel is built in a
 per-process temporary directory instead.
 
 When there is no compiler, or the build or the load fails, ``library()`` is
-None, silently: the driver runs the Python RK4, and ``csv_rows`` joins
-``repr`` strings.  Either way the bits and bytes are the same.
+None, silently: the driver runs the Python RK4, ``perturb._sum`` its numpy
+loop, and ``csv_rows`` joins ``repr`` strings.  Either way the bits and bytes
+are the same.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ import numpy as np
 
 SOURCE = Path(__file__).with_name("_rk4.c")
 COMPILER = "cc"
-FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 LIBS = ("-lm",)
 
 #: The systems of ``tubeint_rk4``, in the order of its system enum.
@@ -73,6 +84,20 @@ _CSV_ARGTYPES = [
 ]
 #: An upper bound of the bytes of one value and its separator.
 CSV_BYTES = 25
+
+_SUM_ARGTYPES = [
+    ctypes.c_int64,  # n: the block's points
+    ctypes.c_void_p,  # tau, C-contiguous float64
+    ctypes.c_void_p,  # cos tau
+    ctypes.c_void_p,  # sin tau
+    ctypes.c_int,  # pairs
+    ctypes.c_int,  # top: the highest harmonic
+    ctypes.c_int,  # width: coefficients per row of the table
+    ctypes.c_void_p,  # int64 lengths, (pairs, top + 1, 2)
+    ctypes.c_void_p,  # coefficients, (pairs, top + 1, 2, width)
+    ctypes.c_void_p,  # out: pair p's sums at out + p stride, added to
+    ctypes.c_int64,  # stride
+]
 
 _UNSET = object()
 _lib = _UNSET
@@ -170,6 +195,8 @@ def _open(path: Path):
         lib.tubeint_rk4.restype = ctypes.c_int
         lib.tubeint_csv.argtypes = _CSV_ARGTYPES
         lib.tubeint_csv.restype = ctypes.c_int64
+        lib.tubeint_sum.argtypes = _SUM_ARGTYPES
+        lib.tubeint_sum.restype = None
     except (OSError, AttributeError):
         return None
     return lib

@@ -77,7 +77,7 @@ def _params_from_args(args) -> SystemParams:
     return SystemParams(omega=args.omega, c1=args.c1, c2=args.c2, epsilon=eps, y0=args.y0)
 
 
-#: --record-every when not given.  A run of fewer steps is rounded up to it.
+#: --record-every when not given; a run of fewer steps records its last one.
 RECORD_EVERY = 100
 
 
@@ -85,13 +85,14 @@ def _resolve_record_every(args) -> None:
     """Fill in the default --record-every, or reject a given one above the run's steps.
 
     ``IntegrationConfig`` rounds a run up to whole record intervals, so a
-    record interval longer than the run would set the run's length.
+    record interval longer than the run would set the run's length.  The
+    default is ``RECORD_EVERY`` or the run's steps, round(t-max / h), if fewer.
     """
-    if args.record_every is None:
-        args.record_every = RECORD_EVERY
-        return
     end = "tau_max" if hasattr(args, "tau_max") else "t_max"
     steps = IntegrationConfig(t_end=getattr(args, end), h=args.h).plan()[0]
+    if args.record_every is None:
+        args.record_every = min(RECORD_EVERY, steps)
+        return
     if args.record_every > steps:
         flag = "--" + end.replace("_", "-")
         raise InvalidInput(f"--record-every {args.record_every} exceeds the run's {steps} steps "
@@ -283,8 +284,9 @@ def cmd_gplot(args) -> int:
 def _add_common(sub, tau_axis: bool, t_default: float) -> None:
     sub.add_argument("--h", type=float, default=1e-3, help="integration step")
     sub.add_argument("--record-every", type=int, default=None,
-                     help=f"store every Nth step (CSV decimation, default {RECORD_EVERY}); "
-                          "a given value may not exceed the run's steps, round(t-max / h)")
+                     help=f"store every Nth step (CSV decimation, default {RECORD_EVERY}, or "
+                          "the run's steps if fewer); a given value may not exceed the run's "
+                          "steps, round(t-max / h)")
     sub.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
     sub.add_argument("--emit-plot", action="store_true",
                      help="also write a gnuplot script next to the CSV")

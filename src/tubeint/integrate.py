@@ -265,10 +265,15 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
 def _profile(params: SystemParams) -> Callable[[np.ndarray], np.ndarray]:
     """Unit forcing profile w(tau); the forcing in rescaled time is eps * w(tau).
 
-    w is (c1 cos + c2 sin) / hypot(c1, c2), and cos(tau) when unforced.
+    w is (c1 cos + c2 sin) / hypot(c1, c2), and cos(tau) when unforced.  For
+    (a, b) = (1, 0), canonical or unforced, w is np.cos itself, with the same
+    bits: 1.0 x = x, and cos(tau) + (+-0.0) = cos(tau) because the cosine of a
+    finite double is never 0.
     """
     r = math.hypot(params.c1, params.c2)
     a, b = (params.c1 / r, params.c2 / r) if r else (1.0, 0.0)
+    if (a, b) == (1.0, 0.0):
+        return np.cos
     return lambda tau: a * np.cos(tau) + b * np.sin(tau)
 
 

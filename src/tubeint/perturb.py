@@ -18,7 +18,10 @@ lower R_j.  ``_tables`` solves this recursion exactly in rational arithmetic and
 derives every other series from the R_n: rho', the once-integrated forcing J
 (from which the second derivative is reconstructed, never by differentiating
 truncated expressions numerically) and the invariant's coefficients.  The
-tables are built on first use and cached per process; one evaluator sums them.
+tables are built on first use and cached per process; one evaluator, ``_sum``,
+sums them.  Its loops over the harmonics run in C (``tubeint_sum`` in
+``_rk4.c``) when the compiled library loads and in numpy otherwise, with the
+same operations in the same order, so the same bits.
 """
 
 from __future__ import annotations
@@ -209,20 +212,55 @@ def _folded(kind: str, weights: tuple) -> dict[int, tuple]:
     return {k: tuple(np.trim_zeros(row, "b") for row in rows) for k, rows in coef.items()}
 
 
+@functools.lru_cache(maxsize=64)
+def _packed(pairs: tuple) -> tuple[int, np.ndarray, np.ndarray]:
+    """The folded rows of the (kind, weights) pairs as the dense tables of
+    ``tubeint_sum``: the highest harmonic, the row lengths (pairs, top + 1, 2)
+    and the coefficients (pairs, top + 1, 2, width), zero past each length."""
+    coefs = [_folded(kind, weights) for kind, weights in pairs]
+    top = max(max(coef, default=0) for coef in coefs)
+    width = max([1] + [len(row) for coef in coefs for rows in coef.values() for row in rows])
+    lengths = np.zeros((len(coefs), top + 1, 2), dtype=np.int64)
+    table = np.zeros((len(coefs), top + 1, 2, width))
+    for p, coef in enumerate(coefs):
+        for k, rows in coef.items():
+            for r, row in enumerate(rows):
+                lengths[p, k, r] = len(row)
+                table[p, k, r, : len(row)] = row
+    lengths.flags.writeable = table.flags.writeable = False
+    return top, lengths, table
+
+
 def _sum(tau, *pairs) -> list[np.ndarray]:
     """sum_n weights[n] T_n(tau) for each (kind, weights) pair, one array per pair.
 
-    Per block of points, cos(tau) and sin(tau) once; cos k tau and sin k tau
-    by the Chebyshev recurrence, then each pair's polynomials Horner-summed in
-    ascending k.  Each point is computed alone, whatever the blocking."""
+    Per block of points, cos(tau) and sin(tau) once, from numpy; cos k tau and
+    sin k tau by the Chebyshev recurrence, then each pair's polynomials
+    Horner-summed in ascending k.  Each point is computed alone, whatever the
+    blocking.  The loops over k run in C (``tubeint_sum`` in ``_rk4.c``) when
+    the compiled library loads, and in numpy otherwise, with the same
+    operations in the same order: the same bits."""
+    from . import _rk4  # on first use: starting the command line does not need it
+
     tau = np.asarray(tau, dtype=float)
-    coefs = [_folded(kind, tuple(weights)) for kind, weights in pairs]
-    top = max(max(coef, default=0) for coef in coefs)
+    pairs = tuple((kind, tuple(weights)) for kind, weights in pairs)
     flat = tau.reshape(-1)
-    outs = [np.zeros(flat.shape) for _ in coefs]
+    outs = np.zeros((len(pairs), flat.size))
+    lib = _rk4.library()
+    if lib is not None:
+        top, lengths, table = _packed(pairs)
+    else:
+        coefs = [_folded(kind, weights) for kind, weights in pairs]
+        top = max(max(coef, default=0) for coef in coefs)
     for start in range(0, flat.size, _BLOCK):
         t = flat[start : start + _BLOCK]
         cp, sp, ck, sk = 1.0, 0.0, np.cos(t), np.sin(t)
+        if lib is not None:
+            t = np.ascontiguousarray(t)
+            lib.tubeint_sum(t.size, t.ctypes.data, ck.ctypes.data, sk.ctypes.data, len(pairs),
+                            top, table.shape[-1], lengths.ctypes.data, table.ctypes.data,
+                            outs[:, start:].ctypes.data, outs.shape[1])
+            continue
         twice = 2.0 * ck
         for k in range(top + 1):
             if k > 1:

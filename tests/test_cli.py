@@ -422,6 +422,15 @@ def test_unwritable_output_exit_code_two(tmp_path, capsys):
     assert err.startswith("error: FileNotFoundError: ") and err.count("\n") == 1
 
 
+def test_default_record_every_ends_a_short_run_at_its_end(capsys):
+    # 10 steps: the default records every 10th step, not every 100th past the end
+    assert run(["simulate-y", "--tau-max", "0.01", "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "# record_every=10\n" in out
+    rows = [line for line in out.splitlines() if not line.startswith("#")][1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.01]
+
+
 def test_overflow_exit_code_three(capsys):
     argv = ["simulate-y", "--y0", "1e-250", "--eps", "0", "--tau-max", "0.001"]
     assert run(argv + ["--out", "-"]) == 3
@@ -450,8 +459,10 @@ def short_runs(draw):
     """argv of a short simulate-y, fourier, invariant-drift (both modes) or ermakov run."""
     command = draw(st.sampled_from(
         ["simulate-y", "fourier", "exact", "perturbative", "ermakov"]))
-    argv = [f"--h={draw(_num(1e-3, 0.5))}", f"--record-every={draw(st.integers(1, 10))}"]
-    t_end = draw(_num(1e-3, 1.0))
+    h, t_end = draw(_num(1e-3, 0.5)), draw(_num(1e-3, 1.0))
+    # at most the run's steps, so that a run reaches the integrator
+    steps = max(1, round(float(t_end) / float(h)))
+    argv = [f"--h={h}", f"--record-every={draw(st.integers(1, min(10, steps)))}"]
     if command == "ermakov":
         return ["ermakov", f"--t-max={t_end}", f"--l0={draw(_num(0.0, 1.0))}",
                 f"--ts={draw(_num(1e-3, 10.0))}", f"--f0={draw(_num(1e-3, 10.0))}",

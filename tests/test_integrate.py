@@ -69,6 +69,19 @@ def test_rescaled_y_run_does_not_depend_on_omega(omega):
     assert traj.data.tobytes() == reference.data.tobytes()
 
 
+@pytest.mark.parametrize("c1, c2", [(0.1, 0.0), (2.5, -0.0), (0.0, 0.0), (0.1, 0.05),
+                                     (-0.1, 0.0), (0.0, 0.3)])
+def test_forcing_profile_has_the_bits_of_both_terms(c1, c2):
+    # canonical and unforced runs take cos(tau) alone: 1.0 * cos = cos, and
+    # cos + (+-0.0) = cos because no finite double has a cosine of 0
+    r = math.hypot(c1, c2)
+    a, b = (c1 / r, c2 / r) if r else (1.0, 0.0)
+    profile = tubeint.integrate._profile(SystemParams(c1=c1, c2=c2))
+    tau = np.concatenate([np.linspace(-50.0, 500.0, 100_001), [0.0, -0.0, 1e6, math.pi / 2]])
+    assert profile(tau).tobytes() == (a * np.cos(tau) + b * np.sin(tau)).tobytes()
+    assert (profile is np.cos) == (c1 >= 0.0 and c2 == 0.0)
+
+
 def test_plan_rounds_up_to_record_multiple():
     cfg = IntegrationConfig(t_end=1.05, h=1e-2, record_every=10)
     n_steps, n_intervals = cfg.plan()

@@ -215,6 +215,16 @@ def test_kernel_source_compiles_without_warnings():
     assert done.returncode == 0, done.stderr
 
 
+def test_kernel_flags_keep_the_bits():
+    # the C and Python paths agree to the bit only without fused multiply-adds
+    # and without math optimisations that change values; an -march build may
+    # not run on another machine that shares the cache directory
+    assert "-ffp-contract=off" in rk4.FLAGS
+    unsafe = {"-Ofast", "-ffast-math", "-funsafe-math-optimizations", "-fassociative-math"}
+    assert not unsafe & set(rk4.FLAGS)
+    assert not any(flag.startswith("-march") for flag in rk4.FLAGS)
+
+
 @needs_compiler
 def test_kernel_runs_when_a_compiler_exists():
     for system, a, cfg in _RUNS:

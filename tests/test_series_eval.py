@@ -6,14 +6,18 @@ computed alone, so splitting the points differently, or passing them one at
 a time, must give the same bits; so must summing several (kind, weights)
 pairs in one call instead of one call each.  Against the per-frequency
 evaluation it replaced (``np.cos(k * tau)`` for every k, written out below as
-the reference) the outputs move only at roundoff.
+the reference) the outputs move only at roundoff.  The loops over k run in C
+when the compiled library loads and in numpy otherwise, with the same bits.
 """
+
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tubeint import _rk4 as rk4
 from tubeint import perturb
 from tubeint.model import SystemParams
 from tubeint.perturb import _BLOCK, _composites, _prepare, _sum, alpha2_derivatives, g_of_t
@@ -73,6 +77,30 @@ def test_sum_does_not_depend_on_blocking(case):
     scalars = [_sum(float(tau[i]), (case["kind"], weights))[0] for i in at]
     assert all(s.shape == () for s in scalars)
     assert np.array(scalars).tobytes() == whole[at].tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, _BLOCK])
+def test_compiled_sum_matches_the_numpy_loop(block):
+    if rk4.library() is None:
+        pytest.skip("no compiled library")
+    pairs = [(kind, _weights(kind, 0.1, 0.8, order)) for kind in KINDS for order in (1, 2, 3)]
+    tau = np.random.default_rng(3).uniform(-600.0, 600.0, max(60, 2 * block + 5))
+    tau[:4] = 0.0, -0.0, 1e6, -1e6
+    taus = [1.3, -2.5, np.float64(1e6), np.empty(0), np.empty((0, 3)), tau, tau[::3],
+            tau[:60].reshape(6, 10), tau[:60].reshape(10, 6).T, tau[:-20:-7]]
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(perturb, "_BLOCK", block)
+        for t in taus:
+            for call in [pairs, *([pair] for pair in pairs)]:
+                compiled = _sum(t, *call)
+                with pytest.MonkeyPatch.context() as mp_numpy:
+                    mp_numpy.setattr(rk4, "_lib", None)
+                    reference = _sum(t, *call)
+                assert len(compiled) == len(reference) == len(call)
+                for c, r in zip(compiled, reference):
+                    assert c.shape == r.shape == np.shape(t)
+                    assert c.tobytes() == r.tobytes()
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
