@@ -340,12 +340,23 @@ void tubeint_sum(int64_t n, const double *t, const double *c1, const double *s1,
  * stored as (g >> 63, g mod 2^63).  The caller computes g with exact integers.
  * Unlike the Java original, which keeps at least two digits, a one-digit
  * result is allowed, as in repr's 5e-324.
+ *
+ * Each 64 x 64 -> 128-bit product is one multiply of the compiler's
+ * ``unsigned __int128`` (GCC and Clang), without a fallback: a compiler
+ * without it fails the build, and tubeint then writes its CSVs by ``repr``.
+ * The digits are written from the end of the number, two at a time from a
+ * table of the pairs 00 .. 99, straight into their place in the line; the
+ * lowest 8 digits of a number of more than 8 are split off first, so the two
+ * division chains run side by side.  The number of digits comes from the bit
+ * length (as in Adams, "Ryu: fast float-to-string conversion", PLDI 2018).
  */
 
 #define K_MIN (-324)
 #define Q_MIN (-1074)
 #define C_MIN ((uint64_t)1 << 52)
 #define MASK63 (((uint64_t)1 << 63) - 1)
+
+__extension__ typedef unsigned __int128 uint128;
 
 /* floor(x / 2^n), also for negative x */
 static inline int floor_shift(int64_t x, int n)
@@ -364,10 +375,7 @@ static inline int flog2pow10(int e) { return floor_shift(e * INT64_C(91312464174
 /* The high 64 bits of the 128-bit product a b. */
 static inline uint64_t mulhi(uint64_t a, uint64_t b)
 {
-    const uint64_t a0 = a & 0xffffffffu, a1 = a >> 32, b0 = b & 0xffffffffu, b1 = b >> 32;
-    const uint64_t p01 = a0 * b1, p10 = a1 * b0;
-    const uint64_t mid = ((a0 * b0) >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    return (uint64_t)((uint128)a * b >> 64);
 }
 
 /* Round to odd of g cp / 2^127 (g = g1 2^63 + g0). */
@@ -421,18 +429,54 @@ static char *put(char *p, const char *s)
     return p;
 }
 
-/* The digits of n at p, most significant first. */
+static const char PAIRS[200] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* 0 and 10^k, k = 1 .. 19: n has digits(n) digits. */
+static const uint64_t TENS[20] = {
+    0, UINT64_C(10), UINT64_C(100), UINT64_C(1000), UINT64_C(10000), UINT64_C(100000),
+    UINT64_C(1000000), UINT64_C(10000000), UINT64_C(100000000), UINT64_C(1000000000),
+    UINT64_C(10000000000), UINT64_C(100000000000), UINT64_C(1000000000000),
+    UINT64_C(10000000000000), UINT64_C(100000000000000), UINT64_C(1000000000000000),
+    UINT64_C(10000000000000000), UINT64_C(100000000000000000),
+    UINT64_C(1000000000000000000), UINT64_C(10000000000000000000)};
+
+/* The number of decimal digits of n, 1 for 0: the bit length times log10 2
+ * (1233 / 4096) is the count or one less. */
+static inline int digits(uint64_t n)
+{
+    const int t = (64 - __builtin_clzll(n | 1)) * 1233 >> 12;
+    return t + (n >= TENS[t]);
+}
+
+/* The pair of digits of n < 100 at p. */
+static inline void put2(char *p, uint32_t n) { memcpy(p, PAIRS + 2 * n, 2); }
+
+/* The digits of n, most significant first, in p[0 .. digits(n)); returns
+ * the end. */
 static char *put_uint(char *p, uint64_t n)
 {
-    char d[20];
-    int i = 20;
+    char *const end = p + digits(n), *q = end;
 
-    do
-        d[--i] = (char)('0' + n % 10);
-    while (n /= 10);
-    while (i < 20)
-        *p++ = d[i++];
-    return p;
+    while (n >= 100000000) { /* the lowest 8 digits, apart from the rest */
+        const uint32_t low = (uint32_t)(n % 100000000), a = low / 10000, b = low % 10000;
+        n /= 100000000;
+        q -= 8;
+        put2(q, a / 100);
+        put2(q + 2, a % 100);
+        put2(q + 4, b / 100);
+        put2(q + 6, b % 100);
+    }
+    uint32_t m = (uint32_t)n;
+    for (; m >= 100; m /= 100)
+        put2(q -= 2, m % 100);
+    if (m >= 10)
+        put2(q - 2, m);
+    else
+        q[-1] = (char)('0' + m);
+    return end;
 }
 
 /* v as repr(v) writes it: at most 24 characters. */
@@ -464,17 +508,13 @@ static char *put_double(char *p, double v, const uint64_t *g)
     for (; f % 10 == 0; f /= 10)
         e++;
 
-    /* the digits d[0 .. n) with the decimal point after digit decpt */
-    char d[20];
-    const int n = (int)(put_uint(d, f) - d), decpt = n + e;
-    int i;
-    if (decpt <= -4 || decpt > 16) {
-        *p++ = d[0];
-        if (n > 1) {
-            *p++ = '.';
-            for (i = 1; i < n; i++)
-                *p++ = d[i];
-        }
+    /* the n digits of f with the decimal point after digit decpt */
+    const int n = digits(f), decpt = n + e;
+    if (decpt <= -4 || decpt > 16) { /* d.ddde-XX: the digits one place on, then d. */
+        put_uint(p + 1, f);
+        p[0] = p[1];
+        p[1] = '.';
+        p += n > 1 ? n + 1 : 1;
         const int x = decpt - 1;
         *p++ = 'e';
         *p++ = x < 0 ? '-' : '+';
@@ -482,25 +522,19 @@ static char *put_double(char *p, double v, const uint64_t *g)
             *p++ = '0';
         return put_uint(p, (uint64_t)abs(x));
     }
-    if (decpt <= 0) {
-        *p++ = '0';
-        *p++ = '.';
-        for (i = decpt; i < 0; i++)
-            *p++ = '0';
-        for (i = 0; i < n; i++)
-            *p++ = d[i];
-        return p;
+    if (decpt <= 0) { /* 0.000ddd */
+        memcpy(p, "0.000", (size_t)(2 - decpt));
+        return put_uint(p + 2 - decpt, f);
     }
-    for (i = 0; i < n; i++) {
-        if (i == decpt)
-            *p++ = '.';
-        *p++ = d[i];
+    if (decpt < n) { /* dd.ddd: the digits one place on, then the first decpt back */
+        char *const end = put_uint(p + 1, f);
+        memmove(p, p + 1, (size_t)decpt);
+        p[decpt] = '.';
+        return end;
     }
-    if (decpt < n)
-        return p;
-    for (; i < decpt; i++)
-        *p++ = '0';
-    return put(p, ".0");
+    p = put_uint(p, f); /* ddd000.0 */
+    memcpy(p, "000000000000000", (size_t)(decpt - n));
+    return put(p + decpt - n, ".0");
 }
 
 /* The rows x cols values of x (C order) as CSV lines into out, each line

@@ -9,7 +9,8 @@ with the same expressions in the same order.  The coupled system carries N
 Its second export, ``tubeint_sum``, runs the loops over the harmonics of
 ``perturb._sum`` on one block of points, with the numpy loop's operations in
 its order.  The third, ``tubeint_csv``, writes a block of float64 rows as CSV
-lines, each float as ``repr`` writes it (``csv_rows``).
+lines, each float as ``repr`` writes it (``csv_rows``): Schubfach's shortest
+digits from 128-bit products, written two at a time into their places.
 
 The bits are the same on both paths because ``FLAGS`` hold
 ``-ffp-contract=off`` and no fast-math flag: no multiply and add is fused and
@@ -27,8 +28,10 @@ the builds of other keys (other sources) from its directory.  If the cache
 cannot be written or other users may write to it, the kernel is built in a
 per-process temporary directory instead.
 
-When there is no compiler, or the build or the load fails, ``library()`` is
-None, silently: the driver runs the Python RK4, ``perturb._sum`` its numpy
+The 128-bit products are the compiler's ``unsigned __int128`` (GCC, Clang),
+with no fallback in C: a compiler without it fails the build, which then
+counts as no compiler.  When there is no compiler, or the build or the load
+fails, ``library()`` is None, silently: the driver runs the Python RK4, ``perturb._sum`` its numpy
 loop, and ``csv_rows`` joins ``repr`` strings.  Either way the bits and bytes
 are the same.
 """

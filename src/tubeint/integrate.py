@@ -223,7 +223,9 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
     try:
         out = np.empty((n_intervals + 1, len(x)))
     except (MemoryError, ValueError) as exc:
-        raise InvalidInput(f"cannot allocate {n_intervals + 1} recorded samples ({exc})") from exc
+        raise InvalidInput(
+            f"cannot allocate {float(n_intervals + 1):.6g} recorded samples ({exc})"
+        ) from exc
     out[0] = x
     rows = 1
     run = _rk4.kernel(system, (h, eps, omega), x, out, spec.escape, limit, rec)

@@ -325,6 +325,7 @@ def test_validation_failure_exit_code_two(capsys):
         assert run(argv + ["--out", "-"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: NonPositive: ") and err.count("\n") == 1
+        assert len(err) < 200, err
     for argv in (
         ["simulate-y", "--tau-max", "inf"],
         ["ermakov", "--z0", "nan"],
@@ -341,10 +342,13 @@ def test_validation_failure_exit_code_two(capsys):
         ["invariant-drift", "--mode", "exact", "--t-max", "1", "--omega", "1e200"],
         ["simulate-y", "--tau-max", "1", "--c1", "1e300", "--omega", "1e-10"],
         ["simulate-y", "--tau-max", "1", "--eps", "1e300", "--omega", "1e10"],
+        # 1e298 recorded samples: the count is written as a float, not its 299 digits
+        ["simulate-y", "--tau-max", "1", "--h", "1e-300"],
     ):
         assert run(argv + ["--out", "-"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidInput: ") and err.count("\n") == 1
+        assert len(err) < 200, err
 
 
 @pytest.mark.parametrize("argv, c1, c2, eps", [

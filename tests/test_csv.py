@@ -8,7 +8,9 @@ write the same bytes on both paths.
 
 import contextlib
 import math
+import os
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -100,6 +102,130 @@ def test_integer_columns(path):
     assert text == ("0,0.5,-3\n"
                     "7,-0.0,9007199254740992\n"
                     "-9007199254740992,1e+300,0\n")
+
+
+def _layouts():
+    """Floats of 1 to 17 significant digits with the leading digit at 10^k,
+    k = -7 .. 18, of both signs: every place of the decimal point on both sides
+    of the switches to exponent notation (decpt <= -4 and decpt > 16)."""
+    values = []
+    for digits in ("12345678912345678", "99999999999999999"):
+        for n in range(1, 18):
+            for k in range(-7, 19):
+                v = float(f"{digits[:n]}e{k - n + 1}")
+                values += [v, -v]
+    return values
+
+
+def _powers_of_ten_and_neighbours():
+    """10^k - 1, 10^k and 10^k + 1 for k = 0 .. 15, 0 and +-2^53: the ends of
+    each digit count."""
+    return [0.0, 2.0**53, -2.0**53] + [float(10**k + d) for k in range(16) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_digit_layout_boundaries(path):
+    floats = _column(_layouts())
+    ints = _column(_powers_of_ten_and_neighbours())
+    with _on(path):
+        text = rk4.csv_rows(floats, [False])
+        as_int = rk4.csv_rows(ints, [True])
+        as_float = rk4.csv_rows(ints, [False])
+    _assert_repr_rows(text, floats)
+    assert as_int == "".join(f"{int(v)}\n" for v in ints[:, 0])
+    _assert_repr_rows(as_float, ints)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_time_columns_and_trailing_zeros(path):
+    # the recorded times k h of a run, and values whose shortest digits end in
+    # zeros, which random bit patterns almost never give
+    k = np.arange(100_001)
+    block = np.stack([k * 1e-3, k * (2 * math.pi / 4096)], axis=1)
+    zeros = _column([1.5e-7, 120.0, 1e22, 123456789012345680.0, 1e-7, 1e16, 1e17,
+                     1234567.0, 0.001, 1000.0])
+    with _on(path):
+        text = rk4.csv_rows(block, [False, False])
+        zeros_text = rk4.csv_rows(np.concatenate([zeros, -zeros]), [False])
+    _assert_repr_rows(text, block)
+    _assert_repr_rows(zeros_text, np.concatenate([zeros, -zeros]))
+
+
+# 24 characters, the longest repr: with the separator, CSV_BYTES
+LONGEST = [-2.2250738585072014e-308, -1.7976931348623157e308, -1.2345678901234567e-100]
+
+SANITIZER_MAIN = """
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+int64_t tubeint_csv(const double *x, int64_t rows, int64_t cols, const unsigned char *integer,
+                    const uint64_t *g, char *out);
+
+static const uint64_t G[] = {%(g)s};
+static const uint64_t BITS[] = {%(x)s};
+static const unsigned char FLOATS[%(cols)d];
+
+/* The block, then each value alone, each into a heap buffer of exactly
+ * CSV_BYTES per value, so that a write past its end is reported. */
+int main(void)
+{
+    const int64_t rows = %(rows)d, cols = %(cols)d;
+    double *x = malloc(sizeof BITS);
+    char *out = malloc(%(bytes)d * rows * cols);
+    int64_t i, n;
+
+    memcpy(x, BITS, sizeof BITS);
+    n = tubeint_csv(x, rows, cols, FLOATS, G, out);
+
+    fwrite(out, 1, (size_t)n, stdout);
+    free(out);
+    for (i = 0; i < rows * cols; i++) {
+        out = malloc(%(bytes)d);
+        n = tubeint_csv(x + i, 1, 1, FLOATS, G, out);
+        fwrite(out, 1, (size_t)n, stdout);
+        free(out);
+    }
+    free(x);
+    return 0;
+}
+"""
+
+
+def test_formatter_under_address_and_undefined_sanitizers(tmp_path):
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    flags = ["-std=c99", "-g", "-O1", "-fsanitize=address,undefined",
+             "-fno-sanitize-recover=all", "-ffp-contract=off"]
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    if subprocess.run([cc, *flags, "-o", str(tmp_path / "probe"), str(probe)],
+                      capture_output=True, timeout=120).returncode != 0:
+        pytest.skip("no sanitizer runtime")
+    values = (SPECIAL + _layouts()[::7] + [0.001 * k for k in range(0, 5000, 37)]
+              + [1.5e-7, 120.0, 1e22, 123456789012345680.0])
+    cols = len(LONGEST)
+    values += [0.0] * (-len(values) % cols) + LONGEST
+    block = np.array(values).reshape(-1, cols)
+    assert all(len(repr(v)) + 1 == rk4.CSV_BYTES for v in LONGEST)
+    main_c = tmp_path / "main.c"
+    main_c.write_text(SANITIZER_MAIN % {
+        "g": ",".join(f"UINT64_C({int(v)})" for v in rk4._pow10_table().ravel()),
+        "x": ",".join(f"UINT64_C({v})" for v in block.ravel().view(np.uint64).tolist()),
+        "rows": block.shape[0], "cols": cols, "bytes": rk4.CSV_BYTES})
+    exe = tmp_path / "csv"
+    built = subprocess.run([cc, *flags, "-o", str(exe), str(main_c), str(rk4.SOURCE), "-lm"],
+                           capture_output=True, text=True, timeout=300)
+    assert built.returncode == 0, built.stderr[-2000:]
+    done = subprocess.run([str(exe)], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "ASAN_OPTIONS": "detect_leaks=0"})
+    assert done.returncode == 0 and done.stderr == "", done.stderr[-2000:]
+    lines = done.stdout.split("\n")
+    assert lines.pop() == ""
+    _assert_repr_rows("\n".join(lines[:len(block)]) + "\n", block)
+    assert lines[len(block):] == [repr(v) for v in block.ravel().tolist()]
 
 
 # short runs recording every step; fourier needs five complete 2 pi windows
