@@ -31,9 +31,9 @@ per-process temporary directory instead.
 The 128-bit products are the compiler's ``unsigned __int128`` (GCC, Clang),
 with no fallback in C: a compiler without it fails the build, which then
 counts as no compiler.  When there is no compiler, or the build or the load
-fails, ``library()`` is None, silently: the driver runs the Python RK4, ``perturb._sum`` its numpy
-loop, and ``csv_rows`` joins ``repr`` strings.  Either way the bits and bytes
-are the same.
+fails, ``library()`` is None, silently: the driver runs the Python RK4,
+``perturb._sum`` its numpy loop, and ``csv_rows`` joins ``repr`` strings.
+Either way the bits and bytes are the same.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Each case runs twice: on the compiled formatter and on the ``repr`` path,
 chosen by setting the loaded library to None.  Every row must equal
 ``",".join(repr(float(v)) for v in row)``, and every data subcommand must
-write the same bytes on both paths.
+write the same bytes on both paths.  The formatter is also built on its own
+under the address and undefined-behaviour sanitizers.
 """
 
 import contextlib
