@@ -1,4 +1,4 @@
-/* Compiled RK4 for tubeint's four systems (y, z, coupled and Ermakov), the
+/* Compiled RK4 for tubeint's three systems (z, coupled and Ermakov), the
  * series sums of ``perturb._sum`` and the CSV rows of the command-line tool.
  *
  * Each system is written once, as a vector field evaluated in the same order
@@ -18,14 +18,16 @@
  * OverflowError where ``**`` overflows; C returns inf, so every ``pow`` result
  * is checked and reported as NONFINITE at the step where Python would raise.
  *
- * The one export, ``tubeint_rk4``, runs the steps start .. stop-1 of one
+ * The first export, ``tubeint_rk4``, runs the steps start .. stop-1 of one
  * chunk over the half-step coefficient table ``coef`` (coef[2i .. 2i+2] at t,
  * t + h/2 and t + h of step start + i), with the escape test after every step
  * and the finiteness test at every record point.  It writes each recorded
  * state into row ``*rows`` of ``out`` and returns a status code (below).  The
- * coupled system carries any number N >= 1 of (z, p) pairs behind its one
+ * coupled system carries any number N >= 0 of (z, p) pairs behind its one
  * (y, y', y'', J) block, so its state has 4 + 2N components; the caller
  * passes the state's dimension and a work buffer of 5 doubles per component.
+ * With N = 0 and omega = 1 it is the coefficient system in rescaled time
+ * (``integrate_y``): every ``om *`` is then an exact multiply by 1.
  *
  * The second export, ``tubeint_sum``, runs ``perturb._sum``'s Chebyshev
  * recurrence and Horner sums over one block of points, with numpy's cos and
@@ -41,7 +43,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { Y, Z, COUPLED, ERMAKOV }; /* the systems, in the order of _rk4.KERNELS */
+enum { Z, COUPLED, ERMAKOV }; /* the systems, in the order of _rk4.KERNELS */
 
 enum {
     OK = 0,
@@ -53,7 +55,7 @@ enum {
     NONPOSITIVE_H = 5     /* ... at t + h */
 };
 
-#define DIM 6 /* the largest state of fixed size: y and Ermakov, z, one coupled pair */
+#define DIM 6 /* the largest state of fixed size: z, Ermakov, coupled with N <= 1 */
 /* Unrolled, the stage loops keep a state in registers as hand-written stages do. */
 #define UNROLLED _Pragma("GCC unroll 6")
 
@@ -70,22 +72,6 @@ typedef int (*field_fn)(const struct sys *s, int dim, const double *x, double c,
 #define POSITIVE(v) if ((v) <= 0.0) { *value = (v); return NONPOSITIVE_T; }
 #define POW(out, v, e) const double out = pow((v), (e)); if (isinf(out)) return NONFINITE;
 
-/* (y, y', y'', J) in rescaled time. */
-static inline int field_y(const struct sys *s, int dim, const double *x, double c, double *k,
-                          double *value)
-{
-    const double y = x[0], dy = x[1], ddy = x[2], eps = s->eps;
-
-    (void)dim;
-    POSITIVE(y);
-    POW(pw, y, -2.5);
-    k[0] = dy;
-    k[1] = ddy;
-    k[2] = eps * c * pw - 4.0 * dy;
-    k[3] = pw * c;
-    return OK;
-}
-
 /* (z, p) of z'' + omega^2 z + g(t) z^2 = 0; c is g. */
 static inline int field_z(const struct sys *s, int dim, const double *x, double c, double *k,
                           double *value)
@@ -99,8 +85,8 @@ static inline int field_z(const struct sys *s, int dim, const double *x, double 
     return OK;
 }
 
-/* (y, y', y'', J) in physical time, then the (z, p) pairs, each driven by
- * g = y^(-5/2): one pow per stage for all of them. */
+/* (y, y', y'', J) in physical time, then the N >= 0 (z, p) pairs, each
+ * driven by g = y^(-5/2): one pow per stage for all of them. */
 static inline int field_coupled(const struct sys *s, int dim, const double *x, double c,
                                 double *k, double *value)
 {
@@ -219,26 +205,26 @@ int tubeint_rk4(int system, int dim, const double *par, const double *coef, int6
      * then its work), with a dimension known to the compiler: 8 % (z) to
      * 22 % (Ermakov) faster per step than in the caller's buffers. */
     double local[6 * DIM];
-    static const int fixed[] = {4, 2, 6, 4}; /* the local dimension of each system */
     int status;
 
 #define RUN(field, n, state, buf) \
     run(field, n, &s, coef, start, stop, rec, esc, limit, state, buf, out, rows, at, value)
 #define LOCAL(field, n) RUN(field, n, local, local + DIM)
-    if (system < Y || system > ERMAKOV)
-        return -1;
-    if (dim > DIM)
-        return system == COUPLED && dim % 2 == 0 ? RUN(field_coupled, dim, x, work) : -1;
-    if (dim != fixed[system])
+    if (system == COUPLED && dim > DIM && dim % 2 == 0)
+        return RUN(field_coupled, dim, x, work);
+    if (dim < 0 || dim > DIM)
         return -1;
     memcpy(local, x, sizeof local[0] * (size_t)dim);
-    switch (system) {
-    case Y: status = LOCAL(field_y, 4); break;
-    case Z: status = LOCAL(field_z, 2); break;
-    case COUPLED: status = LOCAL(field_coupled, 6); break;
-    case ERMAKOV: status = LOCAL(field_ermakov, 4); break;
-    default: return -1;
-    }
+    if (system == Z && dim == 2)
+        status = LOCAL(field_z, 2);
+    else if (system == COUPLED && dim == 4) /* integrate_y */
+        status = LOCAL(field_coupled, 4);
+    else if (system == COUPLED && dim == 6)
+        status = LOCAL(field_coupled, 6);
+    else if (system == ERMAKOV && dim == 4)
+        status = LOCAL(field_ermakov, 4);
+    else
+        return -1;
     memcpy(x, local, sizeof local[0] * (size_t)dim);
     return status;
 }

@@ -1,11 +1,12 @@
 """Build and load the compiled library of ``_rk4.c``: the RK4 steps, the series
 sums and the CSV rows.
 
-``_rk4.c`` writes each system (y, z, coupled, Ermakov) once, as a vector field
-under one RK4 stage routine and one exported function, ``tubeint_rk4``: the
-same field in C and in Python (``tubeint.integrate``), under one RK4 each,
-with the same expressions in the same order.  The coupled system carries N
-(z, p) pairs behind one coefficient block, so a run passes its dimension.
+``_rk4.c`` writes each of the three systems (z, coupled, Ermakov) once, as a
+vector field under one RK4 stage routine and one exported function,
+``tubeint_rk4``: the same field in C and in Python (``tubeint.integrate``),
+under one RK4 each, with the same expressions in the same order.  The coupled
+system carries N >= 0 (z, p) pairs behind one coefficient block, so a run
+passes its dimension; ``integrate_y`` is its N = 0 run at omega = 1.
 Its second export, ``tubeint_sum``, runs the loops over the harmonics of
 ``perturb._sum`` on one block of points, with the numpy loop's operations in
 its order.  The third, ``tubeint_csv``, writes a block of float64 rows as CSV
@@ -52,7 +53,7 @@ FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 LIBS = ("-lm",)
 
 #: The systems of ``tubeint_rk4``, in the order of its system enum.
-KERNELS = ("y", "z", "coupled", "ermakov")
+KERNELS = ("z", "coupled", "ermakov")
 
 #: Status codes of ``tubeint_rk4`` (the enum in ``_rk4.c``).  A positivity
 #: violation is NONPOSITIVE + stage, the stage being 0 at t, 1 at t + h/2 and
@@ -252,7 +253,7 @@ def kernel(system: str, constants, x, out, escape_index, escape_z, record_every)
 
     constants is (h, eps, omega); a system ignores the ones it does not use.
     x is the initial state, of the run's dimension (4 + 2N for the coupled
-    system with N oscillators), and out the array of recorded rows
+    system with N >= 0 oscillators), and out the array of recorded rows
     (C-contiguous float64, row 0 already written).  ``run(coef, start, stop)``
     advances the state over steps start .. stop-1 with the chunk's half-step
     table coef and returns (status, step index, value).

@@ -70,8 +70,8 @@ class CubicSpline:
     """Natural cubic spline through the given knots (zero second derivative
     at both ends), with exact interpolation and C2 continuity.
 
-    Evaluation accepts scalars or arrays; deriv selects the 0th, 1st or 2nd
-    derivative.  Evaluation outside the knot range raises (no extrapolation).
+    Evaluation accepts scalars or arrays and gives the spline's value.
+    Evaluation outside the knot range raises (no extrapolation).
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -107,7 +107,7 @@ class CubicSpline:
     def _interval(self, t):
         return np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.x) - 2)
 
-    def __call__(self, t, deriv: int = 0):
+    def __call__(self, t):
         scalar = np.isscalar(t)
         t = np.asarray(t, dtype=float)
         if not np.all((t >= self.x[0] - 1e-12) & (t <= self.x[-1] + 1e-12)):
@@ -118,24 +118,11 @@ class CubicSpline:
         b = t - self.x[i]
         Mi = self.M[i]
         Mj = self.M[i + 1]
-        if deriv == 0:
-            out = (
-                (Mi * a**3 + Mj * b**3) / (6.0 * h)
-                + (self.y[i] / h - Mi * h / 6.0) * a
-                + (self.y[i + 1] / h - Mj * h / 6.0) * b
-            )
-        elif deriv == 1:
-            out = (
-                (-Mi * a**2 + Mj * b**2) / (2.0 * h)
-                - self.y[i] / h
-                + Mi * h / 6.0
-                + self.y[i + 1] / h
-                - Mj * h / 6.0
-            )
-        elif deriv == 2:
-            out = (Mi * a + Mj * b) / h
-        else:
-            raise InvalidInput(f"deriv must be 0, 1 or 2, got {deriv!r}")
+        out = (
+            (Mi * a**3 + Mj * b**3) / (6.0 * h)
+            + (self.y[i] / h - Mi * h / 6.0) * a
+            + (self.y[i + 1] / h - Mj * h / 6.0) * b
+        )
         return float(out) if scalar else out
 
     # self(t) under a second name, kept because bench/tracer.py wraps it by name
@@ -144,9 +131,8 @@ class CubicSpline:
     def piecewise_minimum(self) -> tuple[float, float]:
         """(t_min, value) of the global minimum, exact per cubic piece.
 
-        On piece i the slope that ``self(t, 1)`` evaluates, with a = h_i - b,
-        is in b = t - x_i the quadratic q2 b^2 + q1 b + q0 with
-        q2 = (M_i+1 - M_i) / (2 h_i), q1 = M_i and
+        On piece i the spline's slope is, in b = t - x_i, the quadratic
+        q2 b^2 + q1 b + q0 with q2 = (M_i+1 - M_i) / (2 h_i), q1 = M_i and
         q0 = (y_i+1 - y_i) / h_i - h_i (2 M_i + M_i+1) / 6.  Its real roots
         strictly inside (0, h_i) and all knots are the candidates, evaluated
         in one call; a tie goes to the smallest t.

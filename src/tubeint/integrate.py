@@ -1,14 +1,15 @@
 """Deterministic fixed-step classical RK4 integration.
 
 One driver, ``_drive``, runs the three integrators here, the Ermakov pair in
-``ermakov`` and the tube filaments of ``invariant``.  Each system is named in
-``_SYSTEMS``: a plain-float vector field, the component that must stay
-positive and the first one tested for escape.  The coupled system carries N
-oscillators (z, p) behind one coefficient block, so that one run steps a
-whole grid of filaments; ``integrate_coupled`` is its N = 1 case.  The
-driver's caller supplies a vectorised time-only coefficient (the unit
-forcing profile, g(t) or the spline driver).  The driver evaluates that
-coefficient once per chunk of steps on the half-step grid t = (h/2) * i
+``ermakov`` and the tube filaments of ``invariant``, over three systems, each
+named in ``_SYSTEMS``: a plain-float vector field, the component that must
+stay positive and the first one tested for escape.  The coupled system
+carries N oscillators (z, p) behind one coefficient block, so that one run
+steps a whole grid of filaments; ``integrate_coupled`` is its N = 1 case and
+``integrate_y`` its N = 0 case at omega = 1, where physical and rescaled time
+coincide.  The driver's caller supplies a vectorised time-only coefficient
+(the unit forcing profile, g(t) or the spline driver).  The driver evaluates
+that coefficient once per chunk of steps on the half-step grid t = (h/2) * i
 and hands each step its values at t, t + h/2 and t + h, so no coefficient is
 evaluated per stage in Python.  A 500-unit run at h = 1e-3 is half a million
 steps; identical inputs produce bit-identical trajectories, whatever the
@@ -89,21 +90,10 @@ class IntegrationConfig:
         return intervals * self.record_every, intervals
 
 
-# The vector fields of the four systems, as in ``_rk4.c``: each maps the
+# The vector fields of the three systems, as in ``_rk4.c``: each maps the
 # constants (eps, omega) to ``field(x, c)``, the derivative of the state x at
 # coefficient value c, written with the C field's expressions in the same
 # order and association.  The positivity test is the step's, not the field's.
-
-
-def _field_y(eps, om):
-    """(y, y', y'', J) in rescaled time; c is the unit forcing profile."""
-
-    def field(x, c):
-        y, dy, ddy, _ = x
-        pw = y**-2.5
-        return dy, ddy, eps * c * pw - 4.0 * dy, pw * c
-
-    return field
 
 
 def _field_z(eps, om):
@@ -118,16 +108,19 @@ def _field_z(eps, om):
 
 
 def _field_coupled(eps, om):
-    """(y, y', y'', J) in physical time, then N pairs (z, p), each driven by
-    g = y^(-5/2), one pow for all of them; c is the forcing profile."""
+    """(y, y', y'', J) in physical time, then N >= 0 pairs (z, p), each driven
+    by g = y^(-5/2), one pow for all of them; c is the forcing profile.  At
+    omega = 1 every ``om *`` is exact, so with N = 0 this is the coefficient
+    system in rescaled time, bit for bit."""
     om2 = om * om
 
     def field(x, c):
         y, dy, ddy = x[0], x[1], x[2]
         pw = y**-2.5
         k = [om * dy, om * ddy, om * (eps * c * pw - 4.0 * dy), om * pw * c]
-        for z, p in zip(x[4::2], x[5::2]):
-            k += p, -om2 * z - pw * z * z
+        for j in range(4, len(x), 2):
+            z = x[j]
+            k += x[j + 1], -om2 * z - pw * z * z
         return k
 
     return field
@@ -150,10 +143,9 @@ class _System(NamedTuple):
 
 
 #: The systems of ``_drive``, each with the compiled field of the same name in
-#: ``_rk4.c``.  A run's dimension is that of its initial state: 4 for y and
-#: Ermakov, 2 for z, and 4 + 2N for the coupled system with N oscillators.
+#: ``_rk4.c``.  A run's dimension is that of its initial state: 2 for z, 4 for
+#: Ermakov and 4 + 2N for the coupled system with N oscillators.
 _SYSTEMS = {
-    "y": _System(_field_y, (0, "y"), None),
     "z": _System(_field_z, None, 0),
     "coupled": _System(_field_coupled, (0, "y"), 4),
     "ermakov": _System(_field_ermakov, (2, "w"), None),
@@ -285,10 +277,12 @@ def integrate_y(params: SystemParams, config: IntegrationConfig) -> Trajectory:
     The Volterra integral J' = y^(-5/2) * w(tau) (w the unit forcing profile,
     cos(tau) in the canonical orientation) is carried as a fourth state
     component so it shares the integrator's O(h^4) accuracy.  config.t_end is
-    the final rescaled time.
+    the final rescaled time.  This is the coupled system with no oscillators
+    at omega = 1, where physical time is rescaled time.
     """
     x0 = (params.y0, params.yp0, params.ypp0, 0.0)
-    tau, states, path = _drive("y", _profile(params), x0, config, eps=params.epsilon)
+    tau, states, path = _drive("coupled", _profile(params), x0, config, eps=params.epsilon,
+                               omega=1.0)
     return Trajectory(
         times=tau,
         columns=("tau", "y", "dy", "ddy", "J"),

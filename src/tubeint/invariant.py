@@ -38,13 +38,11 @@ __all__ = [
 DRIFT_GUARD = 1e-12
 
 
-def _alpha1(t, params: SystemParams):
-    return 0.5 * (params.c1 * np.cos(params.omega * t) + params.c2 * np.sin(params.omega * t))
-
-
-def _dalpha1(t, params: SystemParams):
-    om = params.omega
-    return 0.5 * om * (-params.c1 * np.sin(om * t) + params.c2 * np.cos(om * t))
+def _forcing(t, params: SystemParams):
+    """(alpha1, alpha1') at the times t, from one cos and one sin of omega t."""
+    om, c1, c2 = params.omega, params.c1, params.c2
+    cos, sin = np.cos(om * t), np.sin(om * t)
+    return 0.5 * (c1 * cos + c2 * sin), 0.5 * om * (-c1 * sin + c2 * cos)
 
 
 def _exact(params: SystemParams, t, y, dy, ddy, z, p) -> np.ndarray:
@@ -60,12 +58,13 @@ def _exact(params: SystemParams, t, y, dy, ddy, z, p) -> np.ndarray:
     if np.any(y <= 0.0):
         raise NonPositive("y", float(y.min()))
     om = params.omega
+    alpha1, dalpha1 = _forcing(t, params)
     return (
         y * p * p
         - om * dy * z * p
-        + _alpha1(t, params) * p
+        + alpha1 * p
         + om * om * (y + 0.5 * ddy) * z * z
-        - _dalpha1(t, params) * z
+        - dalpha1 * z
         + (2.0 / 3.0) * y**-1.5 * z**3
     )
 

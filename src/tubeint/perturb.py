@@ -202,31 +202,24 @@ _BLOCK = 8193  # points per block: the driver's half-step grid of one chunk
 
 
 @functools.lru_cache(maxsize=64)
-def _folded(kind: str, weights: tuple) -> dict[int, tuple]:
-    """k -> the polynomials in tau (cos, sin) of sum_n weights[n] T_n over the
-    tables of one kind, zero top coefficients dropped."""
-    coef = {}
-    for w, table in zip(weights, _float_tables(kind)):
-        for k, row in table.items():
-            coef[k] = coef[k] + w * row if k in coef else w * row
-    return {k: tuple(np.trim_zeros(row, "b") for row in rows) for k, rows in coef.items()}
-
-
-@functools.lru_cache(maxsize=64)
 def _packed(pairs: tuple) -> tuple[int, np.ndarray, np.ndarray]:
-    """The folded rows of the (kind, weights) pairs as the dense tables of
-    ``tubeint_sum``: the highest harmonic, the row lengths (pairs, top + 1, 2)
-    and the coefficients (pairs, top + 1, 2, width), zero past each length."""
-    coefs = [_folded(kind, weights) for kind, weights in pairs]
-    top = max(max(coef, default=0) for coef in coefs)
-    width = max([1] + [len(row) for coef in coefs for rows in coef.values() for row in rows])
-    lengths = np.zeros((len(coefs), top + 1, 2), dtype=np.int64)
-    table = np.zeros((len(coefs), top + 1, 2, width))
-    for p, coef in enumerate(coefs):
-        for k, rows in coef.items():
-            for r, row in enumerate(rows):
-                lengths[p, k, r] = len(row)
-                table[p, k, r, : len(row)] = row
+    """sum_n weights[n] T_n of each (kind, weights) pair as the dense tables
+    of ``_sum`` and ``tubeint_sum``: the highest harmonic, the row lengths
+    (pairs, top + 1, 2) and the coefficients (pairs, top + 1, 2, width) in
+    tau^0 .. tau^(length - 1), zero past each length (zero top coefficients
+    dropped).  The weighted tables are added in ascending n."""
+    folds = [list(zip(weights, _float_tables(kind))) for kind, weights in pairs]
+    used = [(k, row.shape[1]) for fold in folds for _, t in fold for k, row in t.items()]
+    top = max([0] + [k for k, _ in used])
+    width = max([1] + [n for _, n in used])
+    table = np.zeros((len(pairs), top + 1, 2, width))
+    for p, fold in enumerate(folds):
+        for w, t in fold:
+            for k, row in t.items():
+                table[p, k, :, : row.shape[1]] += w * row
+    nonzero = table != 0.0
+    last = width - np.argmax(nonzero[..., ::-1], axis=-1)  # 1 + the last nonzero's index
+    lengths = np.where(nonzero.any(-1), last, 0).astype(np.int64)
     lengths.flags.writeable = table.flags.writeable = False
     return top, lengths, table
 
@@ -247,11 +240,8 @@ def _sum(tau, *pairs) -> list[np.ndarray]:
     flat = tau.reshape(-1)
     outs = np.zeros((len(pairs), flat.size))
     lib = _rk4.library()
-    if lib is not None:
-        top, lengths, table = _packed(pairs)
-    else:
-        coefs = [_folded(kind, weights) for kind, weights in pairs]
-        top = max(max(coef, default=0) for coef in coefs)
+    top, lengths, table = _packed(pairs)
+    sizes = lengths.tolist()
     for start in range(0, flat.size, _BLOCK):
         t = flat[start : start + _BLOCK]
         cp, sp, ck, sk = 1.0, 0.0, np.cos(t), np.sin(t)
@@ -268,11 +258,11 @@ def _sum(tau, *pairs) -> list[np.ndarray]:
                 cn -= cp
                 sn -= sp
                 cp, sp, ck, sk = ck, sk, cn, sn
-            for out, coef in zip(outs, coefs):
-                for row, basis in zip(coef.get(k, ()), (ck, sk)):
-                    if len(row):
-                        value = row[-1]
-                        for c in row[-2::-1]:
+            for out, size, rows in zip(outs, sizes, table):
+                for m, row, basis in zip(size[k], rows[k], (ck, sk)):
+                    if m:
+                        value = row[m - 1]
+                        for c in row[: m - 1][::-1]:
                             value = value * t
                             value += c
                         out[start : start + _BLOCK] += value * basis if k else value

@@ -5,7 +5,8 @@ Each system is the same field in C and in Python, under one RK4 each
 RK4 and on the Python one, chosen by setting the loaded library to None.  Both
 paths must record the same times and data to the bit, or raise the same error
 with the same message.  A coupled case carries one (z, p) pair or several
-behind its coefficient block.
+behind its coefficient block; a y case (``integrate_y``) runs the coupled
+field with no pairs at omega = 1.
 """
 
 import subprocess

@@ -1,16 +1,21 @@
-"""The package's import layers, read from the source with ``ast``.
+"""The package's import layers, read from the source with ``ast``, and the
+table of RK4 systems, read from the C source.
 
 The series layer (``model`` and ``perturb``) sits below the integrators: it
 must not import them, or anything built on them, at module level or inside a
-function.
+function.  The driver's systems, the compiled kernel's names for them and the
+system enum of ``_rk4.c`` must list the same systems in the same order, since
+the kernel is called with a system's index.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import tubeint
+from tubeint import _rk4, integrate
 
 PACKAGE = Path(tubeint.__file__).parent
 ABOVE_SERIES = {"integrate", "invariant", "resonance", "ermakov", "cli"}
@@ -46,3 +51,10 @@ def test_cli_imports_no_private_resonance_name():
              and node.module == "resonance" for alias in node.names]
     assert "fourier_windows" in names
     assert [name for name in names if name.startswith("_")] == []
+
+
+def test_system_tables_agree_with_the_c_enum():
+    source = _rk4.SOURCE.read_text(encoding="utf-8")
+    [body] = re.findall(r"^enum \{([^}]*)\}; /\* the systems", source, re.MULTILINE)
+    enum = tuple(name.strip().lower() for name in body.split(","))
+    assert tuple(integrate._SYSTEMS) == _rk4.KERNELS == enum == ("z", "coupled", "ermakov")

@@ -166,14 +166,15 @@ def test_recurrence_is_closer_to_the_exact_sum_than_the_per_k_path():
     p = SystemParams(epsilon=0.1, y0=0.7)
     w = _prepare(p, 3)
     tau = np.sort(np.random.default_rng(5).uniform(300.0, 500.0, 300))
+    _, [lengths], [table] = perturb._packed((("rho", tuple(w)),))
     with mpmath.workprec(200):
         exact = []
         for t in tau.tolist():
             t = mpmath.mpf(t)
             total = mpmath.mpf(0)
-            for k, rows in perturb._folded("rho", tuple(w)).items():
-                for row, trig in zip(rows, (mpmath.cos, mpmath.sin)):
-                    poly = sum(mpmath.mpf(float(c)) * t**m for m, c in enumerate(row))
+            for k, (sizes, rows) in enumerate(zip(lengths, table)):
+                for size, row, trig in zip(sizes, rows, (mpmath.cos, mpmath.sin)):
+                    poly = sum(mpmath.mpf(float(c)) * t**m for m, c in enumerate(row[:size]))
                     total += poly * trig(k * t)
             exact.append(float(total))
     new_error = np.max(np.abs(_sum(tau, ("rho", w))[0] - exact))
