@@ -135,7 +135,8 @@ class CubicSpline:
         q2 b^2 + q1 b + q0 with q2 = (M_i+1 - M_i) / (2 h_i), q1 = M_i and
         q0 = (y_i+1 - y_i) / h_i - h_i (2 M_i + M_i+1) / 6.  Its real roots
         strictly inside (0, h_i) and all knots are the candidates, evaluated
-        in one call; a tie goes to the smallest t.
+        in one call; a value that is not finite comes first, and a tie goes to
+        the smallest t.
         """
         h, Mi, Mj = self.h, self.M[:-1], self.M[1:]
         q2 = (Mj - Mi) / (2.0 * h)
@@ -148,7 +149,7 @@ class CubicSpline:
         inside = (roots > 0.0) & (roots < h)
         t = np.concatenate([self.x, (self.x[:-1] + roots)[inside]])
         v = self(t)
-        k = np.lexsort((t, v))[0]
+        k = np.lexsort((t, v, np.isfinite(v)))[0]
         return float(t[k]), float(v[k])
 
 
@@ -158,7 +159,9 @@ def build_driver(driver: LogisticDriver, t_max: float) -> CubicSpline:
     One extra knot interval is added as margin.  Spline overshoot can leave
     the knot band, so positivity over the whole range is checked exactly per
     cubic piece rather than assumed; a nonpositive minimum raises
-    NonPositiveF (the modulation depth is too large for this seed).
+    NonPositiveF (the modulation depth is too large for this seed), and a
+    value that is not finite (a knot spacing ts whose cube overflows) raises
+    InvalidInput.
     """
     if not t_max > 0.0:
         raise InvalidInput(f"t_max must be > 0, got {t_max!r}")
@@ -172,6 +175,9 @@ def build_driver(driver: LogisticDriver, t_max: float) -> CubicSpline:
         ) from exc
     spline = CubicSpline(times, knots)
     t_min, v_min = spline.piecewise_minimum()
+    if not math.isfinite(v_min):
+        raise InvalidInput(f"ts={driver.ts!r} gives a driver spline that is not finite "
+                           f"({v_min!r} at t={t_min!r})")
     if v_min <= 0.0:
         raise NonPositiveF(t_min, v_min)
     return spline

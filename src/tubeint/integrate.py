@@ -61,9 +61,9 @@ _CHUNK = 4096
 class IntegrationConfig:
     """Fixed-step integration settings.
 
-    The number of steps is rounded up to a whole number of recorded intervals,
-    so the integration may extend up to (record_every - 1) * h beyond t_end;
-    the recorded trajectory always covers [0, t_end].
+    The run takes round(t_end / h) steps, at least one (fewer is
+    InvalidInput), rounded up to a whole number of recorded intervals, so it
+    ends in [t_end - h/2, t_end + (record_every - 1/2) * h].
     """
 
     t_end: float
@@ -78,6 +78,8 @@ class IntegrationConfig:
             raise InvalidInput(f"t_end must be finite and > 0, got {self.t_end!r}")
         if not math.isfinite(self.t_end / self.h):
             raise InvalidInput(f"t_end / h overflows: {self.t_end!r} / {self.h!r}")
+        if round(self.t_end / self.h) == 0:
+            raise InvalidInput(f"t_end / h rounds to 0 steps: {self.t_end!r} / {self.h!r}")
         if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
             raise InvalidInput(f"record_every must be an integer >= 1, got {self.record_every!r}")
         if not self.escape_z > 0.0:
@@ -85,7 +87,7 @@ class IntegrationConfig:
 
     def plan(self) -> tuple[int, int]:
         """(total steps, recorded intervals); steps are a multiple of record_every."""
-        n = max(1, round(self.t_end / self.h))
+        n = round(self.t_end / self.h)
         intervals = -(-n // self.record_every)
         return intervals * self.record_every, intervals
 

@@ -7,15 +7,19 @@ probe values of every order.  They agree with the composite derivatives to
 O(eps^4).
 
 Each invariant is evaluated once, vectorised over a whole trajectory at the
-trajectory's own sample times.  The exact invariant is one expression that
-broadcasts: a tube grid evaluates it once for all its filaments, with the
-time-only terms (the forcing's cos and sin, y^(-3/2) and the other
-coefficient products) computed once per grid, and each filament's values are
-the bits of its own single-trajectory evaluation.
+trajectory's own sample times.  The exact invariant is one broadcast
+evaluation: a tube grid runs in contiguous parts, one per core, and each part
+is one lockstep run that evaluates the invariant once for all its filaments,
+with the time-only terms (the forcing's cos and sin, y^(-3/2) and the other
+coefficient products) computed once per part; each filament's values are the
+bits of its own single-trajectory evaluation.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,19 +58,33 @@ def _exact(params: SystemParams, t, y, dy, ddy, z, p) -> np.ndarray:
     column j holds the bits of the evaluation on oscillator j alone.
     Coefficient derivatives come from the integrated state via the chain rule
     (alpha2'(t) = omega * y'(tau), alpha2''(t) = omega^2 * y''(tau)).
+
+    I = y p^2 - omega y' z p + alpha1 p + omega^2 (y + y''/2) z^2 - alpha1' z
+    + (2/3) y^(-3/2) z^3, summed left to right into one array with one more
+    array for the term being added, so that a grid's evaluation holds two
+    arrays of its size.  Each product is formed in the order of the formula
+    as written; the bits are those of the plain expression.
     """
     if np.any(y <= 0.0):
         raise NonPositive("y", float(y.min()))
     om = params.omega
     alpha1, dalpha1 = _forcing(t, params)
-    return (
-        y * p * p
-        - om * dy * z * p
-        + alpha1 * p
-        + om * om * (y + 0.5 * ddy) * z * z
-        - dalpha1 * z
-        + (2.0 / 3.0) * y**-1.5 * z**3
-    )
+    out = y * p
+    out *= p
+    term = om * dy * z
+    term *= p
+    out -= term
+    np.multiply(alpha1, p, out=term)
+    out += term
+    np.multiply(om * om * (y + 0.5 * ddy), z, out=term)
+    term *= z
+    out += term
+    np.multiply(dalpha1, z, out=term)
+    out -= term
+    np.power(z, 3, out=term)
+    term *= (2.0 / 3.0) * y**-1.5
+    out += term
+    return out
 
 
 def invariant_exact_series(traj: Trajectory, params: SystemParams) -> np.ndarray:
@@ -194,6 +212,33 @@ def _grid(values, name: str) -> np.ndarray:
     return grid
 
 
+def _part_count(filaments: int, compiled: bool) -> int:
+    """The number of parts of a grid: one per available core, and one when
+    the compiled RK4 does not load, because the Python RK4 holds the GIL."""
+    if not compiled:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), filaments)
+    return min(os.cpu_count() or 1, filaments)  # no affinity mask on this platform
+
+
+def _tube_part(params: SystemParams, pairs, cfg: IntegrationConfig) -> list[TubeFilament]:
+    """The filaments of pairs from one lockstep run and one broadcast invariant."""
+    t, states, _ = _coupled(params, pairs, cfg)
+    z = states[:, 4::2]
+    p = states[:, 5::2]
+    values = _exact(params, t[:, None], states[:, 0:1], states[:, 1:2], states[:, 2:3], z, p)
+    K = values[0].copy()
+    values -= K
+    deviation = np.abs(values, out=values).max(axis=0)
+    del values  # freed before the copies: a part holds its table and at most two more arrays
+    return [
+        TubeFilament(z0=z0, p0=p0, K=k, t=t, z=zj, p=pj, max_abs_deviation=dev)
+        for (z0, p0), k, dev, zj, pj in zip(pairs, K.tolist(), deviation.tolist(),
+                                             z.T.copy(), p.T.copy())
+    ]
+
+
 def tube_surface_samples(
     params: SystemParams,
     z0_grid,
@@ -206,32 +251,51 @@ def tube_surface_samples(
 
     For each (z0, p0) in the Cartesian product of the 1-D grids, integrates
     the coupled system and tags the (z, p, t) triples with the conserved
-    value K; this is the data behind the tube visualization.  All filaments
-    run in one lockstep integration under one coefficient state, and the
-    exact invariant is evaluated once over the whole state table; each
-    filament is, to the bit, its own ``integrate_coupled`` run and
-    ``invariant_exact_series``.  When the integration fails, the grid is run
-    again one filament at a time, so the error raised is that of the first
-    failing filament in grid order (or the grid's own, a state table too
-    large to allocate, when every filament runs alone).
+    value K; this is the data behind the tube visualization.  The grid is
+    split, in grid order, into one contiguous part per available core (one
+    part without the compiled RK4).  Each part is one lockstep integration
+    under one coefficient state, with the exact invariant evaluated once over
+    its state table; part 0 runs on the caller and the others on threads in
+    copies of the caller's context (so under its numpy error state), while
+    the compiled RK4 and numpy release the GIL.  Each filament is, to the bit,
+    its own ``integrate_coupled`` run and ``invariant_exact_series``, whatever
+    the parts.  When a part fails, the grid is run again one filament at a
+    time, so the error raised is that of the first failing filament in grid
+    order (or the first failing part's own, such as a state table too large
+    to allocate, when every filament runs alone).
     """
+    from . import _rk4  # on first use: starting the command line does not need it
+
     z0_grid = _grid(z0_grid, "z0")
     p0_grid = _grid(p0_grid, "p0")
     cfg = IntegrationConfig(t_end=t_end, h=h, record_every=record_every)
     pairs = [(z0, p0) for z0 in z0_grid.tolist() for p0 in p0_grid.tolist()]
+    # loaded here, so that a first-use build happens once, before any thread starts
+    parts = _part_count(len(pairs), _rk4.library() is not None)
+    bounds = [len(pairs) * i // parts for i in range(parts + 1)]
+    results: list = [None] * parts
+
+    def run(i: int) -> None:
+        try:
+            results[i] = _tube_part(params, pairs[bounds[i]:bounds[i + 1]], cfg)
+        except Exception as exc:  # raised on the caller, once every part is joined
+            results[i] = exc
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+               for i in range(1, parts)]
     try:
-        t, states, _ = _coupled(params, pairs, cfg)
-    except TubeIntError:  # Escape, NonFinite, PositivityViolation or InvalidInput
-        for z0, p0 in pairs:
-            integrate_coupled(params, z0, p0, cfg)
-        raise
-    z = states[:, 4::2]
-    p = states[:, 5::2]
-    values = _exact(params, t[:, None], states[:, 0:1], states[:, 1:2], states[:, 2:3], z, p)
-    K = values[0]
-    deviation = np.max(np.abs(values - K), axis=0)
-    return [
-        TubeFilament(z0=z0, p0=p0, K=k, t=t, z=zj, p=pj, max_abs_deviation=dev)
-        for (z0, p0), k, dev, zj, pj in zip(pairs, K.tolist(), deviation.tolist(),
-                                             z.T.copy(), p.T.copy())
-    ]
+        for helper in helpers:
+            helper.start()
+        run(0)
+    finally:
+        for helper in helpers:
+            if helper.ident is not None:  # started
+                helper.join()
+    errors = [r for r in results if isinstance(r, Exception)]
+    if errors:
+        if any(isinstance(e, TubeIntError) for e in errors):
+            # Escape, NonFinite, PositivityViolation or InvalidInput
+            for z0, p0 in pairs:
+                integrate_coupled(params, z0, p0, cfg)
+        raise errors[0]
+    return [filament for part in results for filament in part]

@@ -193,6 +193,25 @@ def test_ermakov_rejects_infinite_driver_field(flag, line, capsys):
     assert captured.out == ""
 
 
+def test_ermakov_rejects_a_knot_spacing_whose_spline_is_not_finite(capsys):
+    # the spline's cubes overflow: f(0) was nan, reported as "w0 must be > 0"
+    assert run(["ermakov", "--ts", "1e300", "--t-max", "1", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: InvalidInput: ts=1e+300 gives a driver spline that "
+                                   "is not finite ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_run_of_no_steps_exits_two(capsys):
+    # round(t-max / h) = 0 ran one step, to t = 10, and reported a 5.3e9 % drift
+    for argv in (["invariant-drift", "--mode", "exact", "--t-max", "1", "--h", "10"],
+                 ["simulate-y", "--tau-max", "0.4", "--h", "1"]):
+        assert run(argv + ["--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: InvalidInput: t_end / h rounds to 0 steps: ")
+        assert captured.out == ""
+
+
 def test_gplot_from_metadata(tmp_path):
     csv = tmp_path / "y.csv"
     run(["simulate-y", "--tau-max", "10", "--out", str(csv)])

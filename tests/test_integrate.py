@@ -88,6 +88,23 @@ def test_plan_rounds_up_to_record_multiple():
     assert n_steps == 110 and n_intervals == 11
 
 
+@pytest.mark.parametrize("t_end, h", [(1.0, 10.0), (1.0, 2.0), (0.49, 1.0), (1e-300, 1.0)])
+def test_config_rejects_a_run_of_no_steps(t_end, h):
+    # round(t_end / h) = 0 was run as one step, to t = h
+    with pytest.raises(InvalidInput, match="rounds to 0 steps"):
+        IntegrationConfig(t_end=t_end, h=h)
+
+
+@pytest.mark.parametrize("t_end, h, record_every", [(0.51, 1.0, 1), (1.0, 0.4, 1),
+                                                    (1.05, 1e-2, 10), (1.0, 0.3, 7),
+                                                    (2.5, 1.0, 3), (0.6, 0.4, 4)])
+def test_plan_ends_within_half_a_step_before_and_a_record_interval_after(t_end, h,
+                                                                         record_every):
+    n_steps, n_intervals = IntegrationConfig(t_end, h, record_every=record_every).plan()
+    assert n_steps == n_intervals * record_every >= 1
+    assert t_end - h / 2 <= n_steps * h <= t_end + (record_every - 0.5) * h
+
+
 def test_unforced_constant_solution():
     traj = integrate_y(params(eps=0.0), IntegrationConfig(t_end=10.0, h=1e-3, record_every=100))
     assert np.all(traj.column("y") == 1.0)

@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -275,19 +279,27 @@ def tube_grids(draw):
     return p, draw(grid), draw(grid), cfg, draw(st.sampled_from([1, 7, 4096]))
 
 
+def _pin_parts(mp, parts, path="c"):
+    """Run every grid in min(parts, filaments) parts on the given RK4 path."""
+    mp.setattr(tubeint.invariant, "_part_count", lambda filaments, compiled: min(parts, filaments))
+    if path == "python":
+        mp.setattr(rk4, "_lib", None)
+
+
 @pytest.mark.parametrize("path", ["c", "python"])
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(case=tube_grids())
 def test_tube_batch_matches_one_run_per_filament(path, case):
     p, z0_grid, p0_grid, cfg, chunk = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tubeint.integrate, "_CHUNK", chunk)
-        if path == "python":
-            mp.setattr(rk4, "_lib", None)
-        batch = tube_surface_samples(p, z0_grid, p0_grid, cfg.t_end, cfg.h, cfg.record_every)
-        loop = _filament_loop(p, z0_grid, p0_grid, cfg)
-    got = [(f.z0, f.p0, f.K, f.t, f.z, f.p, f.max_abs_deviation) for f in batch]
-    assert _bytes(got) == _bytes(loop)
+    for parts in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tubeint.integrate, "_CHUNK", chunk)
+            _pin_parts(mp, parts, path)
+            batch = tube_surface_samples(p, z0_grid, p0_grid, cfg.t_end, cfg.h,
+                                         cfg.record_every)
+            loop = _filament_loop(p, z0_grid, p0_grid, cfg)
+        got = [(f.z0, f.p0, f.K, f.t, f.z, f.p, f.max_abs_deviation) for f in batch]
+        assert _bytes(got) == _bytes(loop), parts
 
 
 # (params, z0 grid, p0 grid, config): a grid whose integration fails
@@ -299,6 +311,10 @@ _TUBE_FAILURES = {
                    IntegrationConfig(t_end=20.0, h=1e-2, record_every=5)),
     "overflow": (params(eps=0.0, y0=1e-250), [0.1, 0.2], [0.0],
                  IntegrationConfig(t_end=0.01, h=1e-3)),
+    # in 2 parts (0.1, 0.2, 0.3 | -2, -3, 0.4) the first part runs and the
+    # second fails first at -3; in 3 parts -2 and -3 fail in different parts
+    "escape-in-part-2": (params(), [0.1, 0.2, 0.3, -2.0, -3.0, 0.4], [0.0],
+                         IntegrationConfig(t_end=20.0, h=1e-2, record_every=5)),
 }
 
 
@@ -306,18 +322,103 @@ _TUBE_FAILURES = {
 @pytest.mark.parametrize("name", list(_TUBE_FAILURES))
 def test_tube_batch_failure_is_that_of_the_first_failing_filament(path, name):
     p, z0_grid, p0_grid, cfg = _TUBE_FAILURES[name]
+    threads = threading.active_count()
     with pytest.MonkeyPatch.context() as mp:
         if path == "python":
             mp.setattr(rk4, "_lib", None)
-        batch = _failure(lambda: tube_surface_samples(p, z0_grid, p0_grid, cfg.t_end, cfg.h,
-                                                      cfg.record_every))
         loop = _failure(lambda: _filament_loop(p, z0_grid, p0_grid, cfg))
-    assert batch == loop
-    assert batch[0].__name__ == {"escape": "Escape", "positivity": "PositivityViolation",
-                                 "overflow": "NonFinite"}[name]
+    assert loop[0].__name__ == {"escape": "Escape", "positivity": "PositivityViolation",
+                                "overflow": "NonFinite", "escape-in-part-2": "Escape"}[name]
+    for parts in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            _pin_parts(mp, parts, path)
+            batch = _failure(lambda: tube_surface_samples(p, z0_grid, p0_grid, cfg.t_end, cfg.h,
+                                                          cfg.record_every))
+        assert batch == loop, parts
+        assert threading.active_count() == threads
 
 
-def test_tube_grid_is_one_lockstep_integration():
+@pytest.mark.parametrize("path", ["c", "python"])
+def test_tube_parts_leave_no_thread_running(path):
+    threads = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        _pin_parts(mp, 3, path)
+        filaments = tube_surface_samples(params(), [0.1, 0.2, 0.3], [0.0, 0.1], t_end=0.1)
+    assert threading.active_count() == threads
+    assert len(filaments) == 6
+
+
+def test_tube_parts_on_more_threads_than_cores_keep_their_filaments():
+    # 7 parts on a 2-core host, switching threads every microsecond: a part
+    # that stored its filaments in another part's place, or lost them, would
+    # change the grid
+    p, cfg = params(), IntegrationConfig(t_end=3.0, h=1e-2, record_every=3)
+    z0_grid, p0_grid = [0.1, -0.2, 0.3, 0.05, -0.35, 0.25, -0.15], [0.0, 0.2]
+    loop = _filament_loop(p, z0_grid, p0_grid, cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            with pytest.MonkeyPatch.context() as mp:
+                _pin_parts(mp, 7)
+                batch = tube_surface_samples(p, z0_grid, p0_grid, cfg.t_end, cfg.h,
+                                             cfg.record_every)
+            got = [(f.z0, f.p0, f.K, f.t, f.z, f.p, f.max_abs_deviation) for f in batch]
+            assert _bytes(got) == _bytes(loop)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("path", ["c", "python"])
+def test_tube_parts_run_under_the_callers_error_state(path):
+    # p0 = 1e160 makes y p^2 overflow in the invariant of the second part
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _pin_parts(mp, 2, path)
+        with np.errstate(all="ignore"):
+            filaments = tube_surface_samples(params(), [0.1], [0.0, 1e160], t_end=2e-200,
+                                             h=1e-200, record_every=1)
+    assert math.isfinite(filaments[0].K) and filaments[1].K == math.inf
+
+
+def test_tube_grid_is_one_lockstep_integration_per_part():
+    drive = tubeint.integrate._drive
+    for parts in (1, 2, 3):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append((args[0], len(args[2])))
+            return drive(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tubeint.integrate, "_drive", counted)
+            _pin_parts(mp, parts)
+            filaments = tube_surface_samples(params(), [0.1, 0.2, 0.3], [0.0, 0.1], t_end=2.0)
+        # one run per part, of (y, y', y'', J) and 6 / parts (z, p) pairs
+        assert calls == [("coupled", 4 + 2 * 6 // parts)] * parts
+        assert len(filaments) == 6
+
+
+def test_tube_time_only_terms_are_evaluated_once_per_part():
+    forcing = tubeint.invariant._forcing
+    for parts in (1, 2, 3):
+        calls = []
+
+        def counted(t, params):
+            calls.append(np.shape(t))
+            return forcing(t, params)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tubeint.invariant, "_forcing", counted)
+            _pin_parts(mp, parts)
+            filaments = tube_surface_samples(params(), [0.1, 0.2, 0.3], [0.0, 0.1], t_end=2.0)
+        rows = len(filaments[0].t)
+        assert calls == [(rows, 1)] * parts
+        assert len(filaments) == 6
+
+
+@pytest.mark.parametrize("path", ["c", "python"])
+def test_tube_grid_runs_one_part_per_core_and_one_without_the_compiled_rk4(path):
     calls = []
     drive = tubeint.integrate._drive
 
@@ -327,22 +428,18 @@ def test_tube_grid_is_one_lockstep_integration():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tubeint.integrate, "_drive", counted)
-        filaments = tube_surface_samples(params(), [0.1, 0.2, 0.3], [0.0, 0.1], t_end=2.0)
-    assert calls == ["coupled"]
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        if path == "python":
+            mp.setattr(rk4, "_lib", None)
+        compiled = rk4.library() is not None
+        filaments = tube_surface_samples(params(), [0.1, 0.2, 0.3], [0.0, 0.1], t_end=0.1)
+    assert len(calls) == (4 if compiled else 1)
     assert len(filaments) == 6
 
 
-def test_tube_time_only_terms_are_evaluated_once_per_grid():
-    calls = []
-    forcing = tubeint.invariant._forcing
-
-    def counted(t, params):
-        calls.append(np.shape(t))
-        return forcing(t, params)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tubeint.invariant, "_forcing", counted)
-        filaments = tube_surface_samples(params(), [0.1, 0.2, 0.3], [0.0, 0.1], t_end=2.0)
-    rows = len(filaments[0].t)
-    assert calls == [(rows, 1)]
-    assert len(filaments) == 6
+def test_tube_parts_follow_the_cpu_count_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert tubeint.invariant._part_count(64, True) == 3
+    assert tubeint.invariant._part_count(2, True) == 2
+    assert tubeint.invariant._part_count(64, False) == 1

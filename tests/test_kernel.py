@@ -9,6 +9,7 @@ behind its coefficient block; a y case (``integrate_y``) runs the coupled
 field with no pairs at omega = 1.
 """
 
+import ctypes
 import subprocess
 import tempfile
 import warnings
@@ -230,6 +231,14 @@ def test_kernel_flags_keep_the_bits():
 def test_kernel_runs_when_a_compiler_exists():
     for system, a, cfg in _RUNS:
         assert _integrate(system, a, cfg).meta["kernel"] == "c"
+
+
+@needs_compiler
+def test_kernel_calls_release_the_gil():
+    # tube grid parts run the compiled RK4 on threads at once only because a
+    # CDLL call releases the GIL; a PyDLL call holds it
+    lib = rk4.library()
+    assert isinstance(lib, ctypes.CDLL) and not isinstance(lib, ctypes.PyDLL)
 
 
 def _fresh_load(mp, cache):
