@@ -349,9 +349,9 @@ def test_tube_parts_leave_no_thread_running(path):
 
 
 def test_tube_parts_on_more_threads_than_cores_keep_their_filaments():
-    # 7 parts on a 2-core host, switching threads every microsecond: a part
-    # that stored its filaments in another part's place, or lost them, would
-    # change the grid
+    # 7 parts, more than most hosts have cores, switching threads every
+    # microsecond: a part that stored its filaments in another part's place,
+    # or lost them, would change the grid
     p, cfg = params(), IntegrationConfig(t_end=3.0, h=1e-2, record_every=3)
     z0_grid, p0_grid = [0.1, -0.2, 0.3, 0.05, -0.35, 0.25, -0.15], [0.0, 0.2]
     loop = _filament_loop(p, z0_grid, p0_grid, cfg)
