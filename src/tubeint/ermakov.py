@@ -160,11 +160,15 @@ def build_driver(driver: LogisticDriver, t_max: float) -> CubicSpline:
     the knot band, so positivity over the whole range is checked exactly per
     cubic piece rather than assumed; a nonpositive minimum raises
     NonPositiveF (the modulation depth is too large for this seed), and a
-    value that is not finite (a knot spacing ts whose cube overflows) raises
-    InvalidInput.
+    value that is not finite raises InvalidInput.  The spline takes cubes of
+    distances up to ts, so a ts whose cube overflows is rejected before the
+    spline is built.
     """
     if not t_max > 0.0:
         raise InvalidInput(f"t_max must be > 0, got {t_max!r}")
+    if not math.isfinite(driver.ts * driver.ts * driver.ts):
+        raise InvalidInput(f"ts={driver.ts!r} gives a driver spline that is not finite "
+                           f"(ts**3 overflows)")
     try:
         n_knots = int(math.ceil(t_max / driver.ts)) + 2
         times = driver.ts * np.arange(n_knots)

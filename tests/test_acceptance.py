@@ -26,12 +26,7 @@ from tubeint.integrate import IntegrationConfig, integrate_coupled, integrate_y
 from tubeint.invariant import drift_experiment, invariant_exact_series
 from tubeint.model import SystemParams, validate_params
 from tubeint.perturb import _sum, equation_residual, validity, y_composite
-from tubeint.resonance import (
-    periodicity_defect,
-    project_harmonics,
-    secular_slope,
-    third_harmonic_check,
-)
+from tubeint.resonance import fourier_windows, periodicity_defect
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,13 +74,13 @@ def runs():
     data["s1"] = {}
     for eps in (0.2, 0.1, 0.05):
         data["s1"][eps] = integrate_y(
-            params(eps, 1.0), IntegrationConfig(t_end=3.0 * TWO_PI, h=1e-3, record_every=2)
+            params(eps, 1.0), IntegrationConfig(t_end=5.0 * TWO_PI, h=1e-3, record_every=2)
         )
     data["slope"] = integrate_y(
         params(0.1, 1.0), IntegrationConfig(t_end=300.0, h=1e-3, record_every=5)
     )
     data["s3"] = integrate_y(
-        params(0.2, 1.0), IntegrationConfig(t_end=3.0 * TWO_PI, h=1e-3, record_every=2)
+        params(0.2, 1.0), IntegrationConfig(t_end=5.0 * TWO_PI, h=1e-3, record_every=2)
     )
 
     h_aligned = TWO_PI / 4096
@@ -217,18 +212,18 @@ def test_criterion_5_series_identities(runs):
 def test_criterion_6_resonance_coefficients(runs):
     gaps = {}
     for eps, traj in runs["s1"].items():
-        s1 = project_harmonics(traj, 0, n_harmonics=3).s_n(1)
+        s1 = fourier_windows(params(eps, 1.0), traj)[1][0, 0]
         gaps[eps] = abs(s1) - eps / 3.0
     gap_ok = all(abs(gaps[e]) < 0.02 * e**2 for e in gaps)
     shrink1 = gaps[0.2] / gaps[0.1]
     shrink2 = gaps[0.1] / gaps[0.05]
     shrink_ok = shrink1 >= 3.5 and shrink2 >= 3.5
 
-    fit = secular_slope(runs["slope"])
+    fit = fourier_windows(params(0.1, 1.0), runs["slope"])[2]
     slope_pred = (5.0 / 96.0) * 0.01
     slope_ok = abs(fit.slope - slope_pred) / slope_pred < 0.10
 
-    measured, predicted = third_harmonic_check(params(0.2, 1.0), runs["s3"])
+    measured, predicted = fourier_windows(params(0.2, 1.0), runs["s3"])[4]
     s3_ok = abs(abs(measured) - predicted) / predicted < 0.25
 
     ok = gap_ok and shrink_ok and slope_ok and s3_ok

@@ -482,9 +482,11 @@ def short_runs(draw):
     """argv of a short simulate-y, fourier, invariant-drift (both modes) or ermakov run."""
     command = draw(st.sampled_from(
         ["simulate-y", "fourier", "exact", "perturbative", "ermakov"]))
-    h, t_end = draw(_num(1e-3, 0.5)), draw(_num(1e-3, 1.0))
-    # at most the run's steps, so that a run reaches the integrator
-    steps = max(1, round(float(t_end) / float(h)))
+    h = draw(_num(1e-3, 0.5))
+    # t_end is a whole number of at least one step, and at most 1, so that a run reaches
+    # the integrator; record_every is at most the run's steps
+    steps = draw(st.integers(1, int(1.0 / float(h))))
+    t_end = repr(steps * float(h))
     argv = [f"--h={h}", f"--record-every={draw(st.integers(1, min(10, steps)))}"]
     if command == "ermakov":
         return ["ermakov", f"--t-max={t_end}", f"--l0={draw(_num(0.0, 1.0))}",
@@ -503,6 +505,7 @@ def short_runs(draw):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(short_runs())
 @example(["invariant-drift", "--y0", "0.05", "--eps", "0.5"])  # numpy overflows, then Escape
+@example(["simulate-y", "--tau-max", "0.001", "--h", "0.5"])  # rounds to 0 steps
 @example(["simulate-y", "--tau-max", "1", "--omega", "1e-300"])
 @example(["invariant-drift", "--mode", "exact", "--t-max", "1", "--omega", "1e-300"])
 @example(["invariant-drift", "--mode", "exact", "--t-max", "1", "--omega", "1e200"])

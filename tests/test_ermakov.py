@@ -160,6 +160,13 @@ def test_build_driver_overshoot_raises():
         build_driver(LogisticDriver(l0=0.15, f0=0.5, df=0.49), 40.0)
 
 
+def test_build_driver_rejects_a_knot_spacing_whose_cube_overflows():
+    # caught before the spline is evaluated, with no overflow warning on the way
+    with pytest.raises(InvalidInput, match=r"^ts=1e\+300 gives a driver spline that is not "
+                                           r"finite \(ts\*\*3 overflows\)$"):
+        build_driver(LogisticDriver(ts=1e300), 1.0)
+
+
 def test_equilibrium_constant_coefficient():
     for f0 in (1.0, 4.0):
         drv = LogisticDriver(f0=f0, df=0.0)

@@ -1,8 +1,10 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
 
+import tubeint._rk4 as rk4
 import tubeint.integrate
 from tubeint.ermakov import LogisticDriver, integrate_ermakov
 from tubeint.errors import Escape, InvalidInput, NonPositive, PositivityViolation
@@ -267,3 +269,26 @@ def test_coefficient_chunk_size_leaves_results_bit_identical(monkeypatch, chunk)
     assert chunked_t_escape == t_escape
     # the escape falls in a later chunk than the first at both chunk sizes
     assert t_escape > 7 * 1e-2
+
+
+@pytest.mark.parametrize("path", [
+    pytest.param("c", marks=pytest.mark.skipif(shutil.which("cc") is None,
+                                               reason="no C compiler")),
+    "python",
+])
+def test_a_longer_run_starts_with_the_bits_of_a_shorter_one(monkeypatch, path):
+    # a fixed-step run's rows do not depend on t_end: a run to 5 windows of 2 pi
+    # holds the 3-window run's rows bit for bit, on either RK4
+    if path == "python":
+        monkeypatch.setattr(rk4, "_lib", None)
+    elif rk4.library() is None:
+        pytest.skip("the compiled library did not build")
+    p = params(eps=0.2, y0=1.0)
+    for run in (lambda cfg: integrate_y(p, cfg),
+                lambda cfg: integrate_coupled(p, 0.2, 0.1, cfg)):
+        short, long = (run(IntegrationConfig(t_end=n * 2.0 * math.pi, h=1e-3, record_every=2))
+                       for n in (3, 5))
+        assert short.meta["kernel"] == long.meta["kernel"] == path
+        assert len(long) > len(short)
+        assert short.times.tobytes() == long.times[: len(short)].tobytes()
+        assert short.data.tobytes() == long.data[: len(short)].tobytes()
