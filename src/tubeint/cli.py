@@ -33,7 +33,7 @@ from .ermakov import LogisticDriver, integrate_ermakov, lewis_invariant
 from .integrate import IntegrationConfig, integrate_y
 from .invariant import drift_experiment, drift_percent, exact_drift_experiment
 from .model import SystemParams
-from .perturb import ORDER, _composites, resonance_coefficients, validity
+from .perturb import ORDER, _composites, _power_product, resonance_coefficients, validity
 from .resonance import TWO_PI, fourier_windows
 
 
@@ -169,8 +169,11 @@ def cmd_fourier(args) -> int:
     eps = params.epsilon
     y0 = params.y0
     series = resonance_coefficients()
-    # 0 when unforced, where y0^-6 may overflow
-    slope_pred = float(series["secular_slope"]) * eps**2 * y0**-6.0 if eps else 0.0
+    slope = float(series["secular_slope"])
+    try:  # 0 when unforced, where y0^-6 may overflow
+        slope_pred = slope * eps**2 * y0**-6.0 if eps else 0.0
+    except OverflowError:  # eps^2 or y0^-6 overflows
+        slope_pred = _power_product(slope, (eps, 2.0), (y0, -6.0))
     s1_pred = eps * y0**-2.5 / float(1 / series["s1"])
     meta = [("kind", "fourier")] + _param_meta(params, cfg)
     meta += [

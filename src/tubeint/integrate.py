@@ -21,6 +21,17 @@ library loads, the driver runs the compiled RK4 on each chunk, with
 bit-identical results and the same errors; otherwise the Python RK4 runs.
 ``Trajectory.meta["kernel"]`` records "c" or "python".
 
+On the compiled RK4, which releases the GIL, a run of more than one chunk
+builds its coefficient tables ahead of the stepping: one helper thread per
+spare core claims the tables of the next few chunks in ascending order,
+while the caller steps; when the caller reaches a chunk whose table no
+thread has started, it builds that table itself.  Each table is the same
+function of the same times wherever it is built, so the bits do not depend
+on the helpers, and an error raised while building a table is raised when
+the stepping reaches that chunk, as in a run without helpers.  The Python
+RK4, which holds the GIL, and tube parts, which take a core each, start no
+helper.
+
 Positivity of the coefficient solution is enforced at every RK4 stage: true
 solutions are strictly positive, so a nonpositive stage value signals a step
 too large or parameters outside the usable regime, and raises rather than
@@ -34,8 +45,12 @@ takes its sample times from the driver, so a time column and
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -55,6 +70,9 @@ __all__ = [
 #: Steps per coefficient table.  It bounds the table memory of long runs;
 #: results do not depend on it.
 _CHUNK = 4096
+
+#: How many chunks past the one being stepped the table helpers may build.
+_AHEAD = 3
 
 
 @dataclass(frozen=True)
@@ -182,8 +200,98 @@ def _rk4_step(field, h: float, positive: tuple[int, str] | None):
     return step
 
 
+def _cores() -> int:
+    """The cores this process may run on (``os.cpu_count()`` where the
+    platform has no affinity mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _table_helpers() -> int:
+    """Threads that build coefficient tables beside a compiled run: one per
+    spare core, the caller's own core being the one that steps."""
+    return _cores() - 1
+
+
+def _tables(table, chunks: int, helpers: int):
+    """Yield ``table(k)`` for k = 0 .. chunks-1, built ahead by up to ``helpers`` threads.
+
+    The caller builds table 0 before any helper starts, so first-use caches
+    and errors such as InvalidInput arise on it alone.  Then every thread,
+    the caller included, claims the next table in ascending order, up to
+    ``_AHEAD`` past the one the caller has reached; helpers run in copies of
+    the caller's context (so under its numpy error state).  When the caller
+    needs a table that is not built yet, it builds the next unclaimed table
+    of the window, or waits only when every one is claimed.  An exception
+    raised while building a table is raised when the caller reaches that
+    table.  Closing the generator, or any raise, stops and joins every helper.
+    """
+    first = table(0)
+    cond = threading.Condition()
+    built = {}  # chunk -> its table, or the exception that building it raised
+    claimed = 1  # chunks 0 .. claimed-1 are taken
+    reached = 0  # the chunk whose table the caller asked for last
+    stop = False
+
+    def claim():
+        """The next chunk to build, or None when the window is full (under cond)."""
+        nonlocal claimed
+        if claimed >= chunks or claimed > reached + _AHEAD:
+            return None
+        claimed += 1
+        return claimed - 1
+
+    def build(k, errors=Exception):
+        try:
+            result = table(k)
+        except errors as exc:  # raised on the caller when it reaches chunk k
+            result = exc
+        with cond:
+            built[k] = result
+            cond.notify_all()
+
+    def helper():
+        while True:
+            with cond:
+                cond.wait_for(lambda: stop or claimed >= chunks or claimed <= reached + _AHEAD)
+                k = None if stop else claim()
+            if k is None:
+                return
+            build(k, BaseException)  # a helper always leaves its table's outcome
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+               for _ in range(min(helpers, chunks - 1))]
+    try:
+        for thread in threads:
+            thread.start()
+        yield first
+        for k in range(1, chunks):
+            with cond:
+                reached = k
+                cond.notify_all()  # the window moved on
+            while True:
+                with cond:
+                    mine = None if k in built else claim()
+                    if mine is None:
+                        cond.wait_for(lambda: k in built)
+                        result = built.pop(k)
+                        break
+                build(mine)
+            if isinstance(result, BaseException):
+                raise result
+            yield result
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+
+
 def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
-           omega: float = 0.0):
+           omega: float = 0.0, helpers: int | None = None):
     """Run RK4 of ``system`` over ``config.plan()`` and record every record_every steps.
 
     ``system`` names an entry of ``_SYSTEMS``, whose field runs with the
@@ -198,7 +306,10 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
     The same field is written in C, in ``_rk4.c``, and in Python, above, each
     under one RK4.  When the compiled RK4 can be built and loaded it runs each
     chunk, with the same results to the bit and the same errors; otherwise the
-    Python one does.
+    Python one does.  On the compiled RK4, ``helpers`` threads (by default
+    ``_table_helpers()``, one per spare core) build the chunk tables ahead of
+    the stepping; the bits and errors do not depend on their number, and
+    every helper is joined before the driver returns or raises.
 
     Returns (recorded times, recorded states, the path that ran: "c" or
     "python"); sample i is at (i*record_every)*h.
@@ -225,36 +336,45 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
     run = _rk4.kernel(system, (h, eps, omega), x, out, spec.escape, limit, rec)
     if run is None:
         step = _rk4_step(spec.field(eps, omega), h, spec.positive)
-    for start in range(0, n_steps, _CHUNK):
-        stop = min(start + _CHUNK, n_steps)
-        times = 0.5 * h * np.arange(2 * start, 2 * stop + 1)
-        c = np.broadcast_to(np.asarray(coef(times), dtype=float), times.shape)
-        if run is not None:
-            status, at, value = run(np.ascontiguousarray(c), start, stop)
-            t = at * h
-            if status == _rk4.ESCAPE:
-                raise Escape(t)
-            if status == _rk4.NONFINITE:
-                raise NonFinite(t)
-            if status != _rk4.OK:  # at stage t, t + h/2 or t + h of step at
-                stage = (t, t + 0.5 * h, t + h)[status - _rk4.NONPOSITIVE]
-                raise PositivityViolation(stage, value, spec.positive[1])
-            continue
-        c = c.tolist()
-        try:
-            for k, c0, cm, c1 in zip(range(start, stop), c[0::2], c[1::2], c[2::2]):
-                x = step(k * h, x, c0, cm, c1)
-                kk = k + 1
-                # Written so that a NaN coordinate escapes too.
-                if escape is not None and not all(abs(v) <= limit for v in x[escape]):
-                    raise Escape(kk * h)
-                if kk % rec == 0:
-                    if not all(map(math.isfinite, x)):
-                        raise NonFinite(kk * h)
-                    out[rows] = x
-                    rows += 1
-        except OverflowError as exc:
-            raise NonFinite(k * h) from exc
+        helpers = 0
+    elif helpers is None:
+        helpers = _table_helpers()
+    starts = range(0, n_steps, _CHUNK)
+
+    def table(k):  # chunk k's coefficient on its half-step grid
+        times = 0.5 * h * np.arange(2 * starts[k], 2 * min(starts[k] + _CHUNK, n_steps) + 1)
+        return np.ascontiguousarray(np.broadcast_to(np.asarray(coef(times), dtype=float),
+                                                    times.shape))
+
+    with contextlib.closing(_tables(table, len(starts), helpers)) as tables:
+        for start, c in zip(starts, tables):
+            stop = min(start + _CHUNK, n_steps)
+            if run is not None:
+                status, at, value = run(c, start, stop)
+                t = at * h
+                if status == _rk4.ESCAPE:
+                    raise Escape(t)
+                if status == _rk4.NONFINITE:
+                    raise NonFinite(t)
+                if status != _rk4.OK:  # at stage t, t + h/2 or t + h of step at
+                    stage = (t, t + 0.5 * h, t + h)[status - _rk4.NONPOSITIVE]
+                    raise PositivityViolation(stage, value, spec.positive[1])
+                continue
+            c = c.tolist()
+            try:
+                for k, c0, cm, c1 in zip(range(start, stop), c[0::2], c[1::2], c[2::2]):
+                    x = step(k * h, x, c0, cm, c1)
+                    kk = k + 1
+                    # Written so that a NaN coordinate escapes too.
+                    if escape is not None and not all(abs(v) <= limit for v in x[escape]):
+                        raise Escape(kk * h)
+                    if kk % rec == 0:
+                        if not all(map(math.isfinite, x)):
+                            raise NonFinite(kk * h)
+                        out[rows] = x
+                        rows += 1
+            except OverflowError as exc:
+                raise NonFinite(k * h) from exc
     return np.arange(n_intervals + 1) * rec * h, out, "python" if run is None else "c"
 
 
@@ -303,9 +423,12 @@ def integrate_z(
     """Integrate the driven oscillator z'' + omega^2 z + g(t) z^2 = 0.
 
     g is vectorised: it maps an array of times to coefficient values, and a
-    constant (``lambda t: 0.0``) broadcasts.  Raises Escape at the step where
-    |z| exceeds config.escape_z (the cubic potential is unbounded; detect
-    rather than overflow).  Raises NonPositive unless omega is finite and > 0.
+    constant (``lambda t: 0.0``) broadcasts.  It must be a pure function of
+    its times: on the compiled RK4 it may be called from a helper thread,
+    for several chunks at once, ahead of the steps that use its values.
+    Raises Escape at the step where |z| exceeds config.escape_z (the cubic
+    potential is unbounded; detect rather than overflow).  Raises
+    NonPositive unless omega is finite and > 0.
     """
     if not (math.isfinite(omega) and omega > 0.0):
         raise NonPositive("omega", omega)
@@ -341,18 +464,21 @@ def integrate_coupled(
     )
 
 
-def _coupled(params: SystemParams, pairs, config: IntegrationConfig):
+def _coupled(params: SystemParams, pairs, config: IntegrationConfig,
+             helpers: int | None = None):
     """Lockstep RK4 of one coefficient block and one oscillator per (z0, p0) of pairs.
 
     All oscillators share the block's stages, so each oscillator's columns
     equal the ``integrate_coupled`` run of its pair to the bit.  Returns
     ``_drive``'s (physical times, state table, RK4 path); the table's columns
     are (y, y', y'', J), then (z, p) of each pair in the order of pairs.
+    helpers is ``_drive``'s table helper count.
     """
     om = params.omega
     profile = _profile(params)
     x0 = (params.y0, params.yp0, params.ypp0, 0.0, *(v for pair in pairs for v in pair))
-    return _drive("coupled", lambda t: profile(om * t), x0, config, eps=params.epsilon, omega=om)
+    return _drive("coupled", lambda t: profile(om * t), x0, config, eps=params.epsilon, omega=om,
+                  helpers=helpers)
 
 
 def convergence_order(

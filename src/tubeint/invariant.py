@@ -18,14 +18,13 @@ bits of its own single-trajectory evaluation.
 from __future__ import annotations
 
 import contextvars
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, NonPositive, TubeIntError, UnsupportedOmega
-from .integrate import IntegrationConfig, _coupled, integrate_coupled, integrate_z
+from .integrate import IntegrationConfig, _cores, _coupled, integrate_coupled, integrate_z
 from .model import SystemParams, Trajectory
 from .perturb import ORDER, _prepare, _sum, g_of_t
 
@@ -215,16 +214,13 @@ def _grid(values, name: str) -> np.ndarray:
 def _part_count(filaments: int, compiled: bool) -> int:
     """The number of parts of a grid: one per available core, and one when
     the compiled RK4 does not load, because the Python RK4 holds the GIL."""
-    if not compiled:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return min(len(os.sched_getaffinity(0)), filaments)
-    return min(os.cpu_count() or 1, filaments)  # no affinity mask on this platform
+    return min(_cores(), filaments) if compiled else 1
 
 
 def _tube_part(params: SystemParams, pairs, cfg: IntegrationConfig) -> list[TubeFilament]:
-    """The filaments of pairs from one lockstep run and one broadcast invariant."""
-    t, states, _ = _coupled(params, pairs, cfg)
+    """The filaments of pairs from one lockstep run and one broadcast invariant;
+    the parts take a core each, so the run starts no table helper."""
+    t, states, _ = _coupled(params, pairs, cfg, helpers=0)
     z = states[:, 4::2]
     p = states[:, 5::2]
     values = _exact(params, t[:, None], states[:, 0:1], states[:, 1:2], states[:, 2:3], z, p)

@@ -328,17 +328,35 @@ class ValidityWindow:
     eps_eff: float
 
 
+def _power_product(c: float, *powers: tuple[float, float]) -> float:
+    """c * b1**e1 * b2**e2 * ... for positive c and bases, from logarithms.
+
+    The fallback of a plain product whose powers over- or underflow: the
+    result is inf or 0 only where the product itself is out of range.
+    """
+    log = math.log(c) + sum(e * math.log(b) for b, e in powers)
+    try:
+        return math.exp(log)
+    except OverflowError:
+        return math.inf
+
+
 def validity(params: SystemParams) -> ValidityWindow:
     """tau* = y0^6 / (s eps^2) (infinite when unforced) and eps_eff = eps y0^(-7/2).
 
-    s = 5/96 is the secular slope of ``resonance_coefficients``.
+    s = 5/96 is the secular slope of ``resonance_coefficients``.  When a
+    power in the plain quotient over- or underflows, tau* comes from
+    logarithms, so it is inf or 0 only when tau* itself is out of range.
     """
-    eps2 = params.epsilon**2
+    eps, y0 = params.epsilon, params.y0
     s = resonance_coefficients()["secular_slope"]
-    try:
-        tau_star = float(s.denominator) * params.y0**6 / (float(s.numerator) * eps2)
-    except (ZeroDivisionError, OverflowError):  # eps^2 is 0 (or underflows) or y0^6 overflows
+    if eps == 0.0:
         tau_star = math.inf
+    else:
+        try:
+            tau_star = float(s.denominator) * y0**6 / (float(s.numerator) * eps**2)
+        except (ZeroDivisionError, OverflowError):  # eps^2 underflows, or a power overflows
+            tau_star = _power_product(float(1 / s), (y0, 6.0), (eps, -2.0))
     return ValidityWindow(tau_star=tau_star, eps_eff=params.eps_eff)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientSamples, InsufficientWindows, InvalidInput
 from .model import SystemParams, Trajectory
-from .perturb import _sum, resonance_coefficients, validity, y_composite
+from .perturb import _power_product, _sum, resonance_coefficients, validity, y_composite
 
 __all__ = ["SecularFit", "DefectSeries", "fourier_windows", "periodicity_defect"]
 
@@ -103,7 +103,8 @@ def fourier_windows(params: SystemParams, traj: Trajectory) -> tuple:
     windows 0 and 1 extrapolated linearly from their centers 2 pi (k + 1/2)
     to center 0, canonical sign, and the series value
     ``resonance_coefficients()["s3"]`` eps^3 y0^(-19/2) (0 when unforced,
-    where that power may overflow).
+    where that power may overflow; from logarithms when a power of the
+    product overflows).
     """
     tau = traj.column("tau")
     windows = list(range(int(math.floor(tau[-1] / TWO_PI + 1e-12))))
@@ -125,7 +126,11 @@ def fourier_windows(params: SystemParams, traj: Trajectory) -> tuple:
         tau, [y, residual1, y - y_composite(tau, params, 2)], windows, 3)
     fit = _secular_fit(windows, resid1[1])
     s3 = resid2[2]
-    predicted = float(resonance_coefficients()["s3"]) * eps**3 * y0**-9.5 if eps else 0.0
+    s3_coef = float(resonance_coefficients()["s3"])
+    try:
+        predicted = s3_coef * eps**3 * y0**-9.5 if eps else 0.0
+    except OverflowError:  # eps^3 or y0^-9.5 overflows
+        predicted = _power_product(s3_coef, (eps, 3.0), (y0, -9.5))
     return c, s, fit, s3, (float(s3[0] - (s3[1] - s3[0]) * 0.5), predicted)
 
 

@@ -460,6 +460,27 @@ def test_overflow_exit_code_three(capsys):
     assert capsys.readouterr().err == "error: NonFinite: non-finite state at t=0.0\n"
 
 
+def test_overflowing_powers_of_eps_and_y0_run(capsys):
+    # eps^2, y0^6, y0^-6 and eps^3 overflow as Python floats; tau* and the
+    # predicted slopes come from logarithms, so the runs end without an OverflowError
+    argv = ["simulate-y", "--eps", "1e200", "--y0", "1e250", "--tau-max", "1", "--out", "-"]
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert "# tau_star=inf\n" in out and err == ""
+    argv = ["simulate-y", "--eps", "1e150", "--y0", "1e52", "--tau-max", "1", "--out", "-"]
+    assert run(argv) == 0
+    tau_star = re.search(r"^# tau_star=(\S+)$", capsys.readouterr().out, re.MULTILINE).group(1)
+    assert float(tau_star) == pytest.approx(1.92e13, rel=1e-12)
+    argv = ["fourier", "--eps", "1e200", "--y0", "1e250", "--tau-max", "40"]
+    assert run(argv + ["--record-every", "1", "--out", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert "# secular_slope_predicted=0.0\n" in out and "# s3_predicted=0.0\n" in out
+    assert err == ""
+    # at the default --record-every the windows hold too few samples: exit 2, not 3
+    assert run(argv + ["--out", "-"]) == 2
+    assert capsys.readouterr().err.startswith("error: InsufficientSamples: ")
+
+
 def test_extreme_y0_runs_or_names_y0(capsys):
     # delta = eps*y0^(-7/2) underflows to 0 and tau* = 96 y0^6/(5 eps^2) overflows to inf
     assert run(["simulate-y", "--y0", "1.2e249", "--tau-max", "1", "--out", "-"]) == 0

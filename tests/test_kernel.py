@@ -10,7 +10,9 @@ field with no pairs at omega = 1.
 """
 
 import ctypes
+import os
 import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -342,3 +344,52 @@ def test_unusable_cache_builds_in_a_temporary_directory(tmp_path, capfd, cache):
     if cache == "shared":
         assert list((root / "tubeint").iterdir()) == []
     assert capfd.readouterr() == ("", "")
+
+
+# Runs a README one-liner (shortened) on the compiled RK4 with table helpers
+# on and off and on the Python RK4, in the child's own numpy dispatch.  Prints
+# the enabled dispatch targets first and one sha256 per run last.
+_DISPATCH_CHILD = """
+import hashlib, pathlib, sys, tempfile
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+import tubeint._rk4 as rk4
+import tubeint.integrate
+from tubeint.cli import main
+
+print(" ".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name)))
+lib = rk4.library()
+assert lib is not None
+digests = []
+for library, helpers in ((lib, 1), (lib, 0), (None, 0)):
+    rk4._lib = library
+    tubeint.integrate._table_helpers = lambda: helpers
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp, "out.csv")
+        assert main(sys.argv[1:] + ["--out", str(out)]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+print(" ".join(digests))
+"""
+
+_DISABLED = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+
+@needs_compiler
+@pytest.mark.parametrize("argv", [
+    ["invariant-drift", "--mode", "perturbative", "--eps", "0.05", "--y0", "0.8", "--t-max", "50"],
+    ["simulate-y", "--y0", "1", "--eps", "0.1", "--tau-max", "50"],
+])
+def test_both_paths_agree_under_another_numpy_dispatch(argv):
+    # numpy's exp and power give other bits on their AVX-512 paths, so the
+    # bytes of both runs are those of one host and numpy build (on an AVX-512
+    # CPU with numpy 2.4 both change when it is off); the two RK4 paths, with
+    # table helpers or without, must still agree with each other
+    src = Path(tubeint.integrate.__file__).resolve().parents[1]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(_DISABLED),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()  # the dispatch targets, summaries, the digests
+    assert not set(lines[0].split()) & set(_DISABLED)
+    helpers, no_helpers, python = lines[-1].split()
+    assert helpers == no_helpers == python

@@ -131,6 +131,11 @@ def test_validity_window_values():
     assert validity(params(eps=0.1, y0=0.7)).tau_star == pytest.approx(96.0 * 0.7**6 / 0.05, rel=1e-12)
     assert math.isinf(validity(params(eps=0.0)).tau_star)
     assert math.isinf(validity(params(eps=1e-250)).tau_star)  # eps^2 underflows
+    # a power that over- or underflows as a Python float: tau* from logarithms
+    assert validity(params(eps=1e150, y0=1e52)).tau_star == pytest.approx(1.92e13, rel=1e-12)
+    assert validity(params(eps=1e-170, y0=1e-10)).tau_star == pytest.approx(1.92e281, rel=1e-12)
+    assert validity(params(eps=1e200, y0=1e250)).tau_star == math.inf
+    assert validity(params(eps=1e200, y0=1e10)).tau_star == 0.0
     assert validity(params(eps=0.1, y0=2.0)).eps_eff == pytest.approx(0.1 * 2.0**-3.5, rel=1e-14)
 
 
