@@ -24,8 +24,9 @@ bit-identical results and the same errors; otherwise the Python RK4 runs.
 On the compiled RK4, which releases the GIL, a run of more than one chunk
 builds its coefficient tables ahead of the stepping: one helper thread per
 spare core claims the tables of the next few chunks in ascending order,
-while the caller steps; when the caller reaches a chunk whose table no
-thread has started, it builds that table itself.  Each table is the same
+while the caller steps; when the caller needs a table that is not built
+yet, it builds the next unclaimed one itself, and waits only when every
+table of the window is claimed.  Each table is the same
 function of the same times wherever it is built, so the bits do not depend
 on the helpers, and an error raised while building a table is raised when
 the stepping reaches that chunk, as in a run without helpers.  The Python
