@@ -33,8 +33,8 @@ The 128-bit products are the compiler's ``unsigned __int128`` (GCC, Clang),
 with no fallback in C: a compiler without it fails the build, which then
 counts as no compiler.  When there is no compiler, or the build or the load
 fails, ``library()`` is None, silently: the driver runs the Python RK4,
-``perturb._sum`` its numpy loop, and ``csv_rows`` joins ``repr`` strings.
-Either way the bits and bytes are the same.
+``perturb._sum`` its numpy loop, and ``csv_rows`` encodes joined ``repr``
+strings.  Either way the bits and bytes are the same.
 """
 
 from __future__ import annotations
@@ -301,12 +301,12 @@ def _pow10_table() -> np.ndarray:
     return table
 
 
-def csv_rows(block: np.ndarray, integer) -> str:
-    """The rows of a 2-D float64 block as CSV lines, each ending in a newline.
+def csv_rows(block: np.ndarray, integer) -> bytes:
+    """The rows of a 2-D float64 block as ASCII CSV lines, each ending in a newline.
 
     A value is written as ``repr(float(v))`` writes it, and as ``int(v)`` in a
     column whose flag in ``integer`` is set.  The compiled formatter and the
-    ``repr`` path give the same text.
+    ``repr`` path give the same bytes.
     """
     block = np.ascontiguousarray(block, dtype=np.float64)
     flags = np.array(integer, dtype=np.uint8)
@@ -316,15 +316,15 @@ def csv_rows(block: np.ndarray, integer) -> str:
     if not (np.abs(ints) <= 2.0**53).all() or (ints != np.trunc(ints)).any():
         raise ValueError("an integer column holds a value that is not an integer below 2^53")
     if not block.size:
-        return "\n" * len(block)
+        return b"\n" * len(block)
     lib = library()
     if lib is None:
         rows = block.tolist()
         for j in np.flatnonzero(flags).tolist():
             for row in rows:
                 row[j] = int(row[j])
-        return repr(rows)[2:-2].replace("], [", "\n").replace(", ", ",") + "\n"
+        return (repr(rows)[2:-2].replace("], [", "\n").replace(", ", ",") + "\n").encode()
     out = np.empty(CSV_BYTES * block.size, dtype=np.uint8)
     n = lib.tubeint_csv(block.ctypes.data, *block.shape, flags.ctypes.data,
                         _pow10_table().ctypes.data, out.ctypes.data)
-    return out[:n].tobytes().decode("ascii")
+    return out[:n].tobytes()

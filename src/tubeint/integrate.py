@@ -210,14 +210,17 @@ def _cores() -> int:
 
 
 def _table_helpers() -> int:
-    """Threads that build coefficient tables beside a compiled run: one per
-    spare core, the caller's own core being the one that steps."""
+    """Threads that build coefficient tables beside a compiled run, or CSV
+    blocks beside the compiled formatter: one per spare core, the caller's
+    own core being the one that steps or writes."""
     return _cores() - 1
 
 
 def _tables(table, chunks: int, helpers: int):
     """Yield ``table(k)`` for k = 0 .. chunks-1, built ahead by up to ``helpers`` threads.
 
+    It serves ``_drive``'s chunk coefficient tables and ``cli.write_csv``'s
+    formatted CSV blocks; helpers gain only where ``table`` releases the GIL.
     The caller builds table 0 before any helper starts, so first-use caches
     and errors such as InvalidInput arise on it alone.  Then every thread,
     the caller included, claims the next table in ascending order, up to

@@ -33,13 +33,13 @@ WINDOW_NODES = 2048
 
 
 def _cover(tau: np.ndarray, windows) -> None:
-    """Raise InsufficientSamples unless tau covers each window with enough samples."""
-    for k in windows:
-        a = TWO_PI * k
-        b = a + TWO_PI
+    """Raise InsufficientSamples unless tau (ascending) covers each window with enough samples."""
+    starts = [TWO_PI * k for k in windows]
+    ends = [a + TWO_PI for a in starts]
+    counts = np.searchsorted(tau, ends, "right") - np.searchsorted(tau, starts, "left")
+    for k, a, b, inside in zip(windows, starts, ends, counts.tolist()):
         if tau[0] > a + 1e-12 or tau[-1] < b - 1e-12:
             raise InsufficientSamples(f"trajectory does not cover window {k} ([{a}, {b}])")
-        inside = np.count_nonzero((tau >= a) & (tau <= b))
         if inside < MIN_WINDOW_SAMPLES:
             raise InsufficientSamples(f"window {k} holds {inside} samples; "
                                       f"need >= {MIN_WINDOW_SAMPLES}")
@@ -92,7 +92,8 @@ def fourier_windows(params: SystemParams, traj: Trajectory) -> tuple:
     c and s hold rows c0..c3 and s1..s3 of y, one column per window.  fit is
     the linear fit of the sin(2 tau) amplitude of y - y0 (1 + delta R_1): the
     first-order term is removed in closed form (unforced, the residual is
-    y - y0, with no power of y0 to overflow), so the leading content is the
+    y - y0, with no power of y0 to overflow; when eps y0 overflows, the term
+    is formed as y0 (delta R_1)), so the leading content is the
     secular second-order response, whose slope callers compare against
     (5/96) eps^2 y0^(-6).  The windows must end within 0.2 tau*.
 
@@ -120,7 +121,10 @@ def fourier_windows(params: SystemParams, traj: Trajectory) -> tuple:
         residual1 = y - y0
     else:
         [r1] = _sum(tau, ("rho", [0.0, 1.0]))
-        residual1 = y - y0 - eps * y0 * (y0**-3.5 * r1)
+        if math.isfinite(eps * y0):
+            residual1 = y - y0 - eps * y0 * (y0**-3.5 * r1)
+        else:  # delta y0 is representable though eps y0 is not
+            residual1 = y - y0 - y0 * (params.eps_eff * r1)
     _cover(tau, windows)
     (c, s), (_, resid1), (_, resid2) = _project(
         tau, [y, residual1, y - y_composite(tau, params, 2)], windows, 3)

@@ -476,6 +476,8 @@ def test_overflowing_powers_of_eps_and_y0_run(capsys):
     out, err = capsys.readouterr()
     assert "# secular_slope_predicted=0.0\n" in out and "# s3_predicted=0.0\n" in out
     assert err == ""
+    # eps y0 overflows, delta y0 does not: the first-order residual and its fit are finite
+    assert "nan" not in out
     # at the default --record-every the windows hold too few samples: exit 2, not 3
     assert run(argv + ["--out", "-"]) == 2
     assert capsys.readouterr().err.startswith("error: InsufficientSamples: ")

@@ -37,12 +37,12 @@ def _on(path):
         yield
 
 
-def _assert_repr_rows(text, block):
-    """text holds one line per row of block, each the repr of its values joined by commas."""
-    lines = text.split("\n")
-    assert lines.pop() == "" and len(lines) == len(block)
+def _assert_repr_rows(data, block):
+    """data holds one line per row of block, each the repr of its values joined by commas."""
+    lines = data.split(b"\n")
+    assert lines.pop() == b"" and len(lines) == len(block)
     for line, row in zip(lines, block):
-        assert line == ",".join(repr(float(v)) for v in row)
+        assert line == ",".join(repr(float(v)) for v in row).encode()
 
 
 def _column(values):
@@ -96,13 +96,13 @@ def test_integer_columns(path):
     block = np.array([[0.0, 0.5, -3.0], [7.0, -0.0, 2.0**53], [-2.0**53, 1e300, 0.0]])
     with _on(path):
         text = rk4.csv_rows(block, [True, False, True])
-        assert rk4.csv_rows(block[:0], [True, False, True]) == ""
+        assert rk4.csv_rows(block[:0], [True, False, True]) == b""
         for bad in (0.5, math.nan, math.inf, 2.0**54):
             with pytest.raises(ValueError, match="integer column"):
                 rk4.csv_rows(np.array([[bad, 0.0]]), [True, False])
-    assert text == ("0,0.5,-3\n"
-                    "7,-0.0,9007199254740992\n"
-                    "-9007199254740992,1e+300,0\n")
+    assert text == (b"0,0.5,-3\n"
+                    b"7,-0.0,9007199254740992\n"
+                    b"-9007199254740992,1e+300,0\n")
 
 
 def _layouts():
@@ -133,7 +133,7 @@ def test_digit_layout_boundaries(path):
         as_int = rk4.csv_rows(ints, [True])
         as_float = rk4.csv_rows(ints, [False])
     _assert_repr_rows(text, floats)
-    assert as_int == "".join(f"{int(v)}\n" for v in ints[:, 0])
+    assert as_int == "".join(f"{int(v)}\n" for v in ints[:, 0]).encode()
     _assert_repr_rows(as_float, ints)
 
 
@@ -225,7 +225,7 @@ def test_formatter_under_address_and_undefined_sanitizers(tmp_path):
     assert done.returncode == 0 and done.stderr == "", done.stderr[-2000:]
     lines = done.stdout.split("\n")
     assert lines.pop() == ""
-    _assert_repr_rows("\n".join(lines[:len(block)]) + "\n", block)
+    _assert_repr_rows(("\n".join(lines[:len(block)]) + "\n").encode(), block)
     assert lines[len(block):] == [repr(v) for v in block.ravel().tolist()]
 
 

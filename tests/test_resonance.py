@@ -44,9 +44,10 @@ def test_projection_pure_harmonic():
 
 
 def test_projection_requires_dense_coverage():
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(InsufficientSamples, match=r"^window 0 holds 100 samples; need >= 1000$"):
         _cover(TWO_PI / 100 * np.arange(301), [0])
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(InsufficientSamples, match=r"^trajectory does not cover window 5 \(\["
+                                                  r"31\.41592653589793, 37\.69911184307752\]\)$"):
         _cover(synthetic_tau(n_periods=2), [5])
 
 

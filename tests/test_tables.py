@@ -7,8 +7,13 @@ just before stepping its chunk: the bits, the error raised and its time must
 not depend on the helper count, and no thread may outlive the run.  Each
 system runs: the driven oscillator, the coupled system with N = 0
 (``integrate_y``) and N = 1 (``integrate_coupled``) and the Ermakov pair.
+
+``cli.write_csv`` takes its formatted CSV blocks from the same pipeline; the
+last section holds its bytes, its errors and its threads to the same rules.
 """
 
+import contextlib
+import io
 import sys
 import threading
 import warnings
@@ -17,6 +22,7 @@ import numpy as np
 import pytest
 
 import tubeint._rk4 as rk4
+import tubeint.cli
 import tubeint.ermakov
 import tubeint.integrate
 import tubeint.invariant
@@ -247,3 +253,94 @@ def test_many_helpers_under_fast_thread_switching_build_each_table_once():
             sys.setswitchinterval(interval)
     assert sorted(firsts) == [0.005 * (2 * k) for k in range(300)]
     assert traj.data.tobytes() == reference.data.tobytes()
+
+
+# --- CSV blocks: ``cli.write_csv`` ------------------------------------------
+
+# 9,001 rows: three blocks of 4,096 rows, five of the default 2,048
+SIMULATE = ["simulate-y", "--tau-max", "9", "--record-every", "1"]
+
+
+def _csv_at(mp, helpers, block, path):
+    _pinned(mp, helpers)
+    mp.setattr(tubeint.cli, "_BLOCK", block)
+    assert tubeint.cli.main(SIMULATE + ["--out", str(path)]) == 0
+    return path.read_bytes()
+
+
+def test_cli_bytes_do_not_depend_on_helpers_or_block_size(tmp_path):
+    threads = threading.active_count()
+    with pytest.MonkeyPatch.context() as mp:
+        reference = _csv_at(mp, 0, tubeint.cli._BLOCK, tmp_path / "reference.csv")
+    assert reference.count(b"\n") == 9001 + 11
+    for helpers in (0, 1, 2):
+        for block in (1, 7, 4096, tubeint.cli._BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                assert _csv_at(mp, helpers, block, tmp_path / "out.csv") == reference, \
+                    (helpers, block)
+            assert threading.active_count() == threads
+
+
+def test_a_failing_late_block_leaves_the_blocks_before_it(tmp_path):
+    # row 50 of the integer column is not an integer below 2^53: block 7 of
+    # 7 rows fails, after the 49 rows of blocks 0 .. 6 are written
+    k = np.arange(200)
+    t = 0.25 * k
+    bad = k.copy()
+    bad[50] = 2**60
+    whole = tmp_path / "whole.csv"
+    tubeint.cli.write_csv(str(whole), [("kind", "test")], ["k", "t"], [k, t])
+    expected = b"".join(whole.read_bytes().splitlines(keepends=True)[:2 + 49])
+    threads = threading.active_count()
+    for helpers in (0, 1, 2):
+        out = tmp_path / f"{helpers}.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            _pinned(mp, helpers)
+            mp.setattr(tubeint.cli, "_BLOCK", 7)
+            with pytest.raises(ValueError, match="^an integer column holds a value that is not "
+                                                 "an integer below 2\\^53$"):
+                tubeint.cli.write_csv(str(out), [("kind", "test")], ["k", "t"], [bad, t])
+        assert threading.active_count() == threads
+        assert out.read_bytes() == expected, helpers
+
+
+def test_the_repr_path_starts_no_helper(started, tmp_path):
+    columns = [np.arange(100), np.linspace(0.0, 1.0, 100)]
+    with pytest.MonkeyPatch.context() as mp:
+        _pinned(mp, 2)
+        mp.setattr(tubeint.cli, "_BLOCK", 7)
+        mp.setattr(rk4, "_lib", None)
+        tubeint.cli.write_csv(str(tmp_path / "python.csv"), [], ["k", "x"], columns)
+        assert started == []
+        mp.undo()
+        if rk4.library() is None:
+            return
+        # beside the compiled formatter the same write starts both helpers
+        _pinned(mp, 2)
+        mp.setattr(tubeint.cli, "_BLOCK", 7)
+        tubeint.cli.write_csv(str(tmp_path / "compiled.csv"), [], ["k", "x"], columns)
+    assert len(started) == 2
+    assert (tmp_path / "compiled.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
+
+
+def test_standard_output_takes_the_same_bytes_through_any_layer(tmp_path, capsys):
+    argv = SIMULATE[:2] + ["2"] + SIMULATE[3:]
+    assert tubeint.cli.main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    reference = (tmp_path / "out.csv").read_bytes()
+    capsys.readouterr()
+    assert tubeint.cli.main(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out.encode() == reference
+    # a text layer with no binary one
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert tubeint.cli.main(argv + ["--out", "-"]) == 0
+    assert text.getvalue().encode() == reference
+    # a buffered text layer: what it holds goes out before the CSV
+    raw = io.BytesIO()
+    layered = io.TextIOWrapper(raw, encoding="utf-8")
+    with contextlib.redirect_stdout(layered):
+        print("before")
+        assert tubeint.cli.main(argv + ["--out", "-"]) == 0
+        print("after")
+    layered.flush()
+    assert raw.getvalue() == b"before\n" + reference + b"after\n"
