@@ -22,7 +22,9 @@
  * chunk over the half-step coefficient table ``coef`` (coef[2i .. 2i+2] at t,
  * t + h/2 and t + h of step start + i), with the escape test after every step
  * and the finiteness test at every record point.  It writes each recorded
- * state into row ``*rows`` of ``out`` and returns a status code (below).  The
+ * state into row ``*rows`` of ``out``, whose rows are ``ld`` doubles apart
+ * (ld >= dim: the state may sit behind leading columns of a wider table that
+ * the caller fills), and returns a status code (below).  The
  * coupled system carries any number N >= 0 of (z, p) pairs behind its one
  * (y, y', y'', J) block, so its state has 4 + 2N components; the caller
  * passes the state's dimension and a work buffer of 5 doubles per component.
@@ -159,7 +161,7 @@ static inline int rk4(field_fn field, int dim, const struct sys *s, double *rest
 static inline int run(field_fn field, int dim, const struct sys *s, const double *coef,
                       int64_t start, int64_t stop, int64_t rec, int esc, double limit,
                       double *restrict x, double *restrict work, double *restrict out,
-                      int64_t *rows, int64_t *at, double *value)
+                      int64_t ld, int64_t *rows, int64_t *at, double *value)
 {
     int i, status;
 
@@ -178,7 +180,7 @@ static inline int run(field_fn field, int dim, const struct sys *s, const double
             }
         }
         if (kk % rec == 0) {
-            double *row = out + *rows * dim;
+            double *row = out + *rows * ld;
             for (i = 0; i < dim; i++) {
                 if (!isfinite(x[i])) {
                     *at = kk;
@@ -193,11 +195,12 @@ static inline int run(field_fn field, int dim, const struct sys *s, const double
 }
 
 /* par: (h, eps, omega) for every system; a system ignores what it does not
- * use.  x holds the dim components of the state and work 5 dim doubles.
- * Returns -1 for an unknown system or a dimension that it does not have. */
+ * use.  x holds the dim components of the state and work 5 dim doubles; row
+ * r of out starts at out + r ld.  Returns -1 for an unknown system or a
+ * dimension that it does not have. */
 int tubeint_rk4(int system, int dim, const double *par, const double *coef, int64_t start,
                 int64_t stop, int64_t rec, int esc, double limit, double *x, double *work,
-                double *out, int64_t *rows, int64_t *at, double *value)
+                double *out, int64_t ld, int64_t *rows, int64_t *at, double *value)
 {
     const double h = par[0], om = par[2];
     const struct sys s = {h, 0.5 * h, h / 6.0, par[1], om, om * om};
@@ -208,7 +211,7 @@ int tubeint_rk4(int system, int dim, const double *par, const double *coef, int6
     int status;
 
 #define RUN(field, n, state, buf) \
-    run(field, n, &s, coef, start, stop, rec, esc, limit, state, buf, out, rows, at, value)
+    run(field, n, &s, coef, start, stop, rec, esc, limit, state, buf, out, ld, rows, at, value)
 #define LOCAL(field, n) RUN(field, n, local, local + DIM)
     if (system == COUPLED && dim > DIM && dim % 2 == 0)
         return RUN(field_coupled, dim, x, work);

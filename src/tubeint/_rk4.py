@@ -73,6 +73,7 @@ _ARGTYPES = [
     ctypes.c_void_p,  # state, updated in place
     ctypes.c_void_p,  # work: 5 * dim doubles
     ctypes.c_void_p,  # out: the recorded rows
+    ctypes.c_int64,  # ld: doubles from one row of out to the next
     ctypes.POINTER(ctypes.c_int64),  # rows recorded so far, updated
     ctypes.POINTER(ctypes.c_int64),  # step index of a failure
     ctypes.POINTER(ctypes.c_double),  # stage value of a failure
@@ -253,17 +254,23 @@ def kernel(system: str, constants, x, out, escape_index, escape_z, record_every)
 
     constants is (h, eps, omega); a system ignores the ones it does not use.
     x is the initial state, of the run's dimension (4 + 2N for the coupled
-    system with N >= 0 oscillators), and out the array of recorded rows
-    (C-contiguous float64, row 0 already written).  ``run(coef, start, stop)``
-    advances the state over steps start .. stop-1 with the chunk's half-step
-    table coef and returns (status, step index, value).
+    system with N >= 0 oscillators), and out the writable float64 array of
+    recorded rows, row 0 already written: each row holds the state's
+    components contiguously, and the row stride ``ld`` passed to
+    ``tubeint_rk4`` is out's, in doubles, so out may be the state columns of
+    a wider table.  Any other out raises ValueError, before the library is
+    loaded.  ``run(coef, start, stop)`` advances the state over steps
+    start .. stop-1 with the chunk's half-step table coef and returns
+    (status, step index, value).
     """
+    dim = len(x)
+    ld, skew = divmod(out.strides[0], out.itemsize)
+    if not (out.shape[1:] == (dim,) and out.dtype == np.float64 and out.flags.writeable
+            and out.strides[1] == out.itemsize and not skew and ld >= dim):
+        raise ValueError(f"{system} kernel needs a float64 out of {dim} contiguous columns")
     lib = library()
     if lib is None:
         return None
-    dim = len(x)
-    if not (out.shape[1:] == (dim,) and out.dtype == np.float64 and out.flags.c_contiguous):
-        raise ValueError(f"{system} kernel needs a C-contiguous float64 out of {dim} columns")
     fn = lib.tubeint_rk4
     index = KERNELS.index(system)
     par = (ctypes.c_double * 3)(*constants)
@@ -276,7 +283,7 @@ def kernel(system: str, constants, x, out, escape_index, escape_z, record_every)
     def run(coef, start, stop):
         # coef: float64, C-contiguous, 2 * (stop - start) + 1 values
         status = fn(index, dim, par, coef.ctypes.data, start, stop, record_every, esc,
-                    escape_z, state, work, dest, rows, at, value)
+                    escape_z, state, work, dest, ld, rows, at, value)
         if status < 0:
             raise ValueError(f"{system} kernel has no state of dimension {dim}")
         return status, at.value, value.value

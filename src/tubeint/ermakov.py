@@ -210,11 +210,13 @@ def integrate_ermakov(
     if not (math.isfinite(w0) and w0 > 0.0):
         raise NonPositive("w0", w0)
 
-    t, states, path = _drive("ermakov", f, (z0, p0, w0, dw0), config)
+    t, data, path = _drive("ermakov", f, (z0, p0, w0, dw0), config, lead=2)
+    data[:, 0] = t
+    data[:, 1] = f(t)
     return Trajectory(
         times=t,
         columns=("t", "f", "z", "p", "w", "dw"),
-        data=np.column_stack([t, f(t), states]),
+        data=data,
         meta={"system": "ermakov", "driver": driver, "config": config, "w0": w0, "dw0": dw0,
               "kernel": path},
     )

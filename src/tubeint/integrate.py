@@ -295,7 +295,7 @@ def _tables(table, chunks: int, helpers: int):
 
 
 def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
-           omega: float = 0.0, helpers: int | None = None):
+           omega: float = 0.0, helpers: int | None = None, lead: int = 0):
     """Run RK4 of ``system`` over ``config.plan()`` and record every record_every steps.
 
     ``system`` names an entry of ``_SYSTEMS``, whose field runs with the
@@ -315,7 +315,11 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
     the stepping; the bits and errors do not depend on their number, and
     every helper is joined before the driver returns or raises.
 
-    Returns (recorded times, recorded states, the path that ran: "c" or
+    The run records into one table, the trajectory's own: ``lead`` leading
+    columns, left unset for the caller to fill in place (the time, and f(t)
+    for the Ermakov pair), then the state, which either RK4 writes straight
+    into its row (the compiled one through the table's row stride).
+    Returns (recorded times, that table, the path that ran: "c" or
     "python"); sample i is at (i*record_every)*h.
     """
     from . import _rk4  # on first use: starting the command line does not need it
@@ -330,11 +334,12 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
     escape = None if spec.escape is None else slice(spec.escape, None, 2)
     n_steps, n_intervals = config.plan()
     try:
-        out = np.empty((n_intervals + 1, len(x)))
+        data = np.empty((n_intervals + 1, lead + len(x)))
     except (MemoryError, ValueError) as exc:
         raise InvalidInput(
             f"cannot allocate {float(n_intervals + 1):.6g} recorded samples ({exc})"
         ) from exc
+    out = data[:, lead:]
     out[0] = x
     rows = 1
     run = _rk4.kernel(system, (h, eps, omega), x, out, spec.escape, limit, rec)
@@ -379,7 +384,10 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
                         rows += 1
             except OverflowError as exc:
                 raise NonFinite(k * h) from exc
-    return np.arange(n_intervals + 1) * rec * h, out, "python" if run is None else "c"
+    times = np.arange(n_intervals + 1, dtype=float)  # (i * rec) * h, in place: exact products
+    times *= rec
+    times *= h
+    return times, data, "python" if run is None else "c"
 
 
 def _profile(params: SystemParams) -> Callable[[np.ndarray], np.ndarray]:
@@ -407,12 +415,13 @@ def integrate_y(params: SystemParams, config: IntegrationConfig) -> Trajectory:
     at omega = 1, where physical time is rescaled time.
     """
     x0 = (params.y0, params.yp0, params.ypp0, 0.0)
-    tau, states, path = _drive("coupled", _profile(params), x0, config, eps=params.epsilon,
-                               omega=1.0)
+    tau, data, path = _drive("coupled", _profile(params), x0, config, eps=params.epsilon,
+                             omega=1.0, lead=1)
+    data[:, 0] = tau
     return Trajectory(
         times=tau,
         columns=("tau", "y", "dy", "ddy", "J"),
-        data=np.column_stack([tau, states]),
+        data=data,
         meta={"system": "y", "params": params, "config": config, "kernel": path},
     )
 
@@ -459,30 +468,31 @@ def integrate_coupled(
     Times are physical; the tau column stores omega*t.  Raises Escape at the
     step where |z| exceeds config.escape_z.
     """
-    t, states, path = _coupled(params, [(z0, p0)], config)
+    t, data, path = _coupled(params, [(z0, p0)], config, lead=1)
+    np.multiply(params.omega, t, out=data[:, 0])
     return Trajectory(
         times=t,
         columns=("tau", "y", "dy", "ddy", "J", "z", "p"),
-        data=np.column_stack([params.omega * t, states]),
+        data=data,
         meta={"system": "coupled", "params": params, "config": config, "kernel": path},
     )
 
 
 def _coupled(params: SystemParams, pairs, config: IntegrationConfig,
-             helpers: int | None = None):
+             helpers: int | None = None, lead: int = 0):
     """Lockstep RK4 of one coefficient block and one oscillator per (z0, p0) of pairs.
 
     All oscillators share the block's stages, so each oscillator's columns
     equal the ``integrate_coupled`` run of its pair to the bit.  Returns
-    ``_drive``'s (physical times, state table, RK4 path); the table's columns
-    are (y, y', y'', J), then (z, p) of each pair in the order of pairs.
-    helpers is ``_drive``'s table helper count.
+    ``_drive``'s (physical times, table, RK4 path); behind the table's lead
+    unset columns come (y, y', y'', J), then (z, p) of each pair in the order
+    of pairs.  helpers is ``_drive``'s table helper count.
     """
     om = params.omega
     profile = _profile(params)
     x0 = (params.y0, params.yp0, params.ypp0, 0.0, *(v for pair in pairs for v in pair))
     return _drive("coupled", lambda t: profile(om * t), x0, config, eps=params.epsilon, omega=om,
-                  helpers=helpers)
+                  helpers=helpers, lead=lead)
 
 
 def convergence_order(

@@ -126,10 +126,12 @@ def _drift_trajectory(t: np.ndarray, values: np.ndarray, meta: dict) -> Trajecto
     """The (t, I, drift_pct) result of a drift experiment; meta gains the max
     and final drift and the absolute-mode flag."""
     drift, absolute = drift_percent(values)
+    data = np.empty((len(t), 3))
+    data[:, 0], data[:, 1], data[:, 2] = t, values, drift
     return Trajectory(
         times=t,
         columns=("t", "I", "drift_pct"),
-        data=np.column_stack([t, values, drift]),
+        data=data,
         meta={
             **meta,
             "max_drift_pct": float(np.max(drift)),

@@ -147,7 +147,10 @@ class Trajectory:
             raise InvalidInput("a trajectory needs at least 2 samples")
         if self.times.shape != (len(self.data),):
             raise InvalidInput("times must be 1-D with one entry per sample")
-        if not np.all(np.diff(self.times) > 0.0):
+        # neighbours compared, without a full-length float temporary: for
+        # doubles b - a > 0 exactly when b > a (gradual underflow), and NaN
+        # or an infinity gives the same verdict both ways
+        if not np.all(self.times[1:] > self.times[:-1]):
             raise InvalidInput("times must be strictly increasing")
         self.times.setflags(write=False)
         self.data.setflags(write=False)

@@ -7,7 +7,11 @@ the periodicity defect quantifies the obstruction to 2-pi periodic solutions.
 
 Projections resample each window onto a uniform grid and apply the trapezoid
 rule with periodic endpoint identification, which keeps discrete
-orthogonality exact regardless of the integration step grid.
+orthogonality exact regardless of the integration step grid.  Each window
+reads only the samples that bracket its grid, and the series it subtracts
+are evaluated at those samples alone: linear interpolation finds the same
+interval of a slice and applies the same formula, so every value has the
+bits of a projection of the whole trajectory, without full-length copies.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import InsufficientSamples, InsufficientWindows, InvalidInput
 from .model import SystemParams, Trajectory
-from .perturb import _power_product, _sum, resonance_coefficients, validity, y_composite
+from .perturb import _power_product, _prepare, _sum, resonance_coefficients, validity
 
 __all__ = ["SecularFit", "DefectSeries", "fourier_windows", "periodicity_defect"]
 
@@ -32,17 +36,21 @@ MIN_WINDOW_SAMPLES = 1000
 WINDOW_NODES = 2048
 
 
-def _cover(tau: np.ndarray, windows) -> None:
-    """Raise InsufficientSamples unless tau (ascending) covers each window with enough samples."""
+def _cover(tau: np.ndarray, windows) -> list[slice]:
+    """The samples of tau (ascending) that bracket each window: from the last
+    one before it to the first one after it, where those exist.  Raises
+    InsufficientSamples unless tau covers each window with enough samples."""
     starts = [TWO_PI * k for k in windows]
     ends = [a + TWO_PI for a in starts]
-    counts = np.searchsorted(tau, ends, "right") - np.searchsorted(tau, starts, "left")
-    for k, a, b, inside in zip(windows, starts, ends, counts.tolist()):
+    first = np.searchsorted(tau, starts, "left")
+    past = np.searchsorted(tau, ends, "right")
+    for k, a, b, inside in zip(windows, starts, ends, (past - first).tolist()):
         if tau[0] > a + 1e-12 or tau[-1] < b - 1e-12:
             raise InsufficientSamples(f"trajectory does not cover window {k} ([{a}, {b}])")
         if inside < MIN_WINDOW_SAMPLES:
             raise InsufficientSamples(f"window {k} holds {inside} samples; "
                                       f"need >= {MIN_WINDOW_SAMPLES}")
+    return [slice(max(lo - 1, 0), hi + 1) for lo, hi in zip(first.tolist(), past.tolist())]
 
 
 def _project(tau: np.ndarray, series, windows, n_harmonics: int) -> list[tuple]:
@@ -117,19 +125,24 @@ def fourier_windows(params: SystemParams, traj: Trajectory) -> tuple:
         raise InvalidInput(f"fit horizon {horizon:.1f} exceeds 0.2 tau* = {limit:.1f}")
     y0, eps = params.y0, params.epsilon
     y = traj.column("y")
-    if eps == 0.0:
-        residual1 = y - y0
-    else:
-        [r1] = _sum(tau, ("rho", [0.0, 1.0]))
-        if math.isfinite(eps * y0):
-            residual1 = y - y0 - eps * y0 * (y0**-3.5 * r1)
+    brackets = _cover(tau, windows)
+    # R_1 and the order-2 composite's exponent, one series pass per window
+    pairs = ("rho", [0.0, 1.0]), ("rho", _prepare(params, 2))
+    c, s = np.empty((4, len(windows))), np.empty((3, len(windows)))
+    amps, s3 = np.empty(len(windows)), np.empty(len(windows))
+    for i, (k, bracket) in enumerate(zip(windows, brackets)):
+        t, yk = tau[bracket], y[bracket]
+        r1, rho2 = _sum(t, *pairs)
+        if eps == 0.0:
+            residual1 = yk - y0
+        elif math.isfinite(eps * y0):
+            residual1 = yk - y0 - eps * y0 * (y0**-3.5 * r1)
         else:  # delta y0 is representable though eps y0 is not
-            residual1 = y - y0 - y0 * (params.eps_eff * r1)
-    _cover(tau, windows)
-    (c, s), (_, resid1), (_, resid2) = _project(
-        tau, [y, residual1, y - y_composite(tau, params, 2)], windows, 3)
-    fit = _secular_fit(windows, resid1[1])
-    s3 = resid2[2]
+            residual1 = yk - y0 - y0 * (params.eps_eff * r1)
+        # y minus the order-2 composite, formed as perturb.y_composite forms it
+        (ck, sk), (_, s1), (_, s2) = _project(t, [yk, residual1, yk - y0 * np.exp(rho2)], [k], 3)
+        c[:, i], s[:, i], amps[i], s3[i] = ck[:, 0], sk[:, 0], s1[1, 0], s2[2, 0]
+    fit = _secular_fit(windows, amps)
     s3_coef = float(resonance_coefficients()["s3"])
     try:
         predicted = s3_coef * eps**3 * y0**-9.5 if eps else 0.0

@@ -393,3 +393,92 @@ def test_both_paths_agree_under_another_numpy_dispatch(argv):
     assert not set(lines[0].split()) & set(_DISABLED)
     helpers, no_helpers, python = lines[-1].split()
     assert helpers == no_helpers == python
+
+
+# Each system's _drive arguments: coefficient, initial state, eps and omega.
+_DRIVES = {
+    "z": (lambda t: 1.0 + 0.3 * np.cos(t), (0.2, 0.1), 0.0, 1.3),
+    "y": (np.cos, (1.0, 0.0, 0.0, 0.0), 0.2, 1.0),
+    "coupled": (lambda t: np.cos(1.2 * t), (1.1, 0.0, 0.0, 0.0, 0.2, 0.1, -0.3, 0.0, 0.5, 0.2),
+                0.1, 1.2),
+    "ermakov": (lambda t: 1.0 + 0.2 * np.sin(t), (0.2, 0.0, 1.0, 0.0), 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("path", ["c", "python"])
+@pytest.mark.parametrize("system", list(_DRIVES))
+def test_leading_columns_leave_the_recorded_state_bits(monkeypatch, system, path):
+    # the state recorded behind 1 or 3 leading columns is the state recorded
+    # alone, over several chunks, with the times (i * record_every) * h
+    if path == "python":
+        monkeypatch.setattr(rk4, "_lib", None)
+    monkeypatch.setattr(tubeint.integrate, "_CHUNK", 7)
+    coef, x0, eps, omega = _DRIVES[system]
+    cfg = IntegrationConfig(t_end=1.0, h=1e-2, record_every=3)
+    kind = "coupled" if system == "y" else system
+    runs = {lead: tubeint.integrate._drive(kind, coef, x0, cfg, eps, omega, lead=lead)
+            for lead in (0, 1, 3)}
+    times, alone, ran = runs[0]
+    assert ran == ("c" if rk4.library() is not None else "python")
+    assert times.tobytes() == (np.arange(len(alone)) * cfg.record_every * cfg.h).tobytes()
+    assert alone.shape == (len(times), len(x0)) and alone.flags.owndata
+    for lead in (1, 3):
+        t, data, path_ran = runs[lead]
+        assert (path_ran, t.tobytes()) == (ran, times.tobytes())
+        assert data.shape == (len(times), lead + len(x0)) and data.flags.owndata
+        assert data[:, lead:].tobytes() == alone.tobytes()
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
+def _no_library(mp):
+    """Make loading the library, or calling it, fail the test."""
+    def fail(*args):
+        raise AssertionError("the library was used")
+
+    mp.setattr(rk4, "_lib", rk4._UNSET)
+    mp.setattr(rk4, "_load", fail)
+
+
+@pytest.mark.parametrize("out", [
+    np.empty((5, 4))[:, ::2],  # rows not contiguous
+    np.empty((5, 2), order="F"),  # column-major
+    np.empty((5, 1)),  # rows shorter than the state
+    np.empty((5, 3))[:, 1:2],  # a short view of a wider table
+    np.empty((5, 2), dtype=np.float32),
+    np.empty(10),  # no rows
+    np.empty((10, 2))[::-2],  # rows in reverse
+    np.lib.stride_tricks.as_strided(np.empty(15), (5, 2), (20, 8)),  # rows not doubles apart
+    _read_only(np.zeros((5, 2))),
+], ids=["strided", "fortran", "short", "short-view", "float32", "1-d", "reversed",
+        "half-double-stride", "read-only"])
+def test_kernel_rejects_an_out_it_cannot_record_into_before_any_library_call(out):
+    with pytest.MonkeyPatch.context() as mp:
+        _no_library(mp)
+        with pytest.raises(ValueError, match=r"^z kernel needs a float64 out of 2 contiguous "
+                                             r"columns$"):
+            rk4.kernel("z", (0.01, 0.0, 1.0), (0.2, 0.0), out, 0, 1e6, 1)
+
+
+@needs_compiler
+def test_compiled_rows_land_at_the_table_stride():
+    # the state columns of a wider table: the columns before and after them
+    # keep what they held
+    if rk4.library() is None:
+        pytest.skip("the compiled library did not build")
+    coef, x0, eps, omega = _DRIVES["ermakov"]
+    cfg = IntegrationConfig(t_end=1.0, h=1e-2, record_every=4)
+    times, alone, _ = tubeint.integrate._drive("ermakov", coef, x0, cfg)
+    table = np.full((len(times), 1 + len(x0) + 2), -7.0)
+    out = table[:, 1:1 + len(x0)]
+    out[0] = x0
+    run = rk4.kernel("ermakov", (cfg.h, eps, omega), x0, out, None, cfg.escape_z,
+                     cfg.record_every)
+    n = cfg.plan()[0]
+    status, _, _ = run(np.ascontiguousarray(coef(0.5 * cfg.h * np.arange(2 * n + 1))), 0, n)
+    assert status == rk4.OK
+    assert out.tobytes() == alone.tobytes()
+    assert (table[:, 0] == -7.0).all() and (table[:, -2:] == -7.0).all()

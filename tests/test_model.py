@@ -143,6 +143,15 @@ def test_trajectory_invariants():
         Trajectory(times=times[:1], columns=("a", "b"), data=data[:1])
     with pytest.raises(ValueError):
         Trajectory(times=times[:2], columns=("a", "b"), data=data)
+    nan, inf = math.nan, math.inf
+    for bad in ([0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.0, nan, 1.0], [nan, 0.5, 1.0],
+                [0.0, 0.5, nan], [0.0, inf, inf], [-inf, -inf, 1.0], [0.0, 1.0, -inf],
+                [inf, 0.5, 1.0], [-0.0, 0.0, 1.0]):
+        with pytest.raises(InvalidInput, match=r"^times must be strictly increasing$"):
+            Trajectory(times=np.array(bad), columns=("a", "b"), data=data)
+    for good in ([-inf, 0.5, 1.0], [0.0, 0.5, inf], [-inf, 0.0, inf], [0.0, 5e-324, 1e-323]):
+        assert np.array_equal(Trajectory(times=np.array(good), columns=("a", "b"),
+                                         data=data).times, good)
 
 
 def test_trajectory_data_read_only():
