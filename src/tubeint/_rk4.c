@@ -27,9 +27,20 @@
  * the caller fills), and returns a status code (below).  The
  * coupled system carries any number N >= 0 of (z, p) pairs behind its one
  * (y, y', y'', J) block, so its state has 4 + 2N components; the caller
- * passes the state's dimension and a work buffer of 5 doubles per component.
- * With N = 0 and omega = 1 it is the coefficient system in rescaled time
- * (``integrate_y``): every ``om *`` is then an exact multiply by 1.
+ * passes the state's dimension.  With N = 0 and omega = 1 it is the
+ * coefficient system in rescaled time (``integrate_y``): every ``om *`` is
+ * then an exact multiply by 1.
+ *
+ * The states of fixed size (z, Ermakov, coupled with N <= 1) are stepped in
+ * a local copy, one step of the whole state at a time (``run``).  A coupled
+ * state with N >= 2 is stepped in two passes over each STEPS steps
+ * (``two_pass``): the block alone, as ``integrate_y`` steps it, keeping
+ * g = y^(-5/2) at the four stages of every step in the caller's work buffer
+ * of 4 STEPS doubles; then every pair over those g, a pair per vector lane
+ * (an AVX2 clone where the CPU has AVX2).  Each value is formed by the same
+ * operations in the same order as in one step of the whole state, so the
+ * bits are the same, and the first failure in step order is reported: the
+ * pairs are stepped only up to a failing stage of the block.
  *
  * The second export, ``tubeint_sum``, runs ``perturb._sum``'s Chebyshev
  * recurrence and Horner sums over one block of points, with numpy's cos and
@@ -58,6 +69,7 @@ enum {
 };
 
 #define DIM 6 /* the largest state of fixed size: z, Ermakov, coupled with N <= 1 */
+#define STEPS 1024 /* steps per pass of a coupled run with N >= 2 (two_pass) */
 /* Unrolled, the stage loops keep a state in registers as hand-written stages do. */
 #define UNROLLED _Pragma("GCC unroll 6")
 
@@ -65,32 +77,37 @@ enum {
 struct sys { double h, half, sixth, eps, om, om2; };
 
 /* A field writes the derivative k at the dim-dimensional state x and
- * coefficient value c.  It returns OK, NONFINITE when a pow overflows, or
- * NONPOSITIVE_T with *value set when the component that must stay positive
- * does not. */
+ * coefficient value c; the coupled field also keeps its y^(-5/2) in *g.  It
+ * returns OK, NONFINITE when a pow overflows, or NONPOSITIVE_T with *value
+ * set when the component that must stay positive does not. */
 typedef int (*field_fn)(const struct sys *s, int dim, const double *x, double c, double *k,
-                        double *value);
+                        double *g, double *value);
 
 #define POSITIVE(v) if ((v) <= 0.0) { *value = (v); return NONPOSITIVE_T; }
 #define POW(out, v, e) const double out = pow((v), (e)); if (isinf(out)) return NONFINITE;
 
+/* The p' of z'' + omega^2 z + g z^2 = 0: of the z system, and of each coupled
+ * pair under g = y^(-5/2). */
+static inline double force(double om2, double g, double z) { return -om2 * z - g * z * z; }
+
 /* (z, p) of z'' + omega^2 z + g(t) z^2 = 0; c is g. */
 static inline int field_z(const struct sys *s, int dim, const double *x, double c, double *k,
-                          double *value)
+                          double *g, double *value)
 {
     const double z = x[0], p = x[1];
 
     (void)dim;
+    (void)g;
     (void)value;
     k[0] = p;
-    k[1] = -s->om2 * z - c * z * z;
+    k[1] = force(s->om2, c, z);
     return OK;
 }
 
 /* (y, y', y'', J) in physical time, then the N >= 0 (z, p) pairs, each
  * driven by g = y^(-5/2): one pow per stage for all of them. */
 static inline int field_coupled(const struct sys *s, int dim, const double *x, double c,
-                                double *k, double *value)
+                                double *k, double *g, double *value)
 {
     const double y = x[0], dy = x[1], ddy = x[2];
     const double eps = s->eps, om = s->om;
@@ -103,21 +120,22 @@ static inline int field_coupled(const struct sys *s, int dim, const double *x, d
     k[2] = om * (eps * c * pw - 4.0 * dy);
     k[3] = om * pw * c;
     for (j = 4; j < dim; j += 2) {
-        const double z = x[j], p = x[j + 1];
-        k[j] = p;
-        k[j + 1] = -s->om2 * z - pw * z * z;
+        k[j] = x[j + 1];
+        k[j + 1] = force(s->om2, pw, x[j]);
     }
+    *g = pw;
     return OK;
 }
 
 /* (z, p, w, w') of z'' = -f z and w'' = -f w + w^-3; c is f. */
 static inline int field_ermakov(const struct sys *s, int dim, const double *x, double c,
-                                double *k, double *value)
+                                double *k, double *g, double *value)
 {
     const double z = x[0], p = x[1], w = x[2], dw = x[3];
 
     (void)s;
     (void)dim;
+    (void)g;
     POSITIVE(w);
     k[0] = p;
     k[1] = -c * z;
@@ -128,29 +146,30 @@ static inline int field_ermakov(const struct sys *s, int dim, const double *x, d
 }
 
 /* One field evaluation; a nonpositive value is reported with the stage's code. */
-#define STAGE(xs, c, k, code)                        \
-    if ((status = field(s, dim, xs, c, k, value)) != OK) \
+#define STAGE(xs, c, k, g, code)                        \
+    if ((status = field(s, dim, xs, c, k, g, value)) != OK) \
         return status == NONPOSITIVE_T ? (code) : status;
 
 /* One RK4 step of the dim-dimensional state x from t, given the coefficient
- * at t, t + h/2 and t + h in c[0], c[1], c[2]; work holds 5 dim doubles. */
+ * at t, t + h/2 and t + h in c[0], c[1], c[2]; work holds 5 dim doubles and
+ * g[0 .. 4) receives the coupled field's y^(-5/2) at the four stages. */
 static inline int rk4(field_fn field, int dim, const struct sys *s, double *restrict x,
-                      const double *c, double *restrict work, double *value)
+                      const double *c, double *restrict work, double *restrict g, double *value)
 {
     const double h = s->h, half = s->half, sixth = s->sixth;
     double *k1 = work, *k2 = k1 + dim, *k3 = k2 + dim, *k4 = k3 + dim, *xs = k4 + dim;
     int i, status;
 
-    STAGE(x, c[0], k1, NONPOSITIVE_T);
+    STAGE(x, c[0], k1, g, NONPOSITIVE_T);
     UNROLLED for (i = 0; i < dim; i++)
         xs[i] = x[i] + half * k1[i];
-    STAGE(xs, c[1], k2, NONPOSITIVE_HALF);
+    STAGE(xs, c[1], k2, g + 1, NONPOSITIVE_HALF);
     UNROLLED for (i = 0; i < dim; i++)
         xs[i] = x[i] + half * k2[i];
-    STAGE(xs, c[1], k3, NONPOSITIVE_HALF);
+    STAGE(xs, c[1], k3, g + 2, NONPOSITIVE_HALF);
     UNROLLED for (i = 0; i < dim; i++)
         xs[i] = x[i] + h * k3[i];
-    STAGE(xs, c[2], k4, NONPOSITIVE_H);
+    STAGE(xs, c[2], k4, g + 3, NONPOSITIVE_H);
     UNROLLED for (i = 0; i < dim; i++)
         x[i] = x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]);
     return OK;
@@ -163,10 +182,11 @@ static inline int run(field_fn field, int dim, const struct sys *s, const double
                       double *restrict x, double *restrict work, double *restrict out,
                       int64_t ld, int64_t *rows, int64_t *at, double *value)
 {
+    double g[4]; /* the coupled field's stage values, not needed here */
     int i, status;
 
     for (int64_t k = start; k < stop; k++) {
-        status = rk4(field, dim, s, x, coef + 2 * (k - start), work, value);
+        status = rk4(field, dim, s, x, coef + 2 * (k - start), work, g, value);
         if (status != OK) {
             *at = k;
             return status;
@@ -194,10 +214,121 @@ static inline int run(field_fn field, int dim, const struct sys *s, const double
     return OK;
 }
 
+/* The AVX2 clone of the oscillator pass runs where the CPU has AVX2, the
+ * baseline one elsewhere: an ifunc picks one when the library loads.  Both
+ * give the same bits: AVX2 brings no fused multiply-add (FMA is its own
+ * target), and -ffp-contract=off would forbid one anyway. */
+#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef CLONES
+#define CLONES
+#endif
+
+/* The oscillator pass of two_pass: steps the pairs (z, p) of zp[0 .. 2 pairs)
+ * over the n steps k0 .. k0+n-1 under the kept g, each by the operations of
+ * field_coupled and rk4 in their order, a pair per vector lane.  After each
+ * step every z is tested for escape when escape is set (one flag, no early
+ * exit); at a record step the pairs go into row *rows behind the block that
+ * two_pass wrote there, and the row of dim values is tested for
+ * finiteness.  Returns OK, ESCAPE or NONFINITE with *at set, as run does. */
+CLONES static int pair_pass(const struct sys *s, int pairs, const double *restrict g,
+                            int64_t k0, int64_t n, int64_t rec, int escape, double limit,
+                            double *restrict zp, double *restrict out, int64_t ld, int dim,
+                            int64_t *rows, int64_t *at)
+{
+    const double h = s->h, half = s->half, sixth = s->sixth, om2 = s->om2;
+
+    for (int64_t i = 0; i < n; i++) {
+        const double g1 = g[4 * i], g2 = g[4 * i + 1], g3 = g[4 * i + 2], g4 = g[4 * i + 3];
+        const int64_t kk = k0 + i + 1;
+        int escaped = 0;
+
+        for (int j = 0; j < 2 * pairs; j += 2) {
+            const double z = zp[j], p = zp[j + 1];
+            const double k1z = p, k1p = force(om2, g1, z);
+            double zs = z + half * k1z, ps = p + half * k1p;
+            const double k2z = ps, k2p = force(om2, g2, zs);
+            zs = z + half * k2z;
+            ps = p + half * k2p;
+            const double k3z = ps, k3p = force(om2, g3, zs);
+            zs = z + h * k3z;
+            ps = p + h * k3p;
+            const double k4z = ps, k4p = force(om2, g4, zs);
+            const double zn = z + sixth * (k1z + 2.0 * (k2z + k3z) + k4z);
+            zp[j] = zn;
+            zp[j + 1] = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p);
+            /* Written so that a NaN z escapes too. */
+            escaped |= !(fabs(zn) <= limit);
+        }
+        if (escape && escaped) {
+            *at = kk;
+            return ESCAPE;
+        }
+        if (kk % rec == 0) {
+            double *row = out + *rows * ld;
+            memcpy(row + 4, zp, sizeof zp[0] * 2 * (size_t)pairs);
+            for (int c = 0; c < dim; c++) {
+                if (!isfinite(row[c])) {
+                    *at = kk;
+                    return NONFINITE;
+                }
+            }
+            ++*rows;
+        }
+    }
+    return OK;
+}
+
+/* The chunk loop of run for a coupled state of dim = 4 + 2N components,
+ * N >= 2, in two passes over each STEPS steps: the (y, y', y'', J) block
+ * alone, as integrate_y steps it (the coupled field at N = 0), keeping the
+ * stage values of y^(-5/2) of step k0 + i in g[4i .. 4i+4) and writing the
+ * block of each recorded row, up to a failing stage; then pair_pass over the
+ * steps before it.  Each value is formed by the same operations in the same
+ * order as in run, and the first failure in step order is reported: an
+ * escape or a non-finite row before the failing stage, or else that stage.
+ * g holds 4 STEPS doubles. */
+static int two_pass(const struct sys *s, int dim, const double *coef, int64_t start,
+                    int64_t stop, int64_t rec, int escape, double limit, double *restrict x,
+                    double *restrict g, double *restrict out, int64_t ld, int64_t *rows,
+                    int64_t *at, double *value)
+{
+    double block[5 * 4 + 4]; /* the block, then its work */
+    int status = OK;
+
+    memcpy(block, x, sizeof block[0] * 4);
+    for (int64_t k0 = start; k0 < stop && status == OK; k0 += STEPS) {
+        const int64_t n = stop - k0 < STEPS ? stop - k0 : STEPS;
+        int64_t i, row = *rows;
+
+        for (i = 0; i < n; i++) {
+            status = rk4(field_coupled, 4, s, block, coef + 2 * (k0 - start + i), block + 4,
+                         g + 4 * i, value);
+            if (status != OK)
+                break;
+            if ((k0 + i + 1) % rec == 0)
+                memcpy(out + row++ * ld, block, sizeof block[0] * 4);
+        }
+        const int pairs = pair_pass(s, (dim - 4) / 2, g, k0, i, rec, escape, limit, x + 4, out,
+                                    ld, dim, rows, at);
+        if (pairs != OK)
+            return pairs;
+        if (status != OK)
+            *at = k0 + i;
+    }
+    memcpy(x, block, sizeof block[0] * 4);
+    return status;
+}
+
 /* par: (h, eps, omega) for every system; a system ignores what it does not
- * use.  x holds the dim components of the state and work 5 dim doubles; row
- * r of out starts at out + r ld.  Returns -1 for an unknown system or a
- * dimension that it does not have. */
+ * use.  x holds the dim components of the state; row r of out starts at
+ * out + r ld.  A coupled state with N >= 2 pairs runs in two_pass, with work
+ * holding 4 STEPS doubles, and tests every z for escape (esc = 4) or none
+ * (esc < 0).  Returns -1 for an unknown system, a dimension that it does not
+ * have or another escape index of a state with N >= 2. */
 int tubeint_rk4(int system, int dim, const double *par, const double *coef, int64_t start,
                 int64_t stop, int64_t rec, int esc, double limit, double *x, double *work,
                 double *out, int64_t ld, int64_t *rows, int64_t *at, double *value)
@@ -210,11 +341,12 @@ int tubeint_rk4(int system, int dim, const double *par, const double *coef, int6
     double local[6 * DIM];
     int status;
 
-#define RUN(field, n, state, buf) \
-    run(field, n, &s, coef, start, stop, rec, esc, limit, state, buf, out, ld, rows, at, value)
-#define LOCAL(field, n) RUN(field, n, local, local + DIM)
-    if (system == COUPLED && dim > DIM && dim % 2 == 0)
-        return RUN(field_coupled, dim, x, work);
+#define LOCAL(field, n) \
+    run(field, n, &s, coef, start, stop, rec, esc, limit, local, local + DIM, out, ld, rows, at, \
+        value)
+    if (system == COUPLED && dim > DIM && dim % 2 == 0 && (esc == 4 || esc < 0))
+        return two_pass(&s, dim, coef, start, stop, rec, esc >= 0, limit, x, work, out, ld, rows,
+                        at, value);
     if (dim < 0 || dim > DIM)
         return -1;
     memcpy(local, x, sizeof local[0] * (size_t)dim);

@@ -6,7 +6,9 @@ vector field under one RK4 stage routine and one exported function,
 ``tubeint_rk4``: the same field in C and in Python (``tubeint.integrate``),
 under one RK4 each, with the same expressions in the same order.  The coupled
 system carries N >= 0 (z, p) pairs behind one coefficient block, so a run
-passes its dimension; ``integrate_y`` is its N = 0 run at omega = 1.
+passes its dimension; ``integrate_y`` is its N = 0 run at omega = 1.  With
+N >= 2 the C steps the block and then the pairs, in two passes over each
+``STEPS`` steps, with the bits and the first error of one step at a time.
 Its second export, ``tubeint_sum``, runs the loops over the harmonics of
 ``perturb._sum`` on one block of points, with the numpy loop's operations in
 its order.  The third, ``tubeint_csv``, writes a block of float64 rows as CSV
@@ -55,6 +57,10 @@ LIBS = ("-lm",)
 #: The systems of ``tubeint_rk4``, in the order of its system enum.
 KERNELS = ("z", "coupled", "ermakov")
 
+#: Steps per pass of a coupled run with N >= 2 oscillators (STEPS in ``_rk4.c``);
+#: its work buffer keeps y^(-5/2) at the four stages of each.
+STEPS = 1024
+
 #: Status codes of ``tubeint_rk4`` (the enum in ``_rk4.c``).  A positivity
 #: violation is NONPOSITIVE + stage, the stage being 0 at t, 1 at t + h/2 and
 #: 2 at t + h.
@@ -71,7 +77,7 @@ _ARGTYPES = [
     ctypes.c_int,  # escape index, -1 for none
     ctypes.c_double,  # escape limit
     ctypes.c_void_p,  # state, updated in place
-    ctypes.c_void_p,  # work: 5 * dim doubles
+    ctypes.c_void_p,  # work: 4 * STEPS doubles, used by a coupled state with N >= 2
     ctypes.c_void_p,  # out: the recorded rows
     ctypes.c_int64,  # ld: doubles from one row of out to the next
     ctypes.POINTER(ctypes.c_int64),  # rows recorded so far, updated
@@ -262,6 +268,11 @@ def kernel(system: str, constants, x, out, escape_index, escape_z, record_every)
     loaded.  ``run(coef, start, stop)`` advances the state over steps
     start .. stop-1 with the chunk's half-step table coef and returns
     (status, step index, value).
+
+    Each runner owns its state and its work buffer, so runs on concurrent
+    threads share neither.  The work buffer holds 4 * STEPS doubles (32 KiB),
+    which a coupled run with N >= 2 oscillators fills with y^(-5/2) at the
+    four stages of each step of one coefficient pass.
     """
     dim = len(x)
     ld, skew = divmod(out.strides[0], out.itemsize)
@@ -275,7 +286,7 @@ def kernel(system: str, constants, x, out, escape_index, escape_z, record_every)
     index = KERNELS.index(system)
     par = (ctypes.c_double * 3)(*constants)
     state = (ctypes.c_double * dim)(*x)
-    work = (ctypes.c_double * (5 * dim))()
+    work = (ctypes.c_double * (4 * STEPS))()
     rows, at, value = ctypes.c_int64(1), ctypes.c_int64(0), ctypes.c_double(0.0)
     esc = -1 if escape_index is None else escape_index
     dest = out.ctypes.data
@@ -285,7 +296,8 @@ def kernel(system: str, constants, x, out, escape_index, escape_z, record_every)
         status = fn(index, dim, par, coef.ctypes.data, start, stop, record_every, esc,
                     escape_z, state, work, dest, ld, rows, at, value)
         if status < 0:
-            raise ValueError(f"{system} kernel has no state of dimension {dim}")
+            raise ValueError(f"{system} kernel has no state of dimension {dim} "
+                             f"with escape index {esc}")
         return status, at.value, value.value
 
     return run

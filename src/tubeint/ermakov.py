@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NonPositive, NonPositiveF, OutOfRange
-from .integrate import IntegrationConfig, _drive
+from .integrate import _CHUNK, IntegrationConfig, _drive
 from .model import Trajectory
 
 __all__ = [
@@ -212,7 +212,8 @@ def integrate_ermakov(
 
     t, data, path = _drive("ermakov", f, (z0, p0, w0, dw0), config, lead=2)
     data[:, 0] = t
-    data[:, 1] = f(t)
+    for i in range(0, len(t), _CHUNK):  # the spline's temporaries of one block at a time
+        data[i:i + _CHUNK, 1] = f(t[i:i + _CHUNK])
     return Trajectory(
         times=t,
         columns=("t", "f", "z", "p", "w", "dw"),

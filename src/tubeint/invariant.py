@@ -109,6 +109,30 @@ def _coeff_arrays(t, params: SystemParams, order: int):
     return a1, a2, a3, a4, a5, a6
 
 
+def _perturbative(params: SystemParams, order: int, t, z, p) -> np.ndarray:
+    """The perturbative invariant a1 z + a2 p + a3 z^2 + a4 z p + a5 p^2 + a6 z^3
+    at the times t, summed left to right into one array with one more for the
+    term being added, as in ``_exact``: the bits of the plain expression.  The
+    coefficient series are freed on return."""
+    a1, a2, a3, a4, a5, a6 = _coeff_arrays(t, params, order)
+    values = a1 * z
+    term = a2 * p
+    values += term
+    np.multiply(a3, z, out=term)
+    term *= z
+    values += term
+    np.multiply(a4, z, out=term)
+    term *= p
+    values += term
+    np.multiply(a5, p, out=term)
+    term *= p
+    values += term
+    np.power(z, 3, out=term)
+    term *= a6
+    values += term
+    return values
+
+
 def drift_percent(values: np.ndarray) -> tuple[np.ndarray, bool]:
     """Deviation-from-initial series; percent of |I(0)|, or absolute when tiny.
 
@@ -161,10 +185,7 @@ def drift_experiment(
         raise UnsupportedOmega(params.omega)
     cfg = IntegrationConfig(t_end=t_end, h=h, record_every=record_every)
     ztraj = integrate_z(lambda t: g_of_t(t, params, order), z0, p0, params.omega, cfg)
-    a1, a2, a3, a4, a5, a6 = _coeff_arrays(ztraj.times, params, order)
-    z = ztraj.column("z")
-    p = ztraj.column("p")
-    values = a1 * z + a2 * p + a3 * z * z + a4 * z * p + a5 * p * p + a6 * z**3
+    values = _perturbative(params, order, ztraj.times, ztraj.column("z"), ztraj.column("p"))
     meta = {"mode": "perturbative", "order": order, "params": params, "config": cfg,
             "kernel": ztraj.meta["kernel"]}
     return _drift_trajectory(ztraj.times, values, meta)

@@ -159,6 +159,25 @@ def test_drift_experiment_unforced_is_flat():
     assert traj.meta["max_drift_pct"] < 1e-10
 
 
+def test_perturbative_drift_holds_little_beyond_its_result():
+    # t = 100 recorded every step: the invariant is summed term by term into
+    # one array, and the coefficient series are freed before the result is
+    # built.  Measured 6.11 MB above the result, against 7.73 MB with the
+    # temporaries of the whole expression held beside the series.
+    import tracemalloc
+
+    p = SystemParams(epsilon=0.05, y0=0.8)
+    drift_experiment(p, t_end=10.0, record_every=1)  # first-use caches outside the measurement
+    tracemalloc.start()
+    try:
+        traj = drift_experiment(p, t_end=100.0, record_every=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.data.shape == (100001, 3)
+    assert peak - traj.data.nbytes - traj.times.nbytes < 6.5 * 2**20
+
+
 def test_drift_insensitive_to_step_in_perturbative_mode():
     p = params(eps=0.05, y0=0.9)
     a = drift_experiment(p, t_end=50.0, h=1e-3, record_every=100)
@@ -300,6 +319,21 @@ def test_tube_batch_matches_one_run_per_filament(path, case):
             loop = _filament_loop(p, z0_grid, p0_grid, cfg)
         got = [(f.z0, f.p0, f.K, f.t, f.z, f.p, f.max_abs_deviation) for f in batch]
         assert _bytes(got) == _bytes(loop), parts
+
+
+def test_tube_parts_stepping_at_once_over_several_chunks_keep_their_filaments():
+    # two parts of 3 and 4 filaments step concurrently over three chunks
+    # (each of several coefficient passes of the compiled RK4), at different
+    # paces: a kept-g buffer shared between the runs would change the bits
+    p, cfg = params(), IntegrationConfig(t_end=10.0, h=1e-3, record_every=7)
+    z0_grid, p0_grid = [0.1, -0.2, 0.3, 0.05, -0.35, 0.25, -0.15], [0.1]
+    assert cfg.plan()[0] > 2 * tubeint.integrate._CHUNK
+    loop = _filament_loop(p, z0_grid, p0_grid, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        _pin_parts(mp, 2)
+        batch = tube_surface_samples(p, z0_grid, p0_grid, cfg.t_end, cfg.h, cfg.record_every)
+    got = [(f.z0, f.p0, f.K, f.t, f.z, f.p, f.max_abs_deviation) for f in batch]
+    assert _bytes(got) == _bytes(loop)
 
 
 # (params, z0 grid, p0 grid, config): a grid whose integration fails

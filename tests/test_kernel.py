@@ -11,6 +11,7 @@ field with no pairs at omega = 1.
 
 import ctypes
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -148,13 +149,31 @@ _W_END = ("ermakov", _args(w0=0.5, dw0=-0.5, driver=(0.37, 1.0, 1.0, 0.0)),
           IntegrationConfig(t_end=10.0, h=0.5), 7)
 _W_START = ("ermakov", _args(w0=0.3, dw0=-2.0, driver=(0.37, 1.0, 4.0, 0.0)),
             IntegrationConfig(t_end=5.0, h=0.125), 4096)
+# Three (z, p) pairs, which the compiled RK4 steps in two passes (the block,
+# then the pairs).  With y = 0.5 - tau + ... and h = 2^-10, y is nonpositive
+# first at t + h/2 of step 804, while g = y^(-5/2) blows up: from z0 = -1e-5
+# one oscillator escapes at step 800, before the violation; from z0 = -1e-7
+# it is on course to escape just after it (from -3e-7 it escapes at step 804).
+_PAIRS_Y = dict(c1=0.0, y0=0.5, yp0=-1.0, z0=0.0, p0=0.0)
+_PAIRS_ESCAPE = ("coupled", _args(**_PAIRS_Y, pairs=[(-1e-5, 0.0), (0.0, 0.0)]),
+                 IntegrationConfig(t_end=5.0, h=2.0**-10), 4096)
+_PAIRS_POSITIVITY = ("coupled", _args(**_PAIRS_Y, pairs=[(-1e-7, 0.0), (0.0, 0.0)]),
+                     IntegrationConfig(t_end=5.0, h=2.0**-10), 4096)
+_PAIRS_OVERFLOW = ("coupled", _args(c1=0.0, y0=1e-250, z0=0.1, pairs=[(0.2, 0.0), (0.3, 0.0)]),
+                   IntegrationConfig(t_end=0.001), 1)
+# from z0 = -0.05, p overflows in step 678 while z stays below escape_z, which
+# the record at step 678 finds (z is NaN after step 679)
+_PAIRS_NAN = ("coupled", _args(**_PAIRS_Y, pairs=[(-0.05, 0.0), (0.1, 0.0)]),
+              IntegrationConfig(t_end=5.0, record_every=3, escape_z=1e300), 7)
 # (case, error, stage): a positivity failure at stage t + stage * h of its step
 _FAILURES = [(_Y_POSITIVITY, "PositivityViolation", None),
              (_W_POSITIVITY, "PositivityViolation", 0.5),
              (_ESCAPE, "Escape", None), (_NAN_ESCAPE, "Escape", None),
              (_OVERFLOW, "NonFinite", None),
              (_Y_HALF, "PositivityViolation", 0.5), (_Y_END, "PositivityViolation", 1.0),
-             (_W_END, "PositivityViolation", 1.0), (_W_START, "PositivityViolation", 0.0)]
+             (_W_END, "PositivityViolation", 1.0), (_W_START, "PositivityViolation", 0.0),
+             (_PAIRS_ESCAPE, "Escape", None), (_PAIRS_POSITIVITY, "PositivityViolation", 0.5),
+             (_PAIRS_OVERFLOW, "NonFinite", None), (_PAIRS_NAN, "NonFinite", None)]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -212,11 +231,20 @@ _RUNS = [
 def test_kernel_source_compiles_without_warnings():
     # an unused field argument or an implicit conversion keeps the bits, so
     # the parity tests would not see it; nor would they see a variable-length
-    # array, which would put a coupled state of any size on the stack
+    # array, which would put a coupled state of any size on the stack; the
+    # second build takes the branch of a compiler without target_clones
     flags = ["-std=c99", "-pedantic", "-Wall", "-Wextra", "-Wvla", "-Werror", "-ffp-contract=off"]
-    done = subprocess.run([rk4.COMPILER, *flags, "-fsyntax-only", str(rk4.SOURCE)],
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    for guard in ([], ["-U__ELF__"]):
+        done = subprocess.run([rk4.COMPILER, *flags, *guard, "-fsyntax-only", str(rk4.SOURCE)],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, (guard, done.stderr)
+
+
+def test_work_buffer_holds_the_stage_values_of_one_pass():
+    # kernel() sizes the work buffer of a coupled run with N >= 2 pairs from
+    # STEPS, which must be the C's: a smaller buffer would be overrun
+    [steps] = re.findall(r"^#define STEPS (\d+) ", rk4.SOURCE.read_text(), re.MULTILINE)
+    assert rk4.STEPS == int(steps)
 
 
 def test_kernel_flags_keep_the_bits():
