@@ -21,7 +21,9 @@
  * The first export, ``tubeint_rk4``, runs the steps start .. stop-1 of one
  * chunk over the half-step coefficient table ``coef`` (coef[2i .. 2i+2] at t,
  * t + h/2 and t + h of step start + i), with the escape test after every step
- * and the finiteness test at every record point.  It writes each recorded
+ * and the finiteness test at every record point.  The system fixes what is
+ * tested for escape, as ``integrate._SYSTEMS`` does: z of the z system, every
+ * z of the coupled one, nothing of Ermakov.  It writes each recorded
  * state into row ``*rows`` of ``out``, whose rows are ``ld`` doubles apart
  * (ld >= dim: the state may sit behind leading columns of a wider table that
  * the caller fills), and returns a status code (below).  The
@@ -35,8 +37,8 @@
  * a local copy, one step of the whole state at a time (``run``).  A coupled
  * state with N >= 2 is stepped in two passes over each STEPS steps
  * (``two_pass``): the block alone, as ``integrate_y`` steps it, keeping
- * g = y^(-5/2) at the four stages of every step in the caller's work buffer
- * of 4 STEPS doubles; then every pair over those g, a pair per vector lane
+ * g = y^(-5/2) at the four stages of every step in 4 STEPS doubles (16 KiB)
+ * of its own stack frame; then every pair over those g, a pair per vector lane
  * (an AVX2 clone where the CPU has AVX2).  Each value is formed by the same
  * operations in the same order as in one step of the whole state, so the
  * bits are the same, and the first failure in step order is reported: the
@@ -69,7 +71,9 @@ enum {
 };
 
 #define DIM 6 /* the largest state of fixed size: z, Ermakov, coupled with N <= 1 */
-#define STEPS 1024 /* steps per pass of a coupled run with N >= 2 (two_pass) */
+/* Steps per pass of two_pass, whose frame holds their 16 KiB of stage values:
+ * it fits Python's smallest thread stack (32 KiB), and twice as many do not. */
+#define STEPS 512
 /* Unrolled, the stage loops keep a state in registers as hand-written stages do. */
 #define UNROLLED _Pragma("GCC unroll 6")
 
@@ -176,7 +180,7 @@ static inline int rk4(field_fn field, int dim, const struct sys *s, double *rest
 }
 
 /* The chunk loop of _drive around one field; inlined once per system.  The
- * escape components are esc, esc + 2, ... (none when esc < 0). */
+ * escape components are esc, esc + 2, ... below dim (none when esc < 0). */
 static inline int run(field_fn field, int dim, const struct sys *s, const double *coef,
                       int64_t start, int64_t stop, int64_t rec, int esc, double limit,
                       double *restrict x, double *restrict work, double *restrict out,
@@ -230,12 +234,12 @@ static inline int run(field_fn field, int dim, const struct sys *s, const double
 /* The oscillator pass of two_pass: steps the pairs (z, p) of zp[0 .. 2 pairs)
  * over the n steps k0 .. k0+n-1 under the kept g, each by the operations of
  * field_coupled and rk4 in their order, a pair per vector lane.  After each
- * step every z is tested for escape when escape is set (one flag, no early
- * exit); at a record step the pairs go into row *rows behind the block that
- * two_pass wrote there, and the row of dim values is tested for
- * finiteness.  Returns OK, ESCAPE or NONFINITE with *at set, as run does. */
+ * step every z is tested for escape (one flag, no early exit); at a record
+ * step the pairs go into row *rows behind the block that two_pass wrote
+ * there, and the row of dim values is tested for finiteness.  Returns OK,
+ * ESCAPE or NONFINITE with *at set, as run does. */
 CLONES static int pair_pass(const struct sys *s, int pairs, const double *restrict g,
-                            int64_t k0, int64_t n, int64_t rec, int escape, double limit,
+                            int64_t k0, int64_t n, int64_t rec, double limit,
                             double *restrict zp, double *restrict out, int64_t ld, int dim,
                             int64_t *rows, int64_t *at)
 {
@@ -263,7 +267,7 @@ CLONES static int pair_pass(const struct sys *s, int pairs, const double *restri
             /* Written so that a NaN z escapes too. */
             escaped |= !(fabs(zn) <= limit);
         }
-        if (escape && escaped) {
+        if (escaped) {
             *at = kk;
             return ESCAPE;
         }
@@ -289,14 +293,13 @@ CLONES static int pair_pass(const struct sys *s, int pairs, const double *restri
  * block of each recorded row, up to a failing stage; then pair_pass over the
  * steps before it.  Each value is formed by the same operations in the same
  * order as in run, and the first failure in step order is reported: an
- * escape or a non-finite row before the failing stage, or else that stage.
- * g holds 4 STEPS doubles. */
+ * escape or a non-finite row before the failing stage, or else that stage. */
 static int two_pass(const struct sys *s, int dim, const double *coef, int64_t start,
-                    int64_t stop, int64_t rec, int escape, double limit, double *restrict x,
-                    double *restrict g, double *restrict out, int64_t ld, int64_t *rows,
-                    int64_t *at, double *value)
+                    int64_t stop, int64_t rec, double limit, double *restrict x,
+                    double *restrict out, int64_t ld, int64_t *rows, int64_t *at, double *value)
 {
     double block[5 * 4 + 4]; /* the block, then its work */
+    double g[4 * STEPS];
     int status = OK;
 
     memcpy(block, x, sizeof block[0] * 4);
@@ -312,8 +315,8 @@ static int two_pass(const struct sys *s, int dim, const double *coef, int64_t st
             if ((k0 + i + 1) % rec == 0)
                 memcpy(out + row++ * ld, block, sizeof block[0] * 4);
         }
-        const int pairs = pair_pass(s, (dim - 4) / 2, g, k0, i, rec, escape, limit, x + 4, out,
-                                    ld, dim, rows, at);
+        const int pairs = pair_pass(s, (dim - 4) / 2, g, k0, i, rec, limit, x + 4, out, ld, dim,
+                                    rows, at);
         if (pairs != OK)
             return pairs;
         if (status != OK)
@@ -325,13 +328,11 @@ static int two_pass(const struct sys *s, int dim, const double *coef, int64_t st
 
 /* par: (h, eps, omega) for every system; a system ignores what it does not
  * use.  x holds the dim components of the state; row r of out starts at
- * out + r ld.  A coupled state with N >= 2 pairs runs in two_pass, with work
- * holding 4 STEPS doubles, and tests every z for escape (esc = 4) or none
- * (esc < 0).  Returns -1 for an unknown system, a dimension that it does not
- * have or another escape index of a state with N >= 2. */
+ * out + r ld.  Returns -1 for an unknown system or a dimension that it does
+ * not have. */
 int tubeint_rk4(int system, int dim, const double *par, const double *coef, int64_t start,
-                int64_t stop, int64_t rec, int esc, double limit, double *x, double *work,
-                double *out, int64_t ld, int64_t *rows, int64_t *at, double *value)
+                int64_t stop, int64_t rec, double limit, double *x, double *out, int64_t ld,
+                int64_t *rows, int64_t *at, double *value)
 {
     const double h = par[0], om = par[2];
     const struct sys s = {h, 0.5 * h, h / 6.0, par[1], om, om * om};
@@ -341,23 +342,22 @@ int tubeint_rk4(int system, int dim, const double *par, const double *coef, int6
     double local[6 * DIM];
     int status;
 
-#define LOCAL(field, n) \
+#define LOCAL(field, n, esc) \
     run(field, n, &s, coef, start, stop, rec, esc, limit, local, local + DIM, out, ld, rows, at, \
         value)
-    if (system == COUPLED && dim > DIM && dim % 2 == 0 && (esc == 4 || esc < 0))
-        return two_pass(&s, dim, coef, start, stop, rec, esc >= 0, limit, x, work, out, ld, rows,
-                        at, value);
+    if (system == COUPLED && dim > DIM && dim % 2 == 0)
+        return two_pass(&s, dim, coef, start, stop, rec, limit, x, out, ld, rows, at, value);
     if (dim < 0 || dim > DIM)
         return -1;
     memcpy(local, x, sizeof local[0] * (size_t)dim);
     if (system == Z && dim == 2)
-        status = LOCAL(field_z, 2);
-    else if (system == COUPLED && dim == 4) /* integrate_y */
-        status = LOCAL(field_coupled, 4);
+        status = LOCAL(field_z, 2, 0);
+    else if (system == COUPLED && dim == 4) /* integrate_y: no z */
+        status = LOCAL(field_coupled, 4, 4);
     else if (system == COUPLED && dim == 6)
-        status = LOCAL(field_coupled, 6);
+        status = LOCAL(field_coupled, 6, 4);
     else if (system == ERMAKOV && dim == 4)
-        status = LOCAL(field_ermakov, 4);
+        status = LOCAL(field_ermakov, 4, -1);
     else
         return -1;
     memcpy(x, local, sizeof local[0] * (size_t)dim);

@@ -4,16 +4,18 @@ sums and the CSV rows.
 ``_rk4.c`` writes each of the three systems (z, coupled, Ermakov) once, as a
 vector field under one RK4 stage routine and one exported function,
 ``tubeint_rk4``: the same field in C and in Python (``tubeint.integrate``),
-under one RK4 each, with the same expressions in the same order.  The coupled
-system carries N >= 0 (z, p) pairs behind one coefficient block, so a run
-passes its dimension; ``integrate_y`` is its N = 0 run at omega = 1.  With
-N >= 2 the C steps the block and then the pairs, in two passes over each
-``STEPS`` steps, with the bits and the first error of one step at a time.
-Its second export, ``tubeint_sum``, runs the loops over the harmonics of
-``perturb._sum`` on one block of points, with the numpy loop's operations in
-its order.  The third, ``tubeint_csv``, writes a block of float64 rows as CSV
-lines, each float as ``repr`` writes it (``csv_rows``): Schubfach's shortest
-digits from 128-bit products, written two at a time into their places.
+under one RK4 each, with the same expressions in the same order.  A run
+passes only what it varies (system, dimension, constants, coefficient table,
+record interval and escape limit); each system's escape components are fixed
+in the C, as in ``integrate._SYSTEMS``.  The coupled system carries N >= 0
+(z, p) pairs behind one coefficient block; ``integrate_y`` is its N = 0 run
+at omega = 1.  With N >= 2 the C steps the block and then the pairs, in two
+passes, with the bits and the first error of one step at a time.  Its second
+export, ``tubeint_sum``, runs the loops over the harmonics of ``perturb._sum``
+on one block of points, with the numpy loop's operations in its order.  The
+third, ``tubeint_csv``, writes a block of float64 rows as CSV lines, each
+float as ``repr`` writes it (``csv_rows``): Schubfach's shortest digits from
+128-bit products, written two at a time into their places.
 
 The bits are the same on both paths because ``FLAGS`` hold
 ``-ffp-contract=off`` and no fast-math flag: no multiply and add is fused and
@@ -57,10 +59,6 @@ LIBS = ("-lm",)
 #: The systems of ``tubeint_rk4``, in the order of its system enum.
 KERNELS = ("z", "coupled", "ermakov")
 
-#: Steps per pass of a coupled run with N >= 2 oscillators (STEPS in ``_rk4.c``);
-#: its work buffer keeps y^(-5/2) at the four stages of each.
-STEPS = 1024
-
 #: Status codes of ``tubeint_rk4`` (the enum in ``_rk4.c``).  A positivity
 #: violation is NONPOSITIVE + stage, the stage being 0 at t, 1 at t + h/2 and
 #: 2 at t + h.
@@ -74,10 +72,8 @@ _ARGTYPES = [
     ctypes.c_int64,  # start
     ctypes.c_int64,  # stop
     ctypes.c_int64,  # record_every
-    ctypes.c_int,  # escape index, -1 for none
     ctypes.c_double,  # escape limit
     ctypes.c_void_p,  # state, updated in place
-    ctypes.c_void_p,  # work: 4 * STEPS doubles, used by a coupled state with N >= 2
     ctypes.c_void_p,  # out: the recorded rows
     ctypes.c_int64,  # ld: doubles from one row of out to the next
     ctypes.POINTER(ctypes.c_int64),  # rows recorded so far, updated
@@ -255,7 +251,7 @@ def _build(directory: Path, key: str) -> Path | None:
             os.unlink(tmp)
 
 
-def kernel(system: str, constants, x, out, escape_index, escape_z, record_every):
+def kernel(system: str, constants, x, out, escape_z, record_every):
     """A runner of ``system``'s compiled steps for one run, or None.
 
     constants is (h, eps, omega); a system ignores the ones it does not use.
@@ -267,12 +263,10 @@ def kernel(system: str, constants, x, out, escape_index, escape_z, record_every)
     a wider table.  Any other out raises ValueError, before the library is
     loaded.  ``run(coef, start, stop)`` advances the state over steps
     start .. stop-1 with the chunk's half-step table coef and returns
-    (status, step index, value).
+    (status, step index, value).  A dimension that the system does not have
+    raises ValueError at the first call, with out untouched.
 
-    Each runner owns its state and its work buffer, so runs on concurrent
-    threads share neither.  The work buffer holds 4 * STEPS doubles (32 KiB),
-    which a coupled run with N >= 2 oscillators fills with y^(-5/2) at the
-    four stages of each step of one coefficient pass.
+    Each runner owns its state, so runs on concurrent threads share nothing.
     """
     dim = len(x)
     ld, skew = divmod(out.strides[0], out.itemsize)
@@ -286,18 +280,15 @@ def kernel(system: str, constants, x, out, escape_index, escape_z, record_every)
     index = KERNELS.index(system)
     par = (ctypes.c_double * 3)(*constants)
     state = (ctypes.c_double * dim)(*x)
-    work = (ctypes.c_double * (4 * STEPS))()
     rows, at, value = ctypes.c_int64(1), ctypes.c_int64(0), ctypes.c_double(0.0)
-    esc = -1 if escape_index is None else escape_index
     dest = out.ctypes.data
 
     def run(coef, start, stop):
         # coef: float64, C-contiguous, 2 * (stop - start) + 1 values
-        status = fn(index, dim, par, coef.ctypes.data, start, stop, record_every, esc,
-                    escape_z, state, work, dest, ld, rows, at, value)
+        status = fn(index, dim, par, coef.ctypes.data, start, stop, record_every, escape_z,
+                    state, dest, ld, rows, at, value)
         if status < 0:
-            raise ValueError(f"{system} kernel has no state of dimension {dim} "
-                             f"with escape index {esc}")
+            raise ValueError(f"{system} kernel has no state of dimension {dim}")
         return status, at.value, value.value
 
     return run

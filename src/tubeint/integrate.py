@@ -164,8 +164,9 @@ class _System(NamedTuple):
 
 
 #: The systems of ``_drive``, each with the compiled field of the same name in
-#: ``_rk4.c``.  A run's dimension is that of its initial state: 2 for z, 4 for
-#: Ermakov and 4 + 2N for the coupled system with N oscillators.
+#: ``_rk4.c``, which fixes the same positive and escape components.  A run's
+#: dimension is that of its initial state: 2 for z, 4 for Ermakov and 4 + 2N
+#: for the coupled system with N oscillators.
 _SYSTEMS = {
     "z": _System(_field_z, None, 0),
     "coupled": _System(_field_coupled, (0, "y"), 4),
@@ -342,7 +343,7 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
     out = data[:, lead:]
     out[0] = x
     rows = 1
-    run = _rk4.kernel(system, (h, eps, omega), x, out, spec.escape, limit, rec)
+    run = _rk4.kernel(system, (h, eps, omega), x, out, limit, rec)
     if run is None:
         step = _rk4_step(spec.field(eps, omega), h, spec.positive)
         helpers = 0

@@ -170,8 +170,8 @@ def periodicity_defect(traj: Trajectory) -> DefectSeries:
     solution and the first-order truncation.  For nonzero forcing the defect
     is bounded away from zero and grows on secular time scales.  The
     comparison is sample-exact, so the sample spacing must divide 2 pi
-    (h = 2 pi / m, as on the step grid of every section); any other spacing is
-    InvalidInput.
+    (h = 2 pi / m, as on the step grid of every section), and every sample
+    must be 2 pi from the one m samples on; any other grid is InvalidInput.
     """
     tau = traj.times
     if tau[-1] - tau[0] < 2.0 * TWO_PI:
@@ -180,6 +180,11 @@ def periodicity_defect(traj: Trajectory) -> DefectSeries:
     m = round(TWO_PI / h)
     if abs(m * h - TWO_PI) >= 1e-9:
         raise InvalidInput(f"sample spacing {h!r} does not divide 2 pi")
+    apart = np.abs(tau[m:] - tau[:-m] - TWO_PI) < 1e-9
+    if not apart.all():
+        i = int(np.argmin(apart))
+        raise InvalidInput(f"samples at tau = {float(tau[i])!r} and {float(tau[i + m])!r} "
+                           "are not 2 pi apart")
     defect = np.zeros(len(tau) - m)
     for name in ("y", "dy", "ddy"):
         col = traj.column(name)

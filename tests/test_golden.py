@@ -1,12 +1,15 @@
-"""The README's six data one-liners against their recorded sha256.
+"""The README's six data one-liners and one tube grid against their recorded sha256.
 
 ``golden_csv.json`` holds the sha256 of each one-liner's CSV at full length,
-with the numpy version and the numpy dispatch targets enabled where it was
-recorded.  numpy's exp, power, sin and cos give other bits on other dispatch
-paths, so the hashes are asserted only under the recorded fingerprint, and
-elsewhere the test skips, naming the difference.  The one-liners run on the
-compiled path (about 0.5 s; the Python RK4 takes 20 s); the parity tests of
-``test_kernel.py`` tie the Python path to it.
+and of the filaments of an 8 x 8 ``tube_surface_samples`` grid, with the numpy
+version and the numpy dispatch targets enabled where they were recorded.  The
+one-liners step at most one oscillator; the tube grid steps several in one
+run, the coupled path they do not reach.  numpy's exp, power, sin and cos give
+other bits on other dispatch paths, so the hashes are asserted only under the
+recorded fingerprint, and elsewhere the tests skip, naming the difference.
+Both run on the compiled path (about 0.5 s and 0.2 s; the Python RK4 takes
+20 s for the one-liners); the parity tests of ``test_kernel.py`` tie the
+Python path to it.
 
 A change that means to change the bytes records them again, from the
 repository root:
@@ -24,7 +27,9 @@ import numpy as np
 import pytest
 
 import tubeint._rk4 as rk4
+import tubeint.invariant
 from tubeint.cli import main
+from tubeint.model import SystemParams
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden_csv.json")
@@ -51,17 +56,49 @@ def _digest(args: str, directory: Path) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-def test_readme_one_liners_keep_their_bytes(tmp_path):
+def _tube_digest() -> str:
+    """The sha256 of an 8 x 8 tube grid's filaments, serialised as the
+    benchmark's tube job does: z0, p0, K and max_abs_deviation, then t, z and p.
+
+    The grid runs in two parts of 32 filaments, whatever the host's cores, so
+    each part steps 32 oscillators behind one coefficient block; the bits do
+    not depend on the parts.
+    """
+    grid = np.linspace(-0.3, 0.3, 8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tubeint.invariant, "_cores", lambda: 2)
+        filaments = tubeint.invariant.tube_surface_samples(
+            SystemParams(epsilon=0.05, y0=1.1), grid, grid, t_end=25, h=1e-3, record_every=10)
+    digest = hashlib.sha256()
+    for f in filaments:
+        digest.update(np.array([f.z0, f.p0, f.K, f.max_abs_deviation]).tobytes())
+        for column in (f.t, f.z, f.p):
+            digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+def _golden() -> dict:
+    """The recorded digests; skips where they cannot be asserted."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert list(golden["sha256"]) == _one_liners()
     here = _fingerprint()
     recorded = {key: golden[key] for key in here}
     if recorded != here:
         pytest.skip(f"recorded under {recorded}, this host has {here}")
     if rk4.library() is None:
         pytest.skip("the compiled library did not build")
+    return golden
+
+
+def test_readme_one_liners_keep_their_bytes(tmp_path):
+    assert list(json.loads(GOLDEN.read_text(encoding="utf-8"))["sha256"]) == _one_liners()
+    golden = _golden()
     digests = {args: _digest(args, tmp_path) for args in golden["sha256"]}
     assert digests == golden["sha256"]
+
+
+def test_tube_grid_keeps_its_bits():
+    golden = _golden()
+    assert _tube_digest() == golden["tube"]
 
 
 if __name__ == "__main__":
@@ -70,5 +107,6 @@ if __name__ == "__main__":
     assert rk4.library() is not None, "record on the compiled path"
     with tempfile.TemporaryDirectory() as tmp:
         record = {**_fingerprint(),
-                  "sha256": {args: _digest(args, Path(tmp)) for args in _one_liners()}}
+                  "sha256": {args: _digest(args, Path(tmp)) for args in _one_liners()},
+                  "tube": _tube_digest()}
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -11,10 +11,10 @@ field with no pairs at omega = 1.
 
 import ctypes
 import os
-import re
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -238,13 +238,6 @@ def test_kernel_source_compiles_without_warnings():
         done = subprocess.run([rk4.COMPILER, *flags, *guard, "-fsyntax-only", str(rk4.SOURCE)],
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, (guard, done.stderr)
-
-
-def test_work_buffer_holds_the_stage_values_of_one_pass():
-    # kernel() sizes the work buffer of a coupled run with N >= 2 pairs from
-    # STEPS, which must be the C's: a smaller buffer would be overrun
-    [steps] = re.findall(r"^#define STEPS (\d+) ", rk4.SOURCE.read_text(), re.MULTILINE)
-    assert rk4.STEPS == int(steps)
 
 
 def test_kernel_flags_keep_the_bits():
@@ -488,7 +481,7 @@ def test_kernel_rejects_an_out_it_cannot_record_into_before_any_library_call(out
         _no_library(mp)
         with pytest.raises(ValueError, match=r"^z kernel needs a float64 out of 2 contiguous "
                                              r"columns$"):
-            rk4.kernel("z", (0.01, 0.0, 1.0), (0.2, 0.0), out, 0, 1e6, 1)
+            rk4.kernel("z", (0.01, 0.0, 1.0), (0.2, 0.0), out, 1e6, 1)
 
 
 @needs_compiler
@@ -503,10 +496,54 @@ def test_compiled_rows_land_at_the_table_stride():
     table = np.full((len(times), 1 + len(x0) + 2), -7.0)
     out = table[:, 1:1 + len(x0)]
     out[0] = x0
-    run = rk4.kernel("ermakov", (cfg.h, eps, omega), x0, out, None, cfg.escape_z,
-                     cfg.record_every)
+    run = rk4.kernel("ermakov", (cfg.h, eps, omega), x0, out, cfg.escape_z, cfg.record_every)
     n = cfg.plan()[0]
     status, _, _ = run(np.ascontiguousarray(coef(0.5 * cfg.h * np.arange(2 * n + 1))), 0, n)
     assert status == rk4.OK
     assert out.tobytes() == alone.tobytes()
     assert (table[:, 0] == -7.0).all() and (table[:, -2:] == -7.0).all()
+
+
+@needs_compiler
+@pytest.mark.parametrize("system, dim", [("z", 3), ("ermakov", 6), ("coupled", 5),
+                                         ("coupled", 7)])
+def test_compiled_runner_rejects_a_dimension_its_system_does_not_have(system, dim):
+    # the C returns -1 before it steps: the runner raises at its first chunk
+    # and no row after the initial one is written
+    if rk4.library() is None:
+        pytest.skip("the compiled library did not build")
+    x0 = tuple(0.5 + i / 8 for i in range(dim))
+    out = np.full((4, dim), -7.0)
+    out[0] = x0
+    run = rk4.kernel(system, (1e-2, 0.1, 1.0), x0, out, 1e6, 1)
+    with pytest.raises(ValueError, match=rf"^{system} kernel has no state of dimension {dim}$"):
+        run(np.ones(2 * 3 + 1), 0, 3)
+    assert out[0].tolist() == list(x0)
+    assert (out[1:] == -7.0).all()
+
+
+@needs_compiler
+def test_several_oscillators_keep_their_bits_on_a_small_thread_stack():
+    # the two-pass stepping keeps its stage values on the C stack; a thread
+    # of 128 KiB of stack (musl's default) runs it with the main thread's bits
+    if rk4.library() is None:
+        pytest.skip("the compiled library did not build")
+    params = _params(_args(c1=0.2, y0=1.1))
+    pairs = [(0.2, 0.1), (-0.3, 0.0), (0.5, 0.2)]
+    cfg = IntegrationConfig(t_end=30.0, h=1e-2, record_every=7)  # three passes of steps
+
+    def run():
+        times, data, path = _coupled(params, pairs, cfg, helpers=0)
+        return times.tobytes(), data.tobytes(), path
+
+    results = []
+    size = threading.stack_size(128 * 1024)
+    try:
+        thread = threading.Thread(target=lambda: results.append(run()))
+        thread.start()
+    finally:
+        threading.stack_size(size)
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert results == [run()]
+    assert results[0][2] == "c"

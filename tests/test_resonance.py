@@ -177,6 +177,19 @@ def test_periodicity_defect_rejects_a_grid_that_does_not_divide_two_pi():
         periodicity_defect(traj)
 
 
+def test_periodicity_defect_rejects_pairs_that_are_not_two_pi_apart():
+    # the first gap divides 2 pi, the later ones are twice as wide: each pair
+    # m = 64 samples apart spans about 4 pi, and comparing them would report
+    # a nonzero defect of cos tau + 2, which is 2 pi periodic
+    h = TWO_PI / 64
+    tau = np.concatenate([[0.0], h + 2.0 * h * np.arange(200)])
+    y = np.cos(tau) + 2.0
+    traj = Trajectory(times=tau, columns=("tau", "y", "dy", "ddy"),
+                      data=np.column_stack([tau, y, -np.sin(tau), -np.cos(tau)]))
+    with pytest.raises(InvalidInput, match=r"^samples at tau = 0\.0 and \S+ are not 2 pi apart$"):
+        periodicity_defect(traj)
+
+
 def test_periodicity_defect_needs_two_periods():
     p = params()
     traj = integrate_y(p, IntegrationConfig(t_end=TWO_PI, h=1e-3, record_every=1))
