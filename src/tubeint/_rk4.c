@@ -2,8 +2,8 @@
  * series sums of ``perturb._sum`` and the CSV rows of the command-line tool.
  *
  * Each system is written once, as a vector field evaluated in the same order
- * and association as the stages of its Python ``step``, and one stage routine,
- * ``rk4``, combines the stages as the Python steps do.  So the compiled loop
+ * and association as the stages of its Python ``step``, and ``rk4`` combines
+ * the stages as the Python steps do.  So the compiled loop
  * reproduces the Python loop of ``tubeint.integrate._drive`` bit for bit, when
  * compiled without floating-point contraction and without fast-math:
  *
@@ -33,16 +33,17 @@
  * coefficient system in rescaled time (``integrate_y``): every ``om *`` is
  * then an exact multiply by 1.
  *
+ * One stage routine, ``rk4``, and one chunk loop, ``run``, serve every system.
  * The states of fixed size (z, Ermakov, coupled with N <= 1) are stepped in
- * a local copy, one step of the whole state at a time (``run``).  A coupled
- * state with N >= 2 is stepped in two passes over each STEPS steps
- * (``two_pass``): the block alone, as ``integrate_y`` steps it, keeping
- * g = y^(-5/2) at the four stages of every step in 4 STEPS doubles (16 KiB)
- * of its own stack frame; then every pair over those g, a pair per vector lane
- * (an AVX2 clone where the CPU has AVX2).  Each value is formed by the same
- * operations in the same order as in one step of the whole state, so the
- * bits are the same, and the first failure in step order is reported: the
- * pairs are stepped only up to a failing stage of the block.
+ * a local copy, one step of the whole state at a time.  A coupled state with
+ * N >= 2 is stepped in two passes over each STEPS steps (``two_pass``): ``run``
+ * steps the block alone, as ``integrate_y`` steps it, keeping g = y^(-5/2) at
+ * the four stages of every step in 4 STEPS doubles (16 KiB) of its own stack
+ * frame; then ``rk4`` steps every pair as a z system over those g, a pair per
+ * vector lane (an AVX2 clone where the CPU has AVX2).  Each value is formed by
+ * the same operations in the same order as in one step of the whole state, so
+ * the bits are the same, and the first failure in step order is reported: the
+ * pairs are stepped only up to the step where the block fails.
  *
  * The second export, ``tubeint_sum``, runs ``perturb._sum``'s Chebyshev
  * recurrence and Horner sums over one block of points, with numpy's cos and
@@ -155,42 +156,48 @@ static inline int field_ermakov(const struct sys *s, int dim, const double *x, d
         return status == NONPOSITIVE_T ? (code) : status;
 
 /* One RK4 step of the dim-dimensional state x from t, given the coefficient
- * at t, t + h/2 and t + h in c[0], c[1], c[2]; work holds 5 dim doubles and
- * g[0 .. 4) receives the coupled field's y^(-5/2) at the four stages. */
+ * at its four stages: c0 at t, c1 and c2 at t + h/2, c3 at t + h.  work holds
+ * 5 dim doubles and g[0 .. 4) receives the coupled field's y^(-5/2) at the
+ * four stages. */
 static inline int rk4(field_fn field, int dim, const struct sys *s, double *restrict x,
-                      const double *c, double *restrict work, double *restrict g, double *value)
+                      double c0, double c1, double c2, double c3, double *restrict work,
+                      double *restrict g, double *value)
 {
     const double h = s->h, half = s->half, sixth = s->sixth;
     double *k1 = work, *k2 = k1 + dim, *k3 = k2 + dim, *k4 = k3 + dim, *xs = k4 + dim;
     int i, status;
 
-    STAGE(x, c[0], k1, g, NONPOSITIVE_T);
+    STAGE(x, c0, k1, g, NONPOSITIVE_T);
     UNROLLED for (i = 0; i < dim; i++)
         xs[i] = x[i] + half * k1[i];
-    STAGE(xs, c[1], k2, g + 1, NONPOSITIVE_HALF);
+    STAGE(xs, c1, k2, g + 1, NONPOSITIVE_HALF);
     UNROLLED for (i = 0; i < dim; i++)
         xs[i] = x[i] + half * k2[i];
-    STAGE(xs, c[1], k3, g + 2, NONPOSITIVE_HALF);
+    STAGE(xs, c2, k3, g + 2, NONPOSITIVE_HALF);
     UNROLLED for (i = 0; i < dim; i++)
         xs[i] = x[i] + h * k3[i];
-    STAGE(xs, c[2], k4, g + 3, NONPOSITIVE_H);
+    STAGE(xs, c3, k4, g + 3, NONPOSITIVE_H);
     UNROLLED for (i = 0; i < dim; i++)
         x[i] = x[i] + sixth * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i]);
     return OK;
 }
 
 /* The chunk loop of _drive around one field; inlined once per system.  The
- * escape components are esc, esc + 2, ... below dim (none when esc < 0). */
+ * escape components are esc, esc + 2, ... below dim (none when esc < 0).  The
+ * coupled field's y^(-5/2) at the four stages of step k go to
+ * g[gs (k - start) ..): gs = 4 keeps every step's, gs = 0 only the last. */
 static inline int run(field_fn field, int dim, const struct sys *s, const double *coef,
                       int64_t start, int64_t stop, int64_t rec, int esc, double limit,
-                      double *restrict x, double *restrict work, double *restrict out,
-                      int64_t ld, int64_t *rows, int64_t *at, double *value)
+                      double *restrict x, double *restrict work, double *restrict g, int gs,
+                      double *restrict out, int64_t ld, int64_t *rows, int64_t *at,
+                      double *value)
 {
-    double g[4]; /* the coupled field's stage values, not needed here */
     int i, status;
 
     for (int64_t k = start; k < stop; k++) {
-        status = rk4(field, dim, s, x, coef + 2 * (k - start), work, g, value);
+        const double *c = coef + 2 * (k - start);
+        status = rk4(field, dim, s, x, c[0], c[1], c[1], c[2], work, g + gs * (k - start),
+                     value);
         if (status != OK) {
             *at = k;
             return status;
@@ -203,14 +210,15 @@ static inline int run(field_fn field, int dim, const struct sys *s, const double
                 return ESCAPE;
             }
         }
+        /* The row is tested, not x: with x, GCC 12 made two_pass's block 15 % slower. */
         if (kk % rec == 0) {
             double *row = out + *rows * ld;
+            memcpy(row, x, sizeof x[0] * (size_t)dim);
             for (i = 0; i < dim; i++) {
-                if (!isfinite(x[i])) {
+                if (!isfinite(row[i])) {
                     *at = kk;
                     return NONFINITE;
                 }
-                row[i] = x[i];
             }
             ++*rows;
         }
@@ -232,40 +240,28 @@ static inline int run(field_fn field, int dim, const struct sys *s, const double
 #endif
 
 /* The oscillator pass of two_pass: steps the pairs (z, p) of zp[0 .. 2 pairs)
- * over the n steps k0 .. k0+n-1 under the kept g, each by the operations of
- * field_coupled and rk4 in their order, a pair per vector lane.  After each
- * step every z is tested for escape (one flag, no early exit); at a record
- * step the pairs go into row *rows behind the block that two_pass wrote
- * there, and the row of dim values is tested for finiteness.  Returns OK,
- * ESCAPE or NONFINITE with *at set, as run does. */
+ * over the n steps k0 .. k0+n-1 with rk4 and field_z under the kept g, a pair
+ * per vector lane: the operations of field_coupled on a pair, in their order.
+ * After each step every z is tested for escape (one flag, no early exit); at
+ * a record step the pairs go into row *rows behind the block that two_pass
+ * wrote there, and the row of dim values is tested for finiteness.  Returns
+ * OK, ESCAPE or NONFINITE with *at set, as run does. */
 CLONES static int pair_pass(const struct sys *s, int pairs, const double *restrict g,
                             int64_t k0, int64_t n, int64_t rec, double limit,
                             double *restrict zp, double *restrict out, int64_t ld, int dim,
                             int64_t *rows, int64_t *at)
 {
-    const double h = s->h, half = s->half, sixth = s->sixth, om2 = s->om2;
-
     for (int64_t i = 0; i < n; i++) {
-        const double g1 = g[4 * i], g2 = g[4 * i + 1], g3 = g[4 * i + 2], g4 = g[4 * i + 3];
+        const double *gi = g + 4 * i;
         const int64_t kk = k0 + i + 1;
         int escaped = 0;
 
         for (int j = 0; j < 2 * pairs; j += 2) {
-            const double z = zp[j], p = zp[j + 1];
-            const double k1z = p, k1p = force(om2, g1, z);
-            double zs = z + half * k1z, ps = p + half * k1p;
-            const double k2z = ps, k2p = force(om2, g2, zs);
-            zs = z + half * k2z;
-            ps = p + half * k2p;
-            const double k3z = ps, k3p = force(om2, g3, zs);
-            zs = z + h * k3z;
-            ps = p + h * k3p;
-            const double k4z = ps, k4p = force(om2, g4, zs);
-            const double zn = z + sixth * (k1z + 2.0 * (k2z + k3z) + k4z);
-            zp[j] = zn;
-            zp[j + 1] = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p);
+            double work[5 * 2], unused[4], value;
+
+            rk4(field_z, 2, s, zp + j, gi[0], gi[1], gi[2], gi[3], work, unused, &value);
             /* Written so that a NaN z escapes too. */
-            escaped |= !(fabs(zn) <= limit);
+            escaped |= !(fabs(zp[j]) <= limit);
         }
         if (escaped) {
             *at = kk;
@@ -286,14 +282,15 @@ CLONES static int pair_pass(const struct sys *s, int pairs, const double *restri
     return OK;
 }
 
-/* The chunk loop of run for a coupled state of dim = 4 + 2N components,
- * N >= 2, in two passes over each STEPS steps: the (y, y', y'', J) block
- * alone, as integrate_y steps it (the coupled field at N = 0), keeping the
- * stage values of y^(-5/2) of step k0 + i in g[4i .. 4i+4) and writing the
- * block of each recorded row, up to a failing stage; then pair_pass over the
- * steps before it.  Each value is formed by the same operations in the same
- * order as in run, and the first failure in step order is reported: an
- * escape or a non-finite row before the failing stage, or else that stage. */
+/* The chunk loop of a coupled state of dim = 4 + 2N components, N >= 2, in
+ * two passes over each STEPS steps: run steps the (y, y', y'', J) block alone,
+ * as integrate_y steps it (the coupled field at N = 0), keeping the stage
+ * values of y^(-5/2) of step k0 + i in g[4i .. 4i+4) and writing the block of
+ * each recorded row, up to the step where it fails; then pair_pass steps the
+ * pairs up to that step.  Each value is formed by the same operations in the
+ * same order as in one step of the whole state, and the first failure in step
+ * order is reported: the pairs' escape or non-finite row, or else the
+ * block's. */
 static int two_pass(const struct sys *s, int dim, const double *coef, int64_t start,
                     int64_t stop, int64_t rec, double limit, double *restrict x,
                     double *restrict out, int64_t ld, int64_t *rows, int64_t *at, double *value)
@@ -304,23 +301,17 @@ static int two_pass(const struct sys *s, int dim, const double *coef, int64_t st
 
     memcpy(block, x, sizeof block[0] * 4);
     for (int64_t k0 = start; k0 < stop && status == OK; k0 += STEPS) {
-        const int64_t n = stop - k0 < STEPS ? stop - k0 : STEPS;
-        int64_t i, row = *rows;
+        /* the pass's end, or the step where run stops */
+        int64_t row = *rows, end = stop - k0 < STEPS ? stop : k0 + STEPS;
 
-        for (i = 0; i < n; i++) {
-            status = rk4(field_coupled, 4, s, block, coef + 2 * (k0 - start + i), block + 4,
-                         g + 4 * i, value);
-            if (status != OK)
-                break;
-            if ((k0 + i + 1) % rec == 0)
-                memcpy(out + row++ * ld, block, sizeof block[0] * 4);
-        }
-        const int pairs = pair_pass(s, (dim - 4) / 2, g, k0, i, rec, limit, x + 4, out, ld, dim,
-                                    rows, at);
+        status = run(field_coupled, 4, s, coef + 2 * (k0 - start), k0, end, rec, -1, limit, block,
+                     block + 4, g, 4, out, ld, &row, &end, value);
+        const int pairs = pair_pass(s, (dim - 4) / 2, g, k0, end - k0, rec, limit, x + 4, out, ld,
+                                    dim, rows, at);
         if (pairs != OK)
             return pairs;
         if (status != OK)
-            *at = k0 + i;
+            *at = end;
     }
     memcpy(x, block, sizeof block[0] * 4);
     return status;
@@ -339,12 +330,12 @@ int tubeint_rk4(int system, int dim, const double *par, const double *coef, int6
     /* A state of at most DIM components is stepped in this copy (the state,
      * then its work), with a dimension known to the compiler: 8 % (z) to
      * 22 % (Ermakov) faster per step than in the caller's buffers. */
-    double local[6 * DIM];
+    double local[6 * DIM], g[4];
     int status;
 
 #define LOCAL(field, n, esc) \
-    run(field, n, &s, coef, start, stop, rec, esc, limit, local, local + DIM, out, ld, rows, at, \
-        value)
+    run(field, n, &s, coef, start, stop, rec, esc, limit, local, local + DIM, g, 0, out, ld, \
+        rows, at, value)
     if (system == COUPLED && dim > DIM && dim % 2 == 0)
         return two_pass(&s, dim, coef, start, stop, rec, limit, x, out, ld, rows, at, value);
     if (dim < 0 || dim > DIM)

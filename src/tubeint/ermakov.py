@@ -199,10 +199,15 @@ def integrate_ermakov(
 
     w0 defaults to the near-equilibrium choice f(0)^(-1/4) (for constant f
     that value is an exact fixed point), which avoids large transients.
-    Positivity of w is enforced at every stage.
+    Positivity of w is enforced at every stage.  A knot spacing ts below h/2,
+    which would give the spline more knots than the half-step grid that RK4
+    samples, is InvalidInput before any knot is built.
     """
     if config is None:
         config = IntegrationConfig(t_end=200.0)
+    if driver.ts < 0.5 * config.h:
+        raise InvalidInput(f"ts={driver.ts!r} is finer than the half step h/2={0.5 * config.h!r}: "
+                           f"more spline knots than RK4 samples")
     f = build_driver(driver, config.plan()[0] * config.h)
 
     if w0 is None:

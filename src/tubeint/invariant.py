@@ -6,13 +6,14 @@ alpha2'' reconstructed from the once-integrated form) are delta-series that
 probe values of every order.  They agree with the composite derivatives to
 O(eps^4).
 
-Each invariant is evaluated once, vectorised over a whole trajectory at the
-trajectory's own sample times.  The exact invariant is one broadcast
-evaluation: a tube grid runs in contiguous parts, one per core, and each part
-is one lockstep run that evaluates the invariant once for all its filaments,
-with the time-only terms (the forcing's cos and sin, y^(-3/2) and the other
-coefficient products) computed once per part; each filament's values are the
-bits of its own single-trajectory evaluation.
+Each invariant is evaluated at the trajectory's own sample times: the
+perturbative one per block of samples with that block's coefficient series,
+the exact one vectorised over the whole trajectory.  The exact invariant is
+one broadcast evaluation: a tube grid runs in contiguous parts, one per core,
+and each part is one lockstep run that evaluates the invariant once for all
+its filaments, with the time-only terms (the forcing's cos and sin, y^(-3/2)
+and the other coefficient products) computed once per part; each filament's
+values are the bits of its own single-trajectory evaluation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NonPositive, TubeIntError, UnsupportedOmega
-from .integrate import IntegrationConfig, _cores, _coupled, integrate_coupled, integrate_z
+from .integrate import (_CHUNK, IntegrationConfig, _cores, _coupled, integrate_coupled,
+                        integrate_z)
 from .model import SystemParams, Trajectory
 from .perturb import ORDER, _prepare, _sum, g_of_t
 
@@ -111,25 +113,16 @@ def _coeff_arrays(t, params: SystemParams, order: int):
 
 def _perturbative(params: SystemParams, order: int, t, z, p) -> np.ndarray:
     """The perturbative invariant a1 z + a2 p + a3 z^2 + a4 z p + a5 p^2 + a6 z^3
-    at the times t, summed left to right into one array with one more for the
-    term being added, as in ``_exact``: the bits of the plain expression.  The
-    coefficient series are freed on return."""
-    a1, a2, a3, a4, a5, a6 = _coeff_arrays(t, params, order)
-    values = a1 * z
-    term = a2 * p
-    values += term
-    np.multiply(a3, z, out=term)
-    term *= z
-    values += term
-    np.multiply(a4, z, out=term)
-    term *= p
-    values += term
-    np.multiply(a5, p, out=term)
-    term *= p
-    values += term
-    np.power(z, 3, out=term)
-    term *= a6
-    values += term
+    at the times t, evaluated as one expression per block of ``_CHUNK`` points
+    with that block's coefficient series, so that only one block's series and
+    temporaries are held at a time."""
+    values = np.empty(len(t))
+    for b in range(0, len(t), _CHUNK):
+        block = slice(b, b + _CHUNK)
+        a1, a2, a3, a4, a5, a6 = _coeff_arrays(t[block], params, order)
+        zb, pb = z[block], p[block]
+        values[block] = (a1 * zb + a2 * pb + a3 * zb * zb + a4 * zb * pb + a5 * pb * pb
+                         + a6 * np.power(zb, 3))
     return values
 
 

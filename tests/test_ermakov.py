@@ -167,6 +167,15 @@ def test_build_driver_rejects_a_knot_spacing_whose_cube_overflows():
         build_driver(LogisticDriver(ts=1e300), 1.0)
 
 
+def test_integrate_ermakov_takes_knots_down_to_the_half_step():
+    cfg = IntegrationConfig(t_end=0.01, h=1e-3, record_every=1)
+    traj = integrate_ermakov(LogisticDriver(ts=5e-4), config=cfg)
+    assert traj.data.shape == (11, 6)
+    with pytest.raises(InvalidInput, match=r"^ts=0\.0004999 is finer than the half step "
+                                           r"h/2=0\.0005: more spline knots than RK4 samples$"):
+        integrate_ermakov(LogisticDriver(ts=4.999e-4), config=cfg)
+
+
 def test_equilibrium_constant_coefficient():
     for f0 in (1.0, 4.0):
         drv = LogisticDriver(f0=f0, df=0.0)

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,10 +161,10 @@ def test_drift_experiment_unforced_is_flat():
 
 
 def test_perturbative_drift_holds_little_beyond_its_result():
-    # t = 100 recorded every step: the invariant is summed term by term into
-    # one array, and the coefficient series are freed before the result is
-    # built.  Measured 6.11 MB above the result, against 7.73 MB with the
-    # temporaries of the whole expression held beside the series.
+    # t = 100 recorded every step: the invariant is evaluated per block of
+    # _CHUNK samples, so only one block's coefficient series and temporaries
+    # are held at a time.  Measured 3.16 MB above the result, against 6.11 MB
+    # with the full-length series and the invariant summed term by term.
     import tracemalloc
 
     p = SystemParams(epsilon=0.05, y0=0.8)
@@ -175,7 +176,46 @@ def test_perturbative_drift_holds_little_beyond_its_result():
     finally:
         tracemalloc.stop()
     assert traj.data.shape == (100001, 3)
-    assert peak - traj.data.nbytes - traj.times.nbytes < 6.5 * 2**20
+    assert peak - traj.data.nbytes - traj.times.nbytes < 3.5 * 2**20
+
+
+# Evaluates the perturbative invariant on one grid in blocks of several sizes,
+# in the child's own numpy dispatch.  Prints the enabled dispatch targets first
+# and one sha256 per block size last.
+_BLOCKS_CHILD = """
+import hashlib
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+import tubeint.invariant as inv
+from tubeint.model import SystemParams
+
+print(" ".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name)))
+t = np.linspace(0.0, 300.0, 10001)
+z, p = np.random.default_rng(5).uniform(-0.3, 0.3, (2, t.size))
+digests = []
+for chunk in (inv._CHUNK, 7, 1000, t.size):
+    inv._CHUNK = chunk
+    values = inv._perturbative(SystemParams(epsilon=0.05, y0=0.8), 3, t, z, p)
+    digests.append(hashlib.sha256(values.tobytes()).hexdigest())
+print(" ".join(digests))
+"""
+
+
+@pytest.mark.parametrize("disabled", ["", "AVX512_SPR AVX512_ICL X86_V4"])
+def test_perturbative_blocks_keep_the_bits_under_either_numpy_dispatch(disabled):
+    # numpy's exp, sin, cos and power run a vector loop and a remainder: a
+    # block that starts at another offset must still give each point's bits
+    import subprocess
+
+    src = Path(tubeint.invariant.__file__).resolve().parents[1]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _BLOCKS_CHILD], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert not set(lines[0].split()) & set(disabled.split())
+    assert len(set(lines[-1].split())) == 1
 
 
 def test_drift_insensitive_to_step_in_perturbative_mode():

@@ -547,3 +547,36 @@ def test_several_oscillators_keep_their_bits_on_a_small_thread_stack():
     assert not thread.is_alive()
     assert results == [run()]
     assert results[0][2] == "c"
+
+
+@needs_compiler
+def test_baseline_pair_pass_keeps_the_bits(tmp_path):
+    # built without target_clones (the -U__ELF__ branch), the library steps
+    # the pairs in the baseline pair_pass alone, while the default build runs
+    # its AVX2 clone where the CPU has AVX2: both give the same bytes and the
+    # same first failure
+    if rk4.library() is None:
+        pytest.skip("the compiled library did not build")
+    path = tmp_path / "baseline.so"
+    done = subprocess.run([rk4.COMPILER, *rk4.FLAGS, "-U__ELF__", "-o", str(path),
+                           str(rk4.SOURCE), *rk4.LIBS], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    baseline = rk4._open(path)
+    assert baseline is not None
+    params = _params(_args(c1=0.2, y0=1.1))
+    pairs = [(0.2, 0.1), (-0.3, 0.0), (0.5, 0.2), (0.1, -0.2), (0.0, 0.3)]
+    cfg = IntegrationConfig(t_end=30.0, h=1e-2, record_every=7)  # six passes of 512 steps
+    system, a, failing, chunk = _PAIRS_NAN
+
+    def outcomes():
+        times, data, _ = _coupled(params, pairs, cfg, helpers=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tubeint.integrate, "_CHUNK", chunk)
+            return times.tobytes(), data.tobytes(), _outcome(system, a, failing)
+
+    default = outcomes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rk4, "_lib", baseline)
+        assert outcomes() == default
+    assert default[2][0].__name__ == "NonFinite"

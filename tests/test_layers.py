@@ -58,3 +58,10 @@ def test_system_tables_agree_with_the_c_enum():
     [body] = re.findall(r"^enum \{([^}]*)\}; /\* the systems", source, re.MULTILINE)
     enum = tuple(name.strip().lower() for name in body.split(","))
     assert tuple(integrate._SYSTEMS) == _rk4.KERNELS == enum == ("z", "coupled", "ermakov")
+
+
+def test_the_kernel_writes_its_rk4_stage_combination_once():
+    # every system, the coupled block and each coupled pair step through the
+    # one stage routine rk4, not through a hand-written copy of its stages
+    source = _rk4.SOURCE.read_text(encoding="utf-8")
+    assert source.count("sixth * (") == 1
