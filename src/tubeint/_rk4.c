@@ -3,9 +3,9 @@
  *
  * Each system is written once, as a vector field evaluated in the same order
  * and association as the stages of its Python ``step``, and ``rk4`` combines
- * the stages as the Python steps do.  So the compiled loop
- * reproduces the Python loop of ``tubeint.integrate._drive`` bit for bit, when
- * compiled without floating-point contraction and without fast-math:
+ * the stages as the Python steps do.  So the compiled loop reproduces the
+ * Python loop of ``tubeint.integrate._drive`` bit for bit, when compiled
+ * without floating-point contraction and without fast-math:
  *
  *     cc -O3 -shared -fPIC -ffp-contract=off -o _rk4.so _rk4.c -lm
  *
@@ -155,10 +155,9 @@ static inline int field_ermakov(const struct sys *s, int dim, const double *x, d
     if ((status = field(s, dim, xs, c, k, g, value)) != OK) \
         return status == NONPOSITIVE_T ? (code) : status;
 
-/* One RK4 step of the dim-dimensional state x from t, given the coefficient
- * at its four stages: c0 at t, c1 and c2 at t + h/2, c3 at t + h.  work holds
- * 5 dim doubles and g[0 .. 4) receives the coupled field's y^(-5/2) at the
- * four stages. */
+/* One RK4 step of the dim-dimensional state x from t, with the coefficient
+ * c0 at t, c1 and c2 at t + h/2 and c3 at t + h; work holds 5 dim doubles and
+ * g[0 .. 4) receives the coupled field's y^(-5/2) at the four stages. */
 static inline int rk4(field_fn field, int dim, const struct sys *s, double *restrict x,
                       double c0, double c1, double c2, double c3, double *restrict work,
                       double *restrict g, double *value)

@@ -203,8 +203,8 @@ def test_ermakov_rejects_a_knot_spacing_whose_spline_is_not_finite(capsys):
 
 
 def test_ermakov_rejects_a_knot_spacing_finer_than_the_half_step(capsys):
-    # 100,002 knots for the 2,001 half-step samples of h = 1e-3, built in
-    # Python lists: 0.18 s here, and --ts 1e-9 was killed for its memory
+    # 100,002 spline knots, built in Python lists, for the 2,001 half-step
+    # samples of h = 1e-3; at --ts 1e-9 the run was killed for its memory
     assert run(["ermakov", "--t-max", "1", "--ts", "1e-5", "--out", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: InvalidInput: ts=1e-05 is finer than the half step ")

@@ -1,5 +1,6 @@
 import math
 import os
+import subprocess
 import sys
 import threading
 import warnings
@@ -205,8 +206,6 @@ print(" ".join(digests))
 def test_perturbative_blocks_keep_the_bits_under_either_numpy_dispatch(disabled):
     # numpy's exp, sin, cos and power run a vector loop and a remainder: a
     # block that starts at another offset must still give each point's bits
-    import subprocess
-
     src = Path(tubeint.invariant.__file__).resolve().parents[1]
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}

@@ -566,7 +566,7 @@ def test_baseline_pair_pass_keeps_the_bits(tmp_path):
     assert baseline is not None
     params = _params(_args(c1=0.2, y0=1.1))
     pairs = [(0.2, 0.1), (-0.3, 0.0), (0.5, 0.2), (0.1, -0.2), (0.0, 0.3)]
-    cfg = IntegrationConfig(t_end=30.0, h=1e-2, record_every=7)  # six passes of 512 steps
+    cfg = IntegrationConfig(t_end=30.0, h=1e-2, record_every=7)  # 3,000 steps: six passes
     system, a, failing, chunk = _PAIRS_NAN
 
     def outcomes():
