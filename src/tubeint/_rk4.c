@@ -40,14 +40,17 @@
  * steps the block alone, as ``integrate_y`` steps it, keeping g = y^(-5/2) at
  * the four stages of every step in 4 STEPS doubles (16 KiB) of its own stack
  * frame; then ``rk4`` steps every pair as a z system over those g, a pair per
- * vector lane (an AVX2 clone where the CPU has AVX2).  Each value is formed by
- * the same operations in the same order as in one step of the whole state, so
- * the bits are the same, and the first failure in step order is reported: the
- * pairs are stepped only up to the step where the block fails.
+ * vector lane.  Each value is formed by the same operations in the same order
+ * as in one step of the whole state, so the bits are the same, and the first
+ * failure in step order is reported: the pairs are stepped only up to the step
+ * where the block fails.
  *
  * The second export, ``tubeint_sum``, runs ``perturb._sum``'s Chebyshev
  * recurrence and Horner sums over one block of points, with numpy's cos and
  * sin of the points given, in the operations and order of the numpy loop.
+ *
+ * The pair pass and the series sums come in three clones, AVX-512, AVX2 and
+ * baseline, and the CPU's best one runs; all three give the same bits.
  *
  * The third export, ``tubeint_csv`` (at the end of the file), writes a block
  * of rows as CSV text with each float exactly as Python's ``repr`` writes it,
@@ -225,13 +228,15 @@ static inline int run(field_fn field, int dim, const struct sys *s, const double
     return OK;
 }
 
-/* The AVX2 clone of the oscillator pass runs where the CPU has AVX2, the
- * baseline one elsewhere: an ifunc picks one when the library loads.  Both
- * give the same bits: AVX2 brings no fused multiply-add (FMA is its own
- * target), and -ffp-contract=off would forbid one anyway. */
+/* The oscillator pass and the series sums run in their AVX-512 clone (8
+ * lanes) where the CPU has AVX-512F, in their AVX2 clone (4 lanes) where it
+ * has AVX2, and in the baseline one (SSE2, 2 lanes) elsewhere: an ifunc picks
+ * one when the library loads.  All three give the same bits: each lane does
+ * one pair's or one point's operations in their order, and -ffp-contract=off
+ * forbids the fused multiply-adds that AVX-512F could otherwise bring. */
 #if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
-#define CLONES __attribute__((target_clones("avx2", "default")))
+#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
 #endif
 #ifndef CLONES
@@ -372,10 +377,10 @@ static inline void add_row(int64_t n, int m, int k, const double *restrict a,
 #define SUM_BLOCK 512 /* points summed at a time: their recurrence stays in the L1 cache */
 
 /* tubeint_sum over at most SUM_BLOCK points. */
-static void sum_block(int64_t n, const double *restrict t, const double *restrict c1,
-                      const double *restrict s1, int pairs, int top, int width,
-                      const int64_t *restrict len, const double *restrict coef,
-                      double *restrict out, int64_t stride)
+CLONES static void sum_block(int64_t n, const double *restrict t,
+                             const double *restrict c1, const double *restrict s1, int pairs,
+                             int top, int width, const int64_t *restrict len,
+                             const double *restrict coef, double *restrict out, int64_t stride)
 {
     double cp[SUM_BLOCK], sp[SUM_BLOCK], ck[SUM_BLOCK], sk[SUM_BLOCK];
     int64_t i;

@@ -20,7 +20,9 @@ float as ``repr`` writes it (``csv_rows``): Schubfach's shortest digits from
 The bits are the same on both paths because ``FLAGS`` hold
 ``-ffp-contract=off`` and no fast-math flag: no multiply and add is fused and
 no operation is reassociated.  ``-O3`` only vectorises loops whose lanes each
-do one point's operations in order.
+do one point's operations in order.  On x86-64 the pair pass and the series
+sums are built as AVX-512, AVX2 and baseline clones (``target_clones``), and
+the dynamic loader picks the CPU's best; every clone gives the same bits.
 
 On first use, never at import, the file is compiled with the C compiler
 ``cc`` into a per-user cache, ``$XDG_CACHE_HOME/tubeint`` or else

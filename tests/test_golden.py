@@ -15,6 +15,9 @@ A change that means to change the bytes records them again, from the
 repository root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The recorder prints each entry whose digest changed, with the first 8 hex
+digits of the old and the new digest, so that the change can say what moved.
 """
 
 import hashlib
@@ -89,6 +92,17 @@ def _golden() -> dict:
     return golden
 
 
+def _changed(old: dict, new: dict) -> list[tuple[str, str, str]]:
+    """(key, old prefix, new prefix) of each digest of ``new`` that differs
+    from ``old``'s, in ``new``'s order; a key ``old`` lacks reads ``-``."""
+    def digests(record):
+        return {**record.get("sha256", {}), "tube": record.get("tube")}
+
+    before = digests(old)
+    return [(key, (before.get(key) or "-")[:8], digest[:8])
+            for key, digest in digests(new).items() if before.get(key) != digest]
+
+
 def test_readme_one_liners_keep_their_bytes(tmp_path):
     assert list(json.loads(GOLDEN.read_text(encoding="utf-8"))["sha256"]) == _one_liners()
     golden = _golden()
@@ -101,6 +115,15 @@ def test_tube_grid_keeps_its_bits():
     assert _tube_digest() == golden["tube"]
 
 
+def test_recorder_names_each_changed_digest():
+    old = {"sha256": {"a": "1" * 64, "b": "2" * 64}, "tube": "3" * 64}
+    new = {"sha256": {"a": "1" * 64, "b": "4" * 64, "c": "5" * 64}, "tube": "6" * 64}
+    assert _changed(old, new) == [("b", "22222222", "44444444"), ("c", "-", "55555555"),
+                                  ("tube", "33333333", "66666666")]
+    assert _changed(new, new) == []
+    assert _changed({}, new)[-1] == ("tube", "-", "66666666")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -109,4 +132,7 @@ if __name__ == "__main__":
         record = {**_fingerprint(),
                   "sha256": {args: _digest(args, Path(tmp)) for args in _one_liners()},
                   "tube": _tube_digest()}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for key, before, after in _changed(old, record):
+        print(f"changed: {key}: {before} -> {after}")
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

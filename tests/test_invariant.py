@@ -109,6 +109,32 @@ def test_exact_invariant_autonomous_form():
     assert v == pytest.approx(0.1**2 + 0.3**2 + (2.0 / 3.0) * 0.3**3, rel=1e-14)
 
 
+def test_exact_invariant_is_the_written_formula_with_its_cube_as_products():
+    # the cube is (z*z)*z, not numpy's power, whose bits differ (for a
+    # negative base, by a scalar path of the CPU dispatch); the (rows, 1)
+    # coefficient columns against (rows, N) oscillator tables give each
+    # column the bits of its own 1-D evaluation
+    p = params(eps=0.1, y0=0.9, omega=1.3)
+    rng = np.random.default_rng(29)
+    rows, n = 200, 8
+    t = np.linspace(0.0, 20.0, rows)[:, None]
+    y, dy, ddy = rng.uniform(0.5, 1.5, (rows, 1)), *rng.uniform(-0.3, 0.3, (2, rows, 1))
+    z, zp = rng.uniform(-1.0, 1.0, (2, rows, n))
+    assert (z < 0).any() and (z > 0).any()
+    assert (np.power(z, 3) != z * z * z).any()  # so a return to np.power fails below
+    om = p.omega
+    alpha1, dalpha1 = tubeint.invariant._forcing(t, p)
+    written = (y * zp * zp - om * dy * z * zp + alpha1 * zp + om * om * (y + 0.5 * ddy) * z * z
+               - dalpha1 * z + (2.0 / 3.0) * y**-1.5 * (z * z * z))
+    values = tubeint.invariant._exact(p, t, y, dy, ddy, z, zp)
+    assert values.shape == (rows, n)
+    assert values.tobytes() == written.tobytes()
+    for j in range(n):
+        column = tubeint.invariant._exact(p, t[:, 0], y[:, 0], dy[:, 0], ddy[:, 0], z[:, j],
+                                          zp[:, j])
+        assert column.tobytes() == values[:, j].tobytes()
+
+
 def test_exact_invariant_conserved_along_coupled_run():
     p = params()
     traj = integrate_coupled(p, 0.2, 0.0, IntegrationConfig(t_end=50.0, h=1e-3, record_every=100))

@@ -24,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import tubeint._rk4 as rk4
 import tubeint.integrate
+from tubeint import perturb
 from tubeint.ermakov import LogisticDriver, integrate_ermakov
 from tubeint.errors import TubeIntError
 from tubeint.integrate import (IntegrationConfig, _coupled, integrate_coupled, integrate_y,
@@ -549,34 +550,57 @@ def test_several_oscillators_keep_their_bits_on_a_small_thread_stack():
     assert results[0][2] == "c"
 
 
-@needs_compiler
-def test_baseline_pair_pass_keeps_the_bits(tmp_path):
-    # built without target_clones (the -U__ELF__ branch), the library steps
-    # the pairs in the baseline pair_pass alone, while the default build runs
-    # its AVX2 clone where the CPU has AVX2: both give the same bytes and the
-    # same first failure
+@pytest.fixture(scope="module")
+def baseline(tmp_path_factory):
+    """The library built without target_clones (the -U__ELF__ branch): its
+    pair pass and series sums are the baseline clones alone, where the default
+    build runs the AVX-512 or AVX2 clone that the CPU has."""
     if rk4.library() is None:
         pytest.skip("the compiled library did not build")
-    path = tmp_path / "baseline.so"
+    path = tmp_path_factory.mktemp("baseline") / "baseline.so"
     done = subprocess.run([rk4.COMPILER, *rk4.FLAGS, "-U__ELF__", "-o", str(path),
                            str(rk4.SOURCE), *rk4.LIBS], capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    baseline = rk4._open(path)
-    assert baseline is not None
+    library = rk4._open(path)
+    assert library is not None
+    return library
+
+
+@needs_compiler
+def test_baseline_pair_pass_keeps_the_bits(baseline):
+    # the baseline pair_pass gives the bytes and the first failure of the
+    # default build's clone, at pair counts below, at and above one 8-lane
+    # (AVX-512) vector of pairs
     params = _params(_args(c1=0.2, y0=1.1))
-    pairs = [(0.2, 0.1), (-0.3, 0.0), (0.5, 0.2), (0.1, -0.2), (0.0, 0.3)]
+    pairs = [(0.2, 0.1), (-0.3, 0.0), (0.5, 0.2), (0.1, -0.2), (0.0, 0.3), (-0.1, -0.1),
+             (0.25, -0.05), (-0.2, 0.2), (0.05, 0.15), (-0.4, 0.1), (0.3, -0.3)]
     cfg = IntegrationConfig(t_end=30.0, h=1e-2, record_every=7)  # 3,000 steps: six passes
     system, a, failing, chunk = _PAIRS_NAN
 
     def outcomes():
-        times, data, _ = _coupled(params, pairs, cfg, helpers=0)
+        runs = [_coupled(params, pairs[:count], cfg, helpers=0) for count in (5, 8, 11)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tubeint.integrate, "_CHUNK", chunk)
-            return times.tobytes(), data.tobytes(), _outcome(system, a, failing)
+            failure = _outcome(system, a, failing)
+        return [(times.tobytes(), data.tobytes()) for times, data, _ in runs], failure
 
     default = outcomes()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rk4, "_lib", baseline)
         assert outcomes() == default
-    assert default[2][0].__name__ == "NonFinite"
+    assert default[1][0].__name__ == "NonFinite"
+
+
+@needs_compiler
+def test_baseline_series_sums_keep_the_bits(baseline):
+    # tubeint_sum's baseline clone gives the default build's bits on blocks
+    # shorter than, one past and far beyond one 8-lane vector of points
+    weights = perturb._prepare(SystemParams(epsilon=0.1, y0=0.8), 3)
+    pairs = [(kind, weights) for kind in ("rho", "drho", "a31", "a4")]
+    tau = np.random.default_rng(29).uniform(-600.0, 600.0, perturb._BLOCK)
+    for n in (1, 7, 9, perturb._BLOCK):
+        default = [out.tobytes() for out in perturb._sum(tau[:n], *pairs)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rk4, "_lib", baseline)
+            assert [out.tobytes() for out in perturb._sum(tau[:n], *pairs)] == default
