@@ -361,13 +361,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     parser.add_argument("--version", action="version", version=f"tubeint {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    table: dict[str, argparse.ArgumentParser] = {}
 
     s = subs.add_parser("simulate-y", help="coefficient equation: RK4 vs series orders 1-3")
     _add_params(s)
     _add_common(s, tau_axis=True, t_default=500.0)
     s.set_defaults(func=cmd_simulate_y)
-    table["simulate-y"] = s
 
     s = subs.add_parser("invariant-drift", help="invariant deviation along an oscillator run")
     _add_params(s, eps_default=0.05)
@@ -378,13 +376,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--p0", type=float, default=0.0)
     _add_common(s, tau_axis=False, t_default=500.0)
     s.set_defaults(func=cmd_invariant_drift)
-    table["invariant-drift"] = s
 
     s = subs.add_parser("fourier", help="windowed harmonic amplitudes and secular slopes")
     _add_params(s)
     _add_common(s, tau_axis=True, t_default=300.0)
     s.set_defaults(func=cmd_fourier)
-    table["fourier"] = s
 
     s = subs.add_parser("ermakov", help="logistic-driver run with its conserved invariant")
     s.add_argument("--l0", type=float, default=0.37, help="logistic seed in [0, 1]")
@@ -398,7 +394,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--dw0", type=float, default=0.0)
     _add_common(s, tau_axis=False, t_default=200.0)
     s.set_defaults(func=cmd_ermakov)
-    table["ermakov"] = s
 
     s = subs.add_parser("gplot", help="emit a gnuplot script for an existing CSV")
     s.add_argument("--csv", required=True, help="input CSV produced by another subcommand")
@@ -407,9 +402,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--out", default="-", help="script path ('-' = stdout)")
     s.add_argument("--config", default=None)
     s.set_defaults(func=cmd_gplot)
-    table["gplot"] = s
 
-    return parser, table
+    return parser, subs.choices  # each subcommand's parser, by name
 
 
 def _config_tokens(path: str, sub: argparse.ArgumentParser, command: str) -> list[str]:

@@ -1,10 +1,13 @@
 """The exact quadratic invariant and its third-order perturbative approximation.
 
-The perturbative coefficients A4 = -alpha2' and A3 = alpha2 + alpha2''/2 (with
-alpha2'' reconstructed from the once-integrated form) are delta-series that
-``tubeint.perturb`` derives from the same recursion as the composite; tests pin
-probe values of every order.  They agree with the composite derivatives to
-O(eps^4).
+Both are the one formula of ``_exact`` in alpha2 and its first two
+derivatives: the exact invariant takes them from the integrated state, the
+perturbative one from the truncated series (``_alpha2``) as alpha2 = y0 e^rho,
+alpha2' = -y0 A4 and alpha2'' = 2 y0 A31, where A4 and A31 (alpha2''/(2 y0),
+reconstructed from the once-integrated form) are delta-series that
+``tubeint.perturb`` derives from the same recursion as the composite; tests
+pin probe values of every order.  They agree with the composite derivatives
+to O(eps^4).
 
 Each invariant is evaluated at the trajectory's own sample times: the
 perturbative one per block of samples with that block's coefficient series,
@@ -56,9 +59,10 @@ def _exact(params: SystemParams, t, y, dy, ddy, z, p) -> np.ndarray:
     t, y, dy and ddy are the times and coefficient state, z and p the
     oscillators'.  Given as (rows, 1) columns against (rows, N) oscillator
     tables, the time-only terms are computed once for all N oscillators, and
-    column j holds the bits of the evaluation on oscillator j alone.
-    Coefficient derivatives come from the integrated state via the chain rule
-    (alpha2'(t) = omega * y'(tau), alpha2''(t) = omega^2 * y''(tau)).
+    column j holds the bits of the evaluation on oscillator j alone.  y, dy
+    and ddy are alpha2 and its first two tau-derivatives, from the integrated
+    state or, at omega = 1, from the series (``_alpha2``); the chain rule
+    gives alpha2'(t) = omega * y'(tau) and alpha2''(t) = omega^2 * y''(tau).
 
     I = y p^2 - omega y' z p + alpha1 p + omega^2 (y + y''/2) z^2 - alpha1' z
     + (2/3) y^(-3/2) z^3, summed left to right into one array with one more
@@ -67,8 +71,8 @@ def _exact(params: SystemParams, t, y, dy, ddy, z, p) -> np.ndarray:
     as written; the bits are those of the plain expression.  The cube is
     (z*z)*z: numpy's power drops to a scalar path for a negative base (about
     60 ns a value against 1 ns for the two multiplies) and gives other bits
-    on other CPU dispatch paths, so the exact invariant depends on numpy's
-    dispatch only through y^(-3/2).
+    on other CPU dispatch paths, so the invariant depends on numpy's dispatch
+    only through the forcing's cos and sin, y^(-3/2) and, on the series, exp.
     """
     if np.any(y <= 0.0):
         raise NonPositive("y", float(y.min()))
@@ -98,36 +102,26 @@ def invariant_exact_series(traj: Trajectory, params: SystemParams) -> np.ndarray
     return _exact(params, traj.times, *(traj.column(c) for c in ("y", "dy", "ddy", "z", "p")))
 
 
-def _coeff_arrays(t, params: SystemParams, order: int):
-    """All six coefficient series at the given times (vectorized)."""
+def _alpha2(t, params: SystemParams, order: int):
+    """(alpha2, alpha2', alpha2'') of the order-``order`` series at the times t:
+    y0 e^rho, -y0 A4 and 2 y0 A31, from the delta-series of ``tubeint.perturb``."""
     weights = _prepare(params, order)
     if params.omega != 1.0:
         raise UnsupportedOmega(params.omega)
-    t = np.asarray(t, dtype=float)
-    eps = params.epsilon
-    y0 = params.y0
-    a1 = 0.5 * eps * np.sin(t)
-    a2 = 0.5 * eps * np.cos(t)
     rho, a31, a4 = _sum(t, ("rho", weights), ("a31", weights), ("a4", weights))
-    a5 = y0 * np.exp(rho)
-    a3 = y0 * a31 + a5
-    a4 = y0 * a4
-    a6 = (2.0 / 3.0) * a5**-1.5
-    return a1, a2, a3, a4, a5, a6
+    y0 = params.y0
+    return y0 * np.exp(rho), -(y0 * a4), 2.0 * (y0 * a31)
 
 
 def _perturbative(params: SystemParams, order: int, t, z, p) -> np.ndarray:
-    """The perturbative invariant a1 z + a2 p + a3 z^2 + a4 z p + a5 p^2 + a6 z^3
-    at the times t, evaluated as one expression per block of ``_CHUNK`` points
-    with that block's coefficient series, so that only one block's series and
-    temporaries are held at a time."""
+    """The perturbative invariant at the times t: the exact one on the series'
+    alpha2, evaluated per block of ``_CHUNK`` points, so that only one block's
+    series and temporaries are held at a time."""
     values = np.empty(len(t))
     for b in range(0, len(t), _CHUNK):
         block = slice(b, b + _CHUNK)
-        a1, a2, a3, a4, a5, a6 = _coeff_arrays(t[block], params, order)
-        zb, pb = z[block], p[block]
-        values[block] = (a1 * zb + a2 * pb + a3 * zb * zb + a4 * zb * pb + a5 * pb * pb
-                         + a6 * np.power(zb, 3))
+        values[block] = _exact(params, t[block], *_alpha2(t[block], params, order), z[block],
+                               p[block])
     return values
 
 

@@ -322,10 +322,9 @@ def alpha2_derivatives(tau, params: SystemParams, order: int = ORDER):
 
 @dataclass(frozen=True)
 class ValidityWindow:
-    """Practical horizon of the truncated series and the true small parameter."""
+    """Practical horizon of the truncated series."""
 
     tau_star: float
-    eps_eff: float
 
 
 def _power_product(c: float, *powers: tuple[float, float]) -> float:
@@ -342,7 +341,7 @@ def _power_product(c: float, *powers: tuple[float, float]) -> float:
 
 
 def validity(params: SystemParams) -> ValidityWindow:
-    """tau* = y0^6 / (s eps^2) (infinite when unforced) and eps_eff = eps y0^(-7/2).
+    """tau* = y0^6 / (s eps^2), infinite when unforced.
 
     s = 5/96 is the secular slope of ``resonance_coefficients``.  When a
     power in the plain quotient over- or underflows, tau* comes from
@@ -357,7 +356,7 @@ def validity(params: SystemParams) -> ValidityWindow:
             tau_star = float(s.denominator) * y0**6 / (float(s.numerator) * eps**2)
         except (ZeroDivisionError, OverflowError):  # eps^2 underflows, or a power overflows
             tau_star = _power_product(float(1 / s), (y0, 6.0), (eps, -2.0))
-    return ValidityWindow(tau_star=tau_star, eps_eff=params.eps_eff)
+    return ValidityWindow(tau_star=tau_star)
 
 
 def equation_residual(tau, params: SystemParams, order: int = ORDER):

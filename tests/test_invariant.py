@@ -14,16 +14,18 @@ import tubeint._rk4 as rk4
 import tubeint.integrate
 import tubeint.invariant
 from tubeint.errors import Escape, InvalidInput, TubeIntError, UnsupportedOmega
-from tubeint.integrate import IntegrationConfig, integrate_coupled
+from tubeint.integrate import IntegrationConfig, integrate_coupled, integrate_z
 from tubeint.invariant import (
-    _coeff_arrays,
+    _alpha2,
+    _exact,
+    _forcing,
     drift_experiment,
     exact_drift_experiment,
     invariant_exact_series,
     tube_surface_samples,
 )
 from tubeint.model import SystemParams, Trajectory, validate_params
-from tubeint.perturb import alpha2_derivatives, y_composite
+from tubeint.perturb import alpha2_derivatives, g_of_t, y_composite
 
 # frozen probes of the coefficient series blocks at tau=1.3, y0=1.1 (from the
 # symbolic derivation of -alpha2' and the once-integrated alpha2''/2)
@@ -36,24 +38,28 @@ def params(eps=0.05, y0=1.1, omega=1.0):
 
 
 def test_coeffs_unforced_limit():
-    a1, a2, a3, a4, a5, a6 = _coeff_arrays(7.3, params(eps=0.0, y0=1.4), 3)
-    assert a1 == 0.0 and a2 == 0.0 and a4 == 0.0
-    assert a3 == pytest.approx(1.4, rel=1e-15)
-    assert a5 == pytest.approx(1.4, rel=1e-15)
-    assert a6 == pytest.approx((2.0 / 3.0) * 1.4**-1.5, rel=1e-15)
+    # the invariant's coefficients: a5 = alpha2, a4 = -alpha2', a3 = alpha2 +
+    # alpha2''/2, a6 = (2/3) alpha2^(-3/2), and a1, a2 = -alpha1', alpha1
+    p = params(eps=0.0, y0=1.4)
+    y, dy, ddy = _alpha2(7.3, p, 3)
+    alpha1, dalpha1 = _forcing(7.3, p)
+    assert -dalpha1 == 0.0 and alpha1 == 0.0 and -dy == 0.0
+    assert y + 0.5 * ddy == pytest.approx(1.4, rel=1e-15)
+    assert y == pytest.approx(1.4, rel=1e-15)
+    assert (2.0 / 3.0) * y**-1.5 == pytest.approx((2.0 / 3.0) * 1.4**-1.5, rel=1e-15)
 
 
 def test_linear_coefficients_at_zero():
-    a1, a2, *_ = _coeff_arrays(0.0, params(eps=0.05), 3)
-    assert a1 == 0.0
-    assert a2 == pytest.approx(0.025, rel=1e-15)
+    alpha1, dalpha1 = _forcing(0.0, params(eps=0.05))
+    assert -dalpha1 == 0.0
+    assert alpha1 == pytest.approx(0.025, rel=1e-15)
 
 
 def test_a1_sign_consistent_with_exact_invariant():
     # A1 = -alpha1' = +(eps/2) sin t; the opposite sign would disagree with
     # the exact invariant at O(eps) and ruin the drift bands
-    a1, *_ = _coeff_arrays(math.pi / 2.0, params(eps=0.05), 3)
-    assert a1 == pytest.approx(+0.025, rel=1e-12)
+    _, dalpha1 = _forcing(math.pi / 2.0, params(eps=0.05))
+    assert -dalpha1 == pytest.approx(+0.025, rel=1e-12)
 
 
 def test_coefficient_series_block_probes():
@@ -61,14 +67,14 @@ def test_coefficient_series_block_probes():
     p = params(eps=1.0, y0=1.1)
     for order, (e31, e4) in enumerate(zip(np.cumsum(A31_BLOCKS_1P3), np.cumsum(A4_BLOCKS_1P3)),
                                       start=1):
-        _, _, a3, a4, a5, _ = _coeff_arrays(1.3, p, order)
-        assert float(a3 - a5) == pytest.approx(e31, rel=1e-13)
-        assert float(a4) == pytest.approx(e4, rel=1e-13)
+        _, dy, ddy = _alpha2(1.3, p, order)
+        assert float(ddy / 2.0) == pytest.approx(e31, rel=1e-13)
+        assert float(-dy) == pytest.approx(e4, rel=1e-13)
 
 
 def test_coeffs_require_unit_omega():
     with pytest.raises(UnsupportedOmega):
-        _coeff_arrays(0.0, params(omega=2.0), 3)
+        _alpha2(0.0, params(omega=2.0), 3)
 
 
 def test_initial_invariant_value_example():
@@ -83,7 +89,8 @@ def test_a3_cross_check_against_volterra_reconstruction():
     sups = {}
     for eps in (0.1, 0.05):
         p = params(eps=eps, y0=1.0)
-        c3 = _coeff_arrays(t, p, 3)[2]
+        y, _, ddy = _alpha2(t, p, 3)
+        c3 = y + 0.5 * ddy
         _, dd = alpha2_derivatives(t, p, 3)
         alt = y_composite(t, p, 3) + 0.5 * dd
         sups[eps] = float(np.max(np.abs(c3 - alt)))
@@ -96,7 +103,7 @@ def test_a4_matches_exact_series_derivative_to_eps4():
     for eps in (0.1, 0.05):
         p = params(eps=eps, y0=1.0)
         d1, _ = alpha2_derivatives(t, p, 3)
-        sups[eps] = float(np.max(np.abs(_coeff_arrays(t, p, 3)[3] + d1)))
+        sups[eps] = float(np.max(np.abs(-_alpha2(t, p, 3)[1] + d1)))
     assert 12.0 < sups[0.1] / sups[0.05] < 20.0
 
 
@@ -133,6 +140,33 @@ def test_exact_invariant_is_the_written_formula_with_its_cube_as_products():
         column = tubeint.invariant._exact(p, t[:, 0], y[:, 0], dy[:, 0], ddy[:, 0], z[:, j],
                                           zp[:, j])
         assert column.tobytes() == values[:, j].tobytes()
+
+
+def test_perturbative_invariant_is_the_exact_one_on_the_series_alpha2(monkeypatch):
+    # one formula: each block is _exact on the series' (alpha2, alpha2', alpha2'')
+    monkeypatch.setattr(tubeint.invariant, "_CHUNK", 1000)
+    p = params(eps=0.05, y0=0.8)
+    t = np.linspace(0.0, 300.0, 3001)
+    z, zp = np.random.default_rng(30).uniform(-0.3, 0.3, (2, t.size))
+    values = tubeint.invariant._perturbative(p, 3, t, z, zp)
+    assert values.tobytes() == _exact(p, t, *_alpha2(t, p, 3), z, zp).tobytes()
+
+
+@pytest.mark.parametrize("y0", [1.2, 0.8])
+def test_perturbative_invariant_is_its_six_coefficient_sum_within_4_ulp(y0):
+    # the sum a1 z + a2 p + a3 z^2 + a4 z p + a5 p^2 + a6 z^3, written out, on
+    # the oscillator of the drift experiment: _exact sums the same products
+    # in another order
+    p = params(eps=0.05, y0=y0)
+    cfg = IntegrationConfig(t_end=500.0, h=1e-2, record_every=1)
+    traj = integrate_z(lambda t: g_of_t(t, p, 3), 0.2, 0.0, 1.0, cfg)
+    t, z, zp = traj.times, traj.column("z"), traj.column("p")
+    y, dy, ddy = _alpha2(t, p, 3)
+    alpha1, dalpha1 = _forcing(t, p)
+    a1, a2, a3, a4, a5, a6 = -dalpha1, alpha1, y + 0.5 * ddy, -dy, y, (2.0 / 3.0) * y**-1.5
+    reference = a1 * z + a2 * zp + a3 * z * z + a4 * z * zp + a5 * zp * zp + a6 * (z * z * z)
+    values = tubeint.invariant._perturbative(p, 3, t, z, zp)
+    assert np.all(np.abs(values - reference) <= 4 * np.spacing(np.abs(reference)))
 
 
 def test_exact_invariant_conserved_along_coupled_run():

@@ -65,3 +65,11 @@ def test_the_kernel_writes_its_rk4_stage_combination_once():
     # one stage routine rk4, not through a hand-written copy of its stages
     source = _rk4.SOURCE.read_text(encoding="utf-8")
     assert source.count("sixth * (") == 1
+
+
+def test_the_invariant_writes_its_formula_once():
+    # the perturbative invariant is the exact one on the series' alpha2: one
+    # cubic coefficient, and a cube formed by products, not numpy's power
+    source = (PACKAGE / "invariant.py").read_text(encoding="utf-8")
+    assert source.count("(2.0 / 3.0)") == 1
+    assert "np.power(" not in source

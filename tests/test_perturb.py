@@ -136,7 +136,6 @@ def test_validity_window_values():
     assert validity(params(eps=1e-170, y0=1e-10)).tau_star == pytest.approx(1.92e281, rel=1e-12)
     assert validity(params(eps=1e200, y0=1e250)).tau_star == math.inf
     assert validity(params(eps=1e200, y0=1e10)).tau_star == 0.0
-    assert validity(params(eps=0.1, y0=2.0)).eps_eff == pytest.approx(0.1 * 2.0**-3.5, rel=1e-14)
 
 
 def test_equation_residual_is_order_eps4():
