@@ -58,13 +58,13 @@ def write_csv(path: str, meta: list[tuple[str, str]], header: list[str], columns
     is written as integers, any other as floats in ``repr`` form.  The output
     is opened first, in binary; then ``_rk4.csv_rows`` formats the rows in
     blocks of ``_BLOCK``, which come from ``integrate._tables`` as
-    ``_drive``'s coefficient tables do: beside the compiled formatter, which
-    releases the GIL, a helper thread per spare core formats the next few
-    blocks while the caller writes one.  The bytes do not depend on the
-    helpers; a block that fails raises its ValueError after the blocks before
-    it are written, and no helper outlives the call.  For ``-`` the bytes go
-    to standard output's binary layer, after a flush of its text layer, or
-    are decoded where it has none (an ``io.StringIO``).
+    ``_drive``'s coefficient tables do: ``_table_helpers()`` threads (one per
+    spare core beside the compiled formatter, none beside ``repr``) format
+    the next few blocks while the caller writes one.  The bytes do not depend
+    on the helpers; a block that fails raises its ValueError after the blocks
+    before it are written, and no helper outlives the call.  For ``-`` the
+    bytes go to standard output's binary layer, after a flush of its text
+    layer, or are decoded where it has none (an ``io.StringIO``).
     """
     from . import _rk4  # on first use: starting the command line does not need it
     from .integrate import _table_helpers, _tables
@@ -82,13 +82,12 @@ def write_csv(path: str, meta: list[tuple[str, str]], header: list[str], columns
             rows[:, j] = c[starts[k] : starts[k] + _BLOCK]
         return _rk4.csv_rows(rows, integer)
 
-    helpers = 0 if _rk4.library() is None else _table_helpers()  # repr holds the GIL
     head = "".join(f"# {k}={v}\n" for k, v in meta) + ",".join(header) + "\n"
     if path == "-":
         sys.stdout.flush()  # what its text layer holds goes out first
     stdout = getattr(sys.stdout, "buffer", None)
     with open(path, "wb") if path != "-" else contextlib.nullcontext(stdout) as out, \
-            contextlib.closing(_tables(block, len(starts), helpers)) as blocks:
+            contextlib.closing(_tables(block, len(starts), _table_helpers())) as blocks:
         # a standard output with no binary layer (an io.StringIO) takes text
         write = out.write if out is not None else lambda data: sys.stdout.write(data.decode())
         write(head.encode())
@@ -197,10 +196,8 @@ def cmd_fourier(args) -> int:
     y0 = params.y0
     series = resonance_coefficients()
     slope = float(series["secular_slope"])
-    try:  # 0 when unforced, where y0^-6 may overflow
-        slope_pred = slope * eps**2 * y0**-6.0 if eps else 0.0
-    except OverflowError:  # eps^2 or y0^-6 overflows
-        slope_pred = _power_product(slope, (eps, 2.0), (y0, -6.0))
+    # 0 when unforced, where y0^-6 may overflow and log(eps) has no value
+    slope_pred = _power_product(slope, (eps, 2.0), (y0, -6.0)) if eps else 0.0
     s1_pred = eps * y0**-2.5 / float(1 / series["s1"])
     meta = [("kind", "fourier")] + _param_meta(params, cfg)
     meta += [

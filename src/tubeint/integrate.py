@@ -21,17 +21,17 @@ library loads, the driver runs the compiled RK4 on each chunk, with
 bit-identical results and the same errors; otherwise the Python RK4 runs.
 ``Trajectory.meta["kernel"]`` records "c" or "python".
 
-On the compiled RK4, which releases the GIL, a run of more than one chunk
-builds its coefficient tables ahead of the stepping: one helper thread per
-spare core claims the tables of the next few chunks in ascending order,
-while the caller steps; when the caller needs a table that is not built
-yet, it builds the next unclaimed one itself, and waits only when every
-table of the window is claimed.  Each table is the same
-function of the same times wherever it is built, so the bits do not depend
-on the helpers, and an error raised while building a table is raised when
-the stepping reaches that chunk, as in a run without helpers.  The Python
-RK4, which holds the GIL, and tube parts, which take a core each, start no
-helper.
+A run of more than one chunk builds its coefficient tables ahead of the
+stepping on ``_table_helpers()`` threads: one per spare core when the
+compiled library loads, none on the Python RK4, which holds the GIL.  The
+helpers claim the tables of the next few chunks in ascending order, while
+the caller steps; when the caller needs a table that is not built yet, it
+builds the next unclaimed one itself, and waits only when every table of the
+window is claimed.  Each table is the same function of the same times
+wherever it is built, so the bits do not depend on the helpers, and an error
+raised while building a table is raised when the stepping reaches that
+chunk, as in a run without helpers.  Tube parts, which take a core each,
+start no helper.
 
 Positivity of the coefficient solution is enforced at every RK4 stage: true
 solutions are strictly positive, so a nonpositive stage value signals a step
@@ -211,10 +211,12 @@ def _cores() -> int:
 
 
 def _table_helpers() -> int:
-    """Threads that build coefficient tables beside a compiled run, or CSV
-    blocks beside the compiled formatter: one per spare core, the caller's
-    own core being the one that steps or writes."""
-    return _cores() - 1
+    """The helper threads beside a working one: one per spare core when the
+    compiled library loads, since it releases the GIL, and none otherwise.  It
+    sets ``_drive``'s table helpers, ``cli.write_csv``'s block helpers and the
+    tube parts (1 + helpers), and loads the library before any thread starts."""
+    from . import _rk4
+    return _cores() - 1 if _rk4.library() is not None else 0
 
 
 def _tables(table, chunks: int, helpers: int):
@@ -311,10 +313,10 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
     The same field is written in C, in ``_rk4.c``, and in Python, above, each
     under one RK4.  When the compiled RK4 can be built and loaded it runs each
     chunk, with the same results to the bit and the same errors; otherwise the
-    Python one does.  On the compiled RK4, ``helpers`` threads (by default
-    ``_table_helpers()``, one per spare core) build the chunk tables ahead of
-    the stepping; the bits and errors do not depend on their number, and
-    every helper is joined before the driver returns or raises.
+    Python one does.  ``helpers`` threads (by default ``_table_helpers()``)
+    build the chunk tables ahead of the stepping; the bits and errors do not
+    depend on their number, and every helper is joined before the driver
+    returns or raises.
 
     The run records into one table, the trajectory's own: ``lead`` leading
     columns, left unset for the caller to fill in place (the time, and f(t)
@@ -346,8 +348,7 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
     run = _rk4.kernel(system, (h, eps, omega), x, out, limit, rec)
     if run is None:
         step = _rk4_step(spec.field(eps, omega), h, spec.positive)
-        helpers = 0
-    elif helpers is None:
+    if helpers is None:
         helpers = _table_helpers()
     starts = range(0, n_steps, _CHUNK)
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NonPositive, TubeIntError, UnsupportedOmega
-from .integrate import (_CHUNK, IntegrationConfig, _cores, _coupled, integrate_coupled,
-                        integrate_z)
+from .integrate import _CHUNK, IntegrationConfig, _coupled, integrate_coupled, integrate_z
 from .model import SystemParams, Trajectory
 from .perturb import ORDER, _prepare, _sum, g_of_t
 
@@ -226,12 +225,6 @@ def _grid(values, name: str) -> np.ndarray:
     return grid
 
 
-def _part_count(filaments: int, compiled: bool) -> int:
-    """The number of parts of a grid: one per available core, and one when
-    the compiled RK4 does not load, because the Python RK4 holds the GIL."""
-    return min(_cores(), filaments) if compiled else 1
-
-
 def _tube_part(params: SystemParams, pairs, cfg: IntegrationConfig) -> list[TubeFilament]:
     """The filaments of pairs from one lockstep run and one broadcast invariant;
     the parts take a core each, so the run starts no table helper."""
@@ -263,26 +256,26 @@ def tube_surface_samples(
     For each (z0, p0) in the Cartesian product of the 1-D grids, integrates
     the coupled system and tags the (z, p, t) triples with the conserved
     value K; this is the data behind the tube visualization.  The grid is
-    split, in grid order, into one contiguous part per available core (one
-    part without the compiled RK4).  Each part is one lockstep integration
-    under one coefficient state, with the exact invariant evaluated once over
-    its state table; part 0 runs on the caller and the others on threads in
-    copies of the caller's context (so under its numpy error state), while
-    the compiled RK4 and numpy release the GIL.  Each filament is, to the bit,
-    its own ``integrate_coupled`` run and ``invariant_exact_series``, whatever
-    the parts.  When a part fails, the grid is run again one filament at a
-    time, so the error raised is that of the first failing filament in grid
-    order (or the first failing part's own, such as a state table too large
-    to allocate, when every filament runs alone).
+    split, in grid order, into min(1 + ``_table_helpers()``, filaments)
+    contiguous parts: one per core beside the compiled RK4, else one.  Each
+    part is one lockstep integration under one coefficient state, with the
+    exact invariant evaluated once over its state table; part 0 runs on the
+    caller and the others on threads in copies of the caller's context (so
+    under its numpy error state), while the compiled RK4 and numpy release
+    the GIL.  Each filament is, to the bit, its own ``integrate_coupled`` run
+    and ``invariant_exact_series``, whatever the parts.  When a part fails,
+    the grid is run again one filament at a time, so the error raised is that
+    of the first failing filament in grid order (or the first failing part's
+    own, such as a state table too large to allocate, when every filament
+    runs alone).
     """
-    from . import _rk4  # on first use: starting the command line does not need it
+    from .integrate import _table_helpers  # looked up per call, as write_csv does
 
     z0_grid = _grid(z0_grid, "z0")
     p0_grid = _grid(p0_grid, "p0")
     cfg = IntegrationConfig(t_end=t_end, h=h, record_every=record_every)
     pairs = [(z0, p0) for z0 in z0_grid.tolist() for p0 in p0_grid.tolist()]
-    # loaded here, so that a first-use build happens once, before any thread starts
-    parts = _part_count(len(pairs), _rk4.library() is not None)
+    parts = min(1 + _table_helpers(), len(pairs))
     bounds = [len(pairs) * i // parts for i in range(parts + 1)]
     results: list = [None] * parts
 

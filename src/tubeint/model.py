@@ -31,9 +31,10 @@ class SystemParams:
     Any of the three may be left ``None``: construction resolves and checks
     them, so every record is valid.  Given c1 or c2 (a missing one is 0),
     epsilon is derived, and a given epsilon must agree within
-    ``EPSILON_RTOL`` relative; it is then kept, so a record rebuilt from its
-    own fields is equal.  Given only epsilon, c1 = epsilon*omega^3 carries
-    its sign, c2 = 0 and epsilon is stored as |epsilon|.
+    ``EPSILON_RTOL`` relative, or give back sqrt(c1^2+c2^2) as epsilon*omega^3
+    to the bit (so also where a subnormal c1 keeps few bits); it is then kept,
+    so a record rebuilt from its own fields is equal.  Given only epsilon,
+    c1 = epsilon*omega^3 carries its sign, c2 = 0 and epsilon is |epsilon|.
 
     Raises NonPositive for omega or y0, InconsistentEpsilon, and InvalidInput
     for any other value the model cannot represent: a non-finite field, an
@@ -76,7 +77,10 @@ class SystemParams:
             c2 = 0.0 if self.c2 is None else float(self.c2)
             if not (math.isfinite(c1) and math.isfinite(c2)):
                 raise InvalidInput(f"c1/c2 must be finite, got {c1!r}, {c2!r}")
-            epsilon = math.hypot(c1, c2) / omega3
+            amplitude = math.hypot(c1, c2)
+            epsilon = amplitude / omega3
+            if given is not None and given * omega3 == amplitude < math.inf:
+                epsilon = given
             if not math.isfinite(epsilon):
                 raise InvalidInput(f"derived epsilon=sqrt(c1^2+c2^2)/omega^3 is not finite, "
                                    f"got c1={c1!r}, c2={c2!r}, omega={omega!r}")

@@ -328,11 +328,16 @@ class ValidityWindow:
 
 
 def _power_product(c: float, *powers: tuple[float, float]) -> float:
-    """c * b1**e1 * b2**e2 * ... for positive c and bases, from logarithms.
+    """c * b1**e1 * b2**e2 * ... for positive c and bases, formed left to right,
+    or by ``_log_product`` when a power overflows."""
+    try:
+        return functools.reduce(lambda product, power: product * power[0] ** power[1], powers, c)
+    except OverflowError:
+        return _log_product(c, *powers)
 
-    The fallback of a plain product whose powers over- or underflow: the
-    result is inf or 0 only where the product itself is out of range.
-    """
+
+def _log_product(c: float, *powers: tuple[float, float]) -> float:
+    """The same product from logarithms: inf or 0 only where it is out of range."""
     log = math.log(c) + sum(e * math.log(b) for b, e in powers)
     try:
         return math.exp(log)
@@ -355,7 +360,7 @@ def validity(params: SystemParams) -> ValidityWindow:
         try:
             tau_star = float(s.denominator) * y0**6 / (float(s.numerator) * eps**2)
         except (ZeroDivisionError, OverflowError):  # eps^2 underflows, or a power overflows
-            tau_star = _power_product(float(1 / s), (y0, 6.0), (eps, -2.0))
+            tau_star = _log_product(float(1 / s), (y0, 6.0), (eps, -2.0))
     return ValidityWindow(tau_star=tau_star)
 
 

@@ -144,10 +144,7 @@ def fourier_windows(params: SystemParams, traj: Trajectory) -> tuple:
         c[:, i], s[:, i], amps[i], s3[i] = ck[:, 0], sk[:, 0], s1[1, 0], s2[2, 0]
     fit = _secular_fit(windows, amps)
     s3_coef = float(resonance_coefficients()["s3"])
-    try:
-        predicted = s3_coef * eps**3 * y0**-9.5 if eps else 0.0
-    except OverflowError:  # eps^3 or y0^-9.5 overflows
-        predicted = _power_product(s3_coef, (eps, 3.0), (y0, -9.5))
+    predicted = _power_product(s3_coef, (eps, 3.0), (y0, -9.5)) if eps else 0.0
     return c, s, fit, s3, (float(s3[0] - (s3[1] - s3[0]) * 0.5), predicted)
 
 

@@ -69,7 +69,7 @@ def _tube_digest() -> str:
     """
     grid = np.linspace(-0.3, 0.3, 8)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tubeint.invariant, "_cores", lambda: 2)
+        mp.setattr(tubeint.integrate, "_cores", lambda: 2)
         filaments = tubeint.invariant.tube_surface_samples(
             SystemParams(epsilon=0.05, y0=1.1), grid, grid, t_end=25, h=1e-3, record_every=10)
     digest = hashlib.sha256()

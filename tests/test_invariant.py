@@ -399,7 +399,7 @@ def tube_grids(draw):
 
 def _pin_parts(mp, parts, path="c"):
     """Run every grid in min(parts, filaments) parts on the given RK4 path."""
-    mp.setattr(tubeint.invariant, "_part_count", lambda filaments, compiled: min(parts, filaments))
+    mp.setattr(tubeint.integrate, "_table_helpers", lambda: parts - 1)
     if path == "python":
         mp.setattr(rk4, "_lib", None)
 
@@ -550,8 +550,8 @@ def test_tube_time_only_terms_are_evaluated_once_per_part():
         assert len(filaments) == 6
 
 
-@pytest.mark.parametrize("path", ["c", "python"])
-def test_tube_grid_runs_one_part_per_core_and_one_without_the_compiled_rk4(path):
+def _part_runs(mp, z0_grid, p0_grid) -> int:
+    """The lockstep runs, one per part, of a tube grid sampled under mp's pins."""
     calls = []
     drive = tubeint.integrate._drive
 
@@ -559,20 +559,31 @@ def test_tube_grid_runs_one_part_per_core_and_one_without_the_compiled_rk4(path)
         calls.append(args[0])
         return drive(*args, **kwargs)
 
+    mp.setattr(tubeint.integrate, "_drive", counted)
+    filaments = tube_surface_samples(params(), z0_grid, p0_grid, t_end=0.1)
+    assert len(filaments) == len(z0_grid) * len(p0_grid)
+    return len(calls)
+
+
+@pytest.mark.parametrize("path", ["c", "python"])
+def test_tube_grid_runs_one_part_per_core_and_one_without_the_compiled_rk4(path):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tubeint.integrate, "_drive", counted)
         mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         if path == "python":
             mp.setattr(rk4, "_lib", None)
         compiled = rk4.library() is not None
-        filaments = tube_surface_samples(params(), [0.1, 0.2, 0.3], [0.0, 0.1], t_end=0.1)
-    assert len(calls) == (4 if compiled else 1)
-    assert len(filaments) == 6
+        parts = _part_runs(mp, [0.1, 0.2, 0.3], [0.0, 0.1])
+    assert parts == (4 if compiled else 1)
 
 
 def test_tube_parts_follow_the_cpu_count_without_an_affinity_mask(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert tubeint.invariant._part_count(64, True) == 3
-    assert tubeint.invariant._part_count(2, True) == 2
-    assert tubeint.invariant._part_count(64, False) == 1
+    if rk4.library() is not None:
+        with pytest.MonkeyPatch.context() as mp:
+            assert _part_runs(mp, np.linspace(-0.3, 0.3, 8), np.linspace(-0.3, 0.3, 8)) == 3
+        with pytest.MonkeyPatch.context() as mp:
+            assert _part_runs(mp, [0.1, 0.2], [0.0]) == 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rk4, "_lib", None)
+        assert _part_runs(mp, np.linspace(-0.3, 0.3, 8), np.linspace(-0.3, 0.3, 8)) == 1

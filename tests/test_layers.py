@@ -5,7 +5,10 @@ The series layer (``model`` and ``perturb``) sits below the integrators: it
 must not import them, or anything built on them, at module level or inside a
 function.  The driver's systems, the compiled kernel's names for them and the
 system enum of ``_rk4.c`` must list the same systems in the same order, since
-the kernel is called with a system's index.
+the kernel is called with a system's index.  Outside ``_rk4`` itself, the
+compiled library is loaded only where a path is chosen: the series sums of
+``perturb._sum`` and the helper-thread count of ``integrate._table_helpers``,
+the one function that turns "the library loaded" into threads.
 """
 
 import ast
@@ -15,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import tubeint
-from tubeint import _rk4, integrate
+from tubeint import _rk4, integrate, perturb
 
 PACKAGE = Path(tubeint.__file__).parent
 ABOVE_SERIES = {"integrate", "invariant", "resonance", "ermakov", "cli"}
@@ -73,3 +76,28 @@ def test_the_invariant_writes_its_formula_once():
     source = (PACKAGE / "invariant.py").read_text(encoding="utf-8")
     assert source.count("(2.0 / 3.0)") == 1
     assert "np.power(" not in source
+
+
+def library_calls() -> set[tuple[str, str | None]]:
+    """(module, top-level function or class) of each ``library()`` call in the
+    package; None for a call at module level."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "library" in (
+                        getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                    found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_only_the_series_sums_and_the_helper_count_load_the_library():
+    outside = {call for call in library_calls() if call[0] != "_rk4"}
+    assert outside == {("perturb", "_sum"), ("integrate", "_table_helpers")}
+    assert ("_rk4", "kernel") in library_calls()  # the finder sees the module's own calls
+    assert "_rk4" not in relative_imports("invariant")
+
+
+def test_the_series_block_is_one_chunks_half_step_grid():
+    # the series layer may not import the driver, so its block size is typed twice
+    assert perturb._BLOCK == 2 * integrate._CHUNK + 1

@@ -25,7 +25,6 @@ import tubeint._rk4 as rk4
 import tubeint.cli
 import tubeint.ermakov
 import tubeint.integrate
-import tubeint.invariant
 from tubeint.ermakov import LogisticDriver, integrate_ermakov
 from tubeint.errors import Escape, InvalidInput, PositivityViolation
 from tubeint.integrate import IntegrationConfig, integrate_coupled, integrate_y, integrate_z
@@ -219,11 +218,13 @@ def test_helper_tables_share_the_callers_numpy_error_state():
 
 @compiled_only
 def test_a_tube_grid_starts_no_table_helper(started):
+    # 3 cores: a grid of one filament runs in one part, on the caller, beside
+    # two spare cores that its lockstep run leaves to other parts
     cfg = IntegrationConfig(t_end=1.0, h=1e-2)
     with pytest.MonkeyPatch.context() as mp:
-        _pinned(mp, 2, 7)
-        mp.setattr(tubeint.invariant, "_part_count", lambda filaments, compiled: 1)
-        tube_surface_samples(params(), [0.1, 0.2], [0.0], cfg.t_end, cfg.h, cfg.record_every)
+        mp.setattr(tubeint.integrate, "_cores", lambda: 3)
+        mp.setattr(tubeint.integrate, "_CHUNK", 7)
+        tube_surface_samples(params(), [0.1], [0.0], cfg.t_end, cfg.h, cfg.record_every)
         assert started == []
         # the same lockstep run outside a tube grid starts both helpers
         integrate_coupled(params(), 0.1, 0.0, cfg)
@@ -307,7 +308,7 @@ def test_a_failing_late_block_leaves_the_blocks_before_it(tmp_path):
 def test_the_repr_path_starts_no_helper(started, tmp_path):
     columns = [np.arange(100), np.linspace(0.0, 1.0, 100)]
     with pytest.MonkeyPatch.context() as mp:
-        _pinned(mp, 2)
+        mp.setattr(tubeint.integrate, "_cores", lambda: 3)
         mp.setattr(tubeint.cli, "_BLOCK", 7)
         mp.setattr(rk4, "_lib", None)
         tubeint.cli.write_csv(str(tmp_path / "python.csv"), [], ["k", "x"], columns)
@@ -316,7 +317,7 @@ def test_the_repr_path_starts_no_helper(started, tmp_path):
         if rk4.library() is None:
             return
         # beside the compiled formatter the same write starts both helpers
-        _pinned(mp, 2)
+        mp.setattr(tubeint.integrate, "_cores", lambda: 3)
         mp.setattr(tubeint.cli, "_BLOCK", 7)
         tubeint.cli.write_csv(str(tmp_path / "compiled.csv"), [], ["k", "x"], columns)
     assert len(started) == 2
