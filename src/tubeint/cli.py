@@ -44,10 +44,10 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-#: Rows per ``csv_rows`` call.  Up to four blocks are in flight, allocated on
-#: a helper thread whose malloc arena keeps the memory after the write: at
-#: 4,096 rows the dense-output benchmark's peak RSS rose by about 2 MB, at
-#: 2,048 by 0.4 MB.
+#: Rows per ``csv_rows`` call.  The window of ``integrate._tables`` plus one
+#: blocks are in flight (four on up to four cores), allocated on a helper
+#: thread whose malloc arena keeps the memory after the write: at 4,096 rows
+#: the dense-output benchmark's peak RSS rose by about 2 MB, at 2,048 by 0.4 MB.
 _BLOCK = 2048
 
 

@@ -30,8 +30,9 @@ builds the next unclaimed one itself, and waits only when every table of the
 window is claimed.  Each table is the same function of the same times
 wherever it is built, so the bits do not depend on the helpers, and an error
 raised while building a table is raised when the stepping reaches that
-chunk, as in a run without helpers.  Tube parts, which take a core each,
-start no helper.
+chunk, as in a run without helpers.  A tube grid of ``invariant`` runs on the
+same pipeline: the parts are the pipeline's tables, one lockstep run each,
+and each part's run, which takes a core, starts no helper of its own.
 
 Positivity of the coefficient solution is enforced at every RK4 stage: true
 solutions are strictly positive, so a nonpositive stage value signals a step
@@ -72,7 +73,8 @@ __all__ = [
 #: results do not depend on it.
 _CHUNK = 4096
 
-#: How many chunks past the one being stepped the table helpers may build.
+#: How many chunks past the one being stepped the table helpers may build, at
+#: least: the window of ``_tables`` is max(_AHEAD, helpers).
 _AHEAD = 3
 
 
@@ -222,29 +224,34 @@ def _table_helpers() -> int:
 def _tables(table, chunks: int, helpers: int):
     """Yield ``table(k)`` for k = 0 .. chunks-1, built ahead by up to ``helpers`` threads.
 
-    It serves ``_drive``'s chunk coefficient tables and ``cli.write_csv``'s
-    formatted CSV blocks; helpers gain only where ``table`` releases the GIL.
-    The caller builds table 0 before any helper starts, so first-use caches
-    and errors such as InvalidInput arise on it alone.  Then every thread,
-    the caller included, claims the next table in ascending order, up to
-    ``_AHEAD`` past the one the caller has reached; helpers run in copies of
-    the caller's context (so under its numpy error state).  When the caller
-    needs a table that is not built yet, it builds the next unclaimed table
-    of the window, or waits only when every one is claimed.  An exception
-    raised while building a table is raised when the caller reaches that
-    table.  Closing the generator, or any raise, stops and joins every helper.
+    It serves ``_drive``'s chunk coefficient tables, ``cli.write_csv``'s
+    formatted CSV blocks and ``invariant.tube_surface_samples``' parts;
+    helpers gain only where ``table`` releases the GIL.  The helpers start
+    before any table is built, in copies of the caller's context (so under
+    its numpy error state).  Every thread, the caller included, claims the
+    next table in ascending order, up to max(``_AHEAD``, helpers) past the
+    one the caller has reached, so that all 1 + helpers threads can build at
+    once.  When the caller needs a table that is not built yet, it builds the
+    next unclaimed table of the window, or waits only when every one is
+    claimed.  Any thread may build table 0: each caller loads the compiled
+    library first, and the first-use caches a table can fill
+    (``perturb._tables`` and ``_packed``, ``_rk4._pow10_table``) are pure
+    functions, so two threads filling one store the same value.  An
+    exception raised while building a table is raised when the caller
+    reaches that table.  Closing the generator, or any raise, stops and
+    joins every helper.
     """
-    first = table(0)
     cond = threading.Condition()
     built = {}  # chunk -> its table, or the exception that building it raised
-    claimed = 1  # chunks 0 .. claimed-1 are taken
+    claimed = 0  # chunks 0 .. claimed-1 are taken
     reached = 0  # the chunk whose table the caller asked for last
+    window = max(_AHEAD, helpers)
     stop = False
 
     def claim():
         """The next chunk to build, or None when the window is full (under cond)."""
         nonlocal claimed
-        if claimed >= chunks or claimed > reached + _AHEAD:
+        if claimed >= chunks or claimed > reached + window:
             return None
         claimed += 1
         return claimed - 1
@@ -261,7 +268,7 @@ def _tables(table, chunks: int, helpers: int):
     def helper():
         while True:
             with cond:
-                cond.wait_for(lambda: stop or claimed >= chunks or claimed <= reached + _AHEAD)
+                cond.wait_for(lambda: stop or claimed >= chunks or claimed <= reached + window)
                 k = None if stop else claim()
             if k is None:
                 return
@@ -272,8 +279,7 @@ def _tables(table, chunks: int, helpers: int):
     try:
         for thread in threads:
             thread.start()
-        yield first
-        for k in range(1, chunks):
+        for k in range(chunks):
             with cond:
                 reached = k
                 cond.notify_all()  # the window moved on

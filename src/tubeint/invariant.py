@@ -13,16 +13,17 @@ Each invariant is evaluated at the trajectory's own sample times: the
 perturbative one per block of samples with that block's coefficient series,
 the exact one vectorised over the whole trajectory.  The exact invariant is
 one broadcast evaluation: a tube grid runs in contiguous parts, one per core,
-and each part is one lockstep run that evaluates the invariant once for all
-its filaments, with the time-only terms (the forcing's cos and sin, y^(-3/2)
-and the other coefficient products) computed once per part; each filament's
-values are the bits of its own single-trajectory evaluation.
+which are the tables of ``integrate._tables``, the pipeline of the chunk
+coefficient tables and CSV blocks.  Each part is one lockstep run that
+evaluates the invariant once for all its filaments, with the time-only terms
+(the forcing's cos and sin, y^(-3/2) and the other coefficient products)
+computed once per part; each filament's values are the bits of its own
+single-trajectory evaluation.
 """
 
 from __future__ import annotations
 
-import contextvars
-import threading
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,47 +260,35 @@ def tube_surface_samples(
     split, in grid order, into min(1 + ``_table_helpers()``, filaments)
     contiguous parts: one per core beside the compiled RK4, else one.  Each
     part is one lockstep integration under one coefficient state, with the
-    exact invariant evaluated once over its state table; part 0 runs on the
-    caller and the others on threads in copies of the caller's context (so
-    under its numpy error state), while the compiled RK4 and numpy release
-    the GIL.  Each filament is, to the bit, its own ``integrate_coupled`` run
-    and ``invariant_exact_series``, whatever the parts.  When a part fails,
-    the grid is run again one filament at a time, so the error raised is that
-    of the first failing filament in grid order (or the first failing part's
-    own, such as a state table too large to allocate, when every filament
-    runs alone).
+    exact invariant evaluated once over its state table.  The parts are the
+    tables of ``integrate._tables``, built at once on the caller and on
+    ``_table_helpers()`` threads in copies of the caller's context (so under
+    its numpy error state), while the compiled RK4 and numpy release the
+    GIL.  Each filament is, to the bit, its own ``integrate_coupled`` run and
+    ``invariant_exact_series``, whatever the parts.  The error of the first
+    failing part is raised once every part is joined; when it is a
+    TubeIntError, the grid is first run again one filament at a time, so the
+    error raised is that of the first failing filament in grid order (or the
+    part's own, such as a state table too large to allocate, when every
+    filament runs alone).
     """
-    from .integrate import _table_helpers  # looked up per call, as write_csv does
+    from .integrate import _table_helpers, _tables  # looked up per call, as write_csv does
 
     z0_grid = _grid(z0_grid, "z0")
     p0_grid = _grid(p0_grid, "p0")
     cfg = IntegrationConfig(t_end=t_end, h=h, record_every=record_every)
     pairs = [(z0, p0) for z0 in z0_grid.tolist() for p0 in p0_grid.tolist()]
-    parts = min(1 + _table_helpers(), len(pairs))
+    helpers = _table_helpers()
+    parts = min(1 + helpers, len(pairs))
     bounds = [len(pairs) * i // parts for i in range(parts + 1)]
-    results: list = [None] * parts
 
-    def run(i: int) -> None:
-        try:
-            results[i] = _tube_part(params, pairs[bounds[i]:bounds[i + 1]], cfg)
-        except Exception as exc:  # raised on the caller, once every part is joined
-            results[i] = exc
+    def part(i):
+        return _tube_part(params, pairs[bounds[i]:bounds[i + 1]], cfg)
 
-    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-               for i in range(1, parts)]
     try:
-        for helper in helpers:
-            helper.start()
-        run(0)
-    finally:
-        for helper in helpers:
-            if helper.ident is not None:  # started
-                helper.join()
-    errors = [r for r in results if isinstance(r, Exception)]
-    if errors:
-        if any(isinstance(e, TubeIntError) for e in errors):
-            # Escape, NonFinite, PositivityViolation or InvalidInput
-            for z0, p0 in pairs:
-                integrate_coupled(params, z0, p0, cfg)
-        raise errors[0]
-    return [filament for part in results for filament in part]
+        with contextlib.closing(_tables(part, parts, helpers)) as results:
+            return [filament for filaments in results for filament in filaments]
+    except TubeIntError:  # Escape, NonFinite, PositivityViolation or InvalidInput
+        for z0, p0 in pairs:
+            integrate_coupled(params, z0, p0, cfg)
+        raise

@@ -481,6 +481,30 @@ def test_tube_parts_leave_no_thread_running(path):
     assert len(filaments) == 6
 
 
+@pytest.mark.parametrize("path", ["c", "python"])
+def test_every_part_of_a_tube_grid_runs_at_once(path):
+    # 6 parts, more than integrate._AHEAD + 1: each part waits at a barrier
+    # until all six have started, so a window that held any part back would
+    # break the barrier
+    assert tubeint.integrate._AHEAD + 1 < 6
+    barrier = threading.Barrier(6, timeout=20)
+    part = tubeint.invariant._tube_part
+
+    def waiting(*args):
+        barrier.wait()
+        return part(*args)
+
+    cfg = IntegrationConfig(t_end=0.1, h=1e-2, record_every=2)
+    loop = _filament_loop(params(), [0.1, 0.2, 0.3], [0.0, 0.1], cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        _pin_parts(mp, 6, path)
+        mp.setattr(tubeint.invariant, "_tube_part", waiting)
+        batch = tube_surface_samples(params(), [0.1, 0.2, 0.3], [0.0, 0.1], cfg.t_end, cfg.h,
+                                     cfg.record_every)
+    got = [(f.z0, f.p0, f.K, f.t, f.z, f.p, f.max_abs_deviation) for f in batch]
+    assert _bytes(got) == _bytes(loop)
+
+
 def test_tube_parts_on_more_threads_than_cores_keep_their_filaments():
     # 7 parts, more than most hosts have cores, switching threads every
     # microsecond: a part that stored its filaments in another part's place,

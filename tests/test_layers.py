@@ -8,7 +8,8 @@ system enum of ``_rk4.c`` must list the same systems in the same order, since
 the kernel is called with a system's index.  Outside ``_rk4`` itself, the
 compiled library is loaded only where a path is chosen: the series sums of
 ``perturb._sum`` and the helper-thread count of ``integrate._table_helpers``,
-the one function that turns "the library loaded" into threads.
+the one function that turns "the library loaded" into threads.  The threads
+themselves are started in one place, ``integrate._tables``.
 """
 
 import ast
@@ -78,24 +79,30 @@ def test_the_invariant_writes_its_formula_once():
     assert "np.power(" not in source
 
 
-def library_calls() -> set[tuple[str, str | None]]:
-    """(module, top-level function or class) of each ``library()`` call in the
-    package; None for a call at module level."""
+def calls(name: str) -> set[tuple[str, str | None]]:
+    """(module, top-level function or class) of each call of a function or
+    method ``name`` in the package; None for a call at module level."""
     found = set()
     for path in PACKAGE.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "library" in (
+                if isinstance(node, ast.Call) and name in (
                         getattr(node.func, "attr", None), getattr(node.func, "id", None)):
                     found.add((path.stem, getattr(top, "name", None)))
     return found
 
 
 def test_only_the_series_sums_and_the_helper_count_load_the_library():
-    outside = {call for call in library_calls() if call[0] != "_rk4"}
+    outside = {call for call in calls("library") if call[0] != "_rk4"}
     assert outside == {("perturb", "_sum"), ("integrate", "_table_helpers")}
-    assert ("_rk4", "kernel") in library_calls()  # the finder sees the module's own calls
+    assert ("_rk4", "kernel") in calls("library")  # the finder sees the module's own calls
     assert "_rk4" not in relative_imports("invariant")
+
+
+def test_only_the_table_pipeline_starts_threads():
+    # the coefficient tables, the CSV blocks and the tube parts all run on
+    # the threads of integrate._tables, which alone copies the caller's context
+    assert calls("Thread") == calls("copy_context") == {("integrate", "_tables")}
 
 
 def test_the_series_block_is_one_chunks_half_step_grid():

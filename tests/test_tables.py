@@ -26,7 +26,7 @@ import tubeint.cli
 import tubeint.ermakov
 import tubeint.integrate
 from tubeint.ermakov import LogisticDriver, integrate_ermakov
-from tubeint.errors import Escape, InvalidInput, PositivityViolation
+from tubeint.errors import Escape, PositivityViolation
 from tubeint.integrate import IntegrationConfig, integrate_coupled, integrate_y, integrate_z
 from tubeint.invariant import tube_surface_samples
 from tubeint.model import SystemParams, validate_params
@@ -167,20 +167,16 @@ def test_a_coefficient_error_in_a_late_chunk_is_the_sequential_one(system):
     assert outcomes[1] == outcomes[2] == outcomes[0]
 
 
-@compiled_only
-def test_a_first_table_error_arises_before_any_helper_starts(started):
-    cfg = IntegrationConfig(t_end=1.0, h=1e-2)
-
-    def g(t):
-        raise InvalidInput("no coefficient")
-
+@pytest.mark.parametrize("system", list(RUNS))
+def test_a_first_table_error_is_the_same_at_any_helper_count(system):
+    # every table fails; the helpers start first and may build any of them,
+    # but the error raised is table 0's and every helper is joined
+    cfg = IntegrationConfig(t_end=1.0, h=1e-2, record_every=3)
     with pytest.MonkeyPatch.context() as mp:
-        _pinned(mp, 2, 7)
-        with pytest.raises(InvalidInput, match="no coefficient"):
-            integrate_z(g, 0.2, 0.0, 1.0, cfg)
-        assert started == []
-        integrate_z(_g, 0.2, 0.0, 1.0, cfg)
-    assert len(started) == 2
+        _coefficient_fails_after(mp, -1.0)
+        outcomes = _each_helper_count(lambda: RUNS[system](cfg), 7)
+    assert outcomes[0] == (LateCoefficient, "table from t=0.0", None)
+    assert outcomes[1] == outcomes[2] == outcomes[0]
 
 
 @compiled_only
