@@ -5,11 +5,12 @@ sums and the CSV rows.
 vector field under one RK4 stage routine and one exported function,
 ``tubeint_rk4``: the same field in C and in Python (``tubeint.integrate``),
 under one RK4 each, with the same expressions in the same order.  A run
-passes only what it varies (system, dimension, constants, coefficient table,
-record interval and escape limit); each system's escape components are fixed
-in the C, as in ``integrate._SYSTEMS``.  The coupled system carries N >= 0
-(z, p) pairs behind one coefficient block; ``integrate_y`` is its N = 0 run
-at omega = 1.  With N >= 2 the C steps the block and then the pairs, in two
+passes what it varies (system, dimension, constants, coefficient table and
+record interval) and the escape limit, which is ``integrate._ESCAPE_Z`` for
+every run; each system's escape components are fixed in the C, as in
+``integrate._SYSTEMS``.  The coupled system carries N >= 0 (z, p) pairs
+behind one coefficient block; ``integrate_y`` is its N = 0 run at
+omega = 1.  With N >= 2 the C steps the block and then the pairs, in two
 passes, with the bits and the first error of one step at a time.  Its second
 export, ``tubeint_sum``, runs the loops over the harmonics of ``perturb._sum``
 on one block of points, with the numpy loop's operations in its order.  The
@@ -253,10 +254,11 @@ def _build(directory: Path, key: str) -> Path | None:
             os.unlink(tmp)
 
 
-def kernel(system: str, constants, x, out, escape_z, record_every):
+def kernel(system: str, constants, x, out, limit, record_every):
     """A runner of ``system``'s compiled steps for one run, or None.
 
     constants is (h, eps, omega); a system ignores the ones it does not use.
+    limit is the escape magnitude of the system's escape components.
     x is the initial state, of the run's dimension (4 + 2N for the coupled
     system with N >= 0 oscillators), and out the writable float64 array of
     recorded rows, row 0 already written: each row holds the state's
@@ -287,7 +289,7 @@ def kernel(system: str, constants, x, out, escape_z, record_every):
 
     def run(coef, start, stop):
         # coef: float64, C-contiguous, 2 * (stop - start) + 1 values
-        status = fn(index, dim, par, coef.ctypes.data, start, stop, record_every, escape_z,
+        status = fn(index, dim, par, coef.ctypes.data, start, stop, record_every, limit,
                     state, dest, ld, rows, at, value)
         if status < 0:
             raise ValueError(f"{system} kernel has no state of dimension {dim}")

@@ -148,8 +148,7 @@ def cmd_simulate_y(args) -> int:
     abs_err = np.abs(y_num - o3)
     rel_err = abs_err / np.abs(y_num)
     meta = [("kind", "simulate-y")] + _param_meta(params, cfg)
-    vw = validity(params)
-    meta.append(("tau_star", _fmt(vw.tau_star)))
+    meta.append(("tau_star", _fmt(validity(params))))
     header = ["tau", "y_numeric", "y_series_o1", "y_series_o2", "y_series_o3",
               "abs_err_o3", "rel_err_o3"]
     write_csv(args.out, meta, header, [tau, y_num, o1, o2, o3, abs_err, rel_err])

@@ -193,7 +193,8 @@ def integrate_ermakov(
     p0: float = 0.0,
     w0: float | None = None,
     dw0: float = 0.0,
-    config: IntegrationConfig | None = None,
+    *,
+    config: IntegrationConfig,
 ) -> Trajectory:
     """Lockstep RK4 of z'' = -f z and w'' = -f w + 1/w^3.
 
@@ -203,8 +204,6 @@ def integrate_ermakov(
     which would give the spline more knots than the half-step grid that RK4
     samples, is InvalidInput before any knot is built.
     """
-    if config is None:
-        config = IntegrationConfig(t_end=200.0)
     if driver.ts < 0.5 * config.h:
         raise InvalidInput(f"ts={driver.ts!r} is finer than the half step h/2={0.5 * config.h!r}: "
                            f"more spline knots than RK4 samples")

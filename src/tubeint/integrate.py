@@ -3,11 +3,11 @@
 One driver, ``_drive``, runs the three integrators here, the Ermakov pair in
 ``ermakov`` and the tube filaments of ``invariant``, over three systems, each
 named in ``_SYSTEMS``: a plain-float vector field, the component that must
-stay positive and the first one tested for escape.  The coupled system
-carries N oscillators (z, p) behind one coefficient block, so that one run
-steps a whole grid of filaments; ``integrate_coupled`` is its N = 1 case and
-``integrate_y`` its N = 0 case at omega = 1, where physical and rescaled time
-coincide.  The driver's caller supplies a vectorised time-only coefficient
+stay positive and the first one tested for escape past ``_ESCAPE_Z``.  The
+coupled system carries N oscillators (z, p) behind one coefficient block, so
+that one run steps a whole grid of filaments; ``integrate_coupled`` is its
+N = 1 case and ``integrate_y`` its N = 0 case at omega = 1, where physical
+and rescaled time coincide.  The driver's caller supplies a vectorised time-only coefficient
 (the unit forcing profile, g(t) or the spline driver).  The driver evaluates
 that coefficient once per chunk of steps on the half-step grid t = (h/2) * i
 and hands each step its values at t, t + h/2 and t + h, so no coefficient is
@@ -89,7 +89,6 @@ class IntegrationConfig:
 
     t_end: float
     h: float = 1e-3
-    escape_z: float = 1e6
     record_every: int = 1
 
     def __post_init__(self):
@@ -103,8 +102,6 @@ class IntegrationConfig:
             raise InvalidInput(f"t_end / h rounds to 0 steps: {self.t_end!r} / {self.h!r}")
         if not (isinstance(self.record_every, numbers.Integral) and self.record_every >= 1):
             raise InvalidInput(f"record_every must be an integer >= 1, got {self.record_every!r}")
-        if not self.escape_z > 0.0:
-            raise InvalidInput(f"escape_z must be > 0, got {self.escape_z!r}")
 
     def plan(self) -> tuple[int, int]:
         """(total steps, recorded intervals); steps are a multiple of record_every."""
@@ -162,7 +159,7 @@ def _field_ermakov(eps, om):
 class _System(NamedTuple):
     field: Callable  # (eps, omega) -> field(x, c)
     positive: tuple[int, str] | None  # (index, name) of the component kept > 0
-    escape: int | None  # first component tested against escape_z, then every second one
+    escape: int | None  # first component tested against _ESCAPE_Z, then every second one
 
 
 #: The systems of ``_drive``, each with the compiled field of the same name in
@@ -174,6 +171,9 @@ _SYSTEMS = {
     "coupled": _System(_field_coupled, (0, "y"), 4),
     "ermakov": _System(_field_ermakov, (2, "w"), None),
 }
+
+#: The magnitude past which an escape component (each z) has escaped.
+_ESCAPE_Z = 1e6
 
 
 def _rk4_step(field, h: float, positive: tuple[int, str] | None):
@@ -313,7 +313,7 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
     broadcasts).  For a system with an escape component, the run raises
     Escape at the first step where the magnitude of that component, or of
     every second one after it (each z of a coupled run), exceeds
-    config.escape_z or is NaN.  A plan too large to allocate raises
+    ``_ESCAPE_Z`` or is NaN.  A plan too large to allocate raises
     InvalidInput.
 
     The same field is written in C, in ``_rk4.c``, and in Python, above, each
@@ -339,7 +339,6 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
         raise InvalidInput(f"initial state must be finite, got {x!r}")
     h = config.h
     rec = config.record_every
-    limit = config.escape_z
     escape = None if spec.escape is None else slice(spec.escape, None, 2)
     n_steps, n_intervals = config.plan()
     try:
@@ -351,7 +350,7 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
     out = data[:, lead:]
     out[0] = x
     rows = 1
-    run = _rk4.kernel(system, (h, eps, omega), x, out, limit, rec)
+    run = _rk4.kernel(system, (h, eps, omega), x, out, _ESCAPE_Z, rec)
     if run is None:
         step = _rk4_step(spec.field(eps, omega), h, spec.positive)
     if helpers is None:
@@ -383,7 +382,7 @@ def _drive(system: str, coef, x0, config: IntegrationConfig, eps: float = 0.0,
                     x = step(k * h, x, c0, cm, c1)
                     kk = k + 1
                     # Written so that a NaN coordinate escapes too.
-                    if escape is not None and not all(abs(v) <= limit for v in x[escape]):
+                    if escape is not None and not all(abs(v) <= _ESCAPE_Z for v in x[escape]):
                         raise Escape(kk * h)
                     if kk % rec == 0:
                         if not all(map(math.isfinite, x)):
@@ -447,8 +446,8 @@ def integrate_z(
     constant (``lambda t: 0.0``) broadcasts.  It must be a pure function of
     its times: on the compiled RK4 it may be called from a helper thread,
     for several chunks at once, ahead of the steps that use its values.
-    Raises Escape at the step where |z| exceeds config.escape_z (the cubic
-    potential is unbounded; detect rather than overflow).  Raises
+    Raises Escape at the step where |z| exceeds ``_ESCAPE_Z`` = 1e6 (the
+    cubic potential is unbounded; detect rather than overflow).  Raises
     NonPositive unless omega is finite and > 0.
     """
     if not (math.isfinite(omega) and omega > 0.0):
@@ -474,7 +473,7 @@ def integrate_coupled(
     the same stages as (z, p) with g(t) = y(omega*t)^(-5/2), so the exact
     invariant can be evaluated from simultaneous state with no interpolation.
     Times are physical; the tau column stores omega*t.  Raises Escape at the
-    step where |z| exceeds config.escape_z.
+    step where |z| exceeds ``_ESCAPE_Z`` = 1e6.
     """
     t, data, path = _coupled(params, [(z0, p0)], config, lead=1)
     np.multiply(params.omega, t, out=data[:, 0])

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "g_of_t",
     "alpha2_derivatives",
     "validity",
-    "ValidityWindow",
     "equation_residual",
     "resonance_coefficients",
 ]
@@ -320,13 +318,6 @@ def alpha2_derivatives(tau, params: SystemParams, order: int = ORDER):
     return y0 * np.exp(rho) * drho, d2
 
 
-@dataclass(frozen=True)
-class ValidityWindow:
-    """Practical horizon of the truncated series."""
-
-    tau_star: float
-
-
 def _power_product(c: float, *powers: tuple[float, float]) -> float:
     """c * b1**e1 * b2**e2 * ... for positive c and bases, formed left to right,
     or by ``_log_product`` when a power overflows."""
@@ -345,8 +336,9 @@ def _log_product(c: float, *powers: tuple[float, float]) -> float:
         return math.inf
 
 
-def validity(params: SystemParams) -> ValidityWindow:
-    """tau* = y0^6 / (s eps^2), infinite when unforced.
+def validity(params: SystemParams) -> float:
+    """tau* = y0^6 / (s eps^2), the practical horizon of the truncated series;
+    infinite when unforced.
 
     s = 5/96 is the secular slope of ``resonance_coefficients``.  When a
     power in the plain quotient over- or underflows, tau* comes from
@@ -355,13 +347,11 @@ def validity(params: SystemParams) -> ValidityWindow:
     eps, y0 = params.epsilon, params.y0
     s = resonance_coefficients()["secular_slope"]
     if eps == 0.0:
-        tau_star = math.inf
-    else:
-        try:
-            tau_star = float(s.denominator) * y0**6 / (float(s.numerator) * eps**2)
-        except (ZeroDivisionError, OverflowError):  # eps^2 underflows, or a power overflows
-            tau_star = _log_product(float(1 / s), (y0, 6.0), (eps, -2.0))
-    return ValidityWindow(tau_star=tau_star)
+        return math.inf
+    try:
+        return float(s.denominator) * y0**6 / (float(s.numerator) * eps**2)
+    except (ZeroDivisionError, OverflowError):  # eps^2 underflows, or a power overflows
+        return _log_product(float(1 / s), (y0, 6.0), (eps, -2.0))
 
 
 def equation_residual(tau, params: SystemParams, order: int = ORDER):

@@ -120,7 +120,7 @@ def fourier_windows(params: SystemParams, traj: Trajectory) -> tuple:
     if len(windows) < 5:
         raise InsufficientWindows(f"need >= 5 complete windows, got {len(windows)}")
     horizon = TWO_PI * (windows[-1] + 1)
-    limit = 0.2 * validity(params).tau_star
+    limit = 0.2 * validity(params)
     if horizon > limit:
         raise InvalidInput(f"fit horizon {horizon:.1f} exceeds 0.2 tau* = {limit:.1f}")
     y0, eps = params.y0, params.epsilon

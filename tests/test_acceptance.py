@@ -158,7 +158,7 @@ def test_criterion_3_series_breakdown_y0_0p7(runs):
     rel = np.abs(y - o3) / np.abs(y)
     early = float(np.max(rel[tau <= 200.0]))
     at_end = float(rel[-1])
-    tau_star = validity(p).tau_star
+    tau_star = validity(p)
     ok = early < 0.10 and 0.30 <= at_end <= 0.70
     report(
         "3",

@@ -41,9 +41,6 @@ def test_config_validation():
 @pytest.mark.parametrize("kwargs", [
     dict(record_every=2.5),  # was accepted, then a TypeError inside the driver
     dict(record_every=2.0),
-    dict(escape_z=math.nan),  # was an Escape at t = h
-    dict(escape_z=0.0),
-    dict(escape_z=-1.0),
 ])
 def test_config_rejects_unusable_values(kwargs):
     with pytest.raises(InvalidInput):
@@ -185,14 +182,14 @@ def test_rest_solution_stays_at_rest():
 def test_escape_raises_with_time():
     with pytest.raises(Escape) as exc:
         integrate_z(lambda t: 1.0, -5.0, 0.0, 1.0,
-                    IntegrationConfig(t_end=50.0, h=1e-3, record_every=10, escape_z=1e3))
+                    IntegrationConfig(t_end=50.0, h=1e-3, record_every=10))
     assert 0.0 < exc.value.t < 50.0
 
 
 def test_escape_before_two_samples_raises():
     with pytest.raises(Escape) as exc:
         integrate_z(lambda t: 1.0, -5.0, 0.0, 1.0,
-                    IntegrationConfig(t_end=50.0, h=1e-3, record_every=100000, escape_z=1e3))
+                    IntegrationConfig(t_end=50.0, h=1e-3, record_every=100000))
     assert 0.0 < exc.value.t < 50.0
 
 
@@ -249,7 +246,7 @@ def test_coefficient_chunk_size_leaves_results_bit_identical(monkeypatch, chunk)
         return g_of_t(t, p, 3)
 
     cfg = IntegrationConfig(t_end=0.5, h=1e-2, record_every=3)
-    escape_cfg = IntegrationConfig(t_end=50.0, h=1e-2, record_every=10, escape_z=1e3)
+    escape_cfg = IntegrationConfig(t_end=50.0, h=1e-2, record_every=10)
 
     def runs():
         with pytest.raises(Escape) as exc:

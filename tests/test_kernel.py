@@ -50,7 +50,7 @@ def _integrate(system, a, cfg):
     if system == "coupled":
         return integrate_coupled(_params(a), a["z0"], a["p0"], cfg)
     return integrate_ermakov(LogisticDriver(*a["driver"]), a["z0"], a["p0"], a["w0"], a["dw0"],
-                             cfg)
+                             config=cfg)
 
 
 def _outcome(system, a, cfg):
@@ -107,8 +107,7 @@ def cases(draw):
     system = draw(st.sampled_from(["y", "z", "coupled", "ermakov"]))
     h = draw(_num(1e-3, 0.5))
     cfg = IntegrationConfig(t_end=h * draw(st.integers(1, 400)), h=h,
-                            record_every=draw(st.integers(1, 12)),
-                            escape_z=draw(st.sampled_from([1e6, 1e3, 2.0])))
+                            record_every=draw(st.integers(1, 12)))
     a = _args(
         omega=draw(_num(0.2, 3.0)),
         c1=draw(_num(-3.0, 3.0)),
@@ -134,8 +133,7 @@ def cases(draw):
 _Y_POSITIVITY = ("y", _args(c1=0.0, y0=0.5, yp0=-2.0), IntegrationConfig(t_end=5.0), 4096)
 _W_POSITIVITY = ("ermakov", _args(w0=0.01, dw0=-10.0), IntegrationConfig(t_end=5.0, h=0.5), 7)
 # in a later chunk than the first
-_ESCAPE = ("z", _args(z0=-5.0), IntegrationConfig(t_end=50.0, record_every=10, escape_z=1e3),
-           4096)
+_ESCAPE = ("z", _args(z0=-5.0), IntegrationConfig(t_end=50.0, record_every=10), 4096)
 # z0 = 1e200 overflows z*z in the first step, so z is NaN after it
 _NAN_ESCAPE = ("coupled", _args(z0=1e200), IntegrationConfig(t_end=1.0, record_every=1000), 7)
 # y0^-2.5 overflows: Python's ** raises, C's pow returns inf
@@ -162,10 +160,17 @@ _PAIRS_POSITIVITY = ("coupled", _args(**_PAIRS_Y, pairs=[(-1e-7, 0.0), (0.0, 0.0
                      IntegrationConfig(t_end=5.0, h=2.0**-10), 4096)
 _PAIRS_OVERFLOW = ("coupled", _args(c1=0.0, y0=1e-250, z0=0.1, pairs=[(0.2, 0.0), (0.3, 0.0)]),
                    IntegrationConfig(t_end=0.001), 1)
-# from z0 = -0.05, p overflows in step 678 while z stays below escape_z, which
-# the record at step 678 finds (z is NaN after step 679)
-_PAIRS_NAN = ("coupled", _args(**_PAIRS_Y, pairs=[(-0.05, 0.0), (0.1, 0.0)]),
-              IntegrationConfig(t_end=5.0, record_every=3, escape_z=1e300), 7)
+# unforced at y0 = 1e-100, y^(-5/2) = 1e250, so J overflows in step 1 of
+# h = 1e60 while every oscillator stays at rest, so no escape comes first:
+# the record at step 1 finds it
+_PAIRS_J_NAN = ("coupled", _args(c1=0.0, y0=1e-100, z0=0.0, pairs=[(0.0, 0.0), (0.0, 0.0)]),
+                IntegrationConfig(t_end=3e60, h=1e60, record_every=1), 7)
+# y^(-5/2) = 6e307 and a sine forcing, which is 0 at t = 0: the block stays
+# finite, while the sum of p's four stage slopes overflows in step 1 of
+# h = 1e-200 and z stays at 1: only the pairs' record finds it
+_PAIRS_P_NAN = ("coupled", _args(c1=0.0, c2=1.0, y0=6e307**-0.4, z0=1.0,
+                                 pairs=[(0.0, 0.0), (0.0, 0.0)]),
+                IntegrationConfig(t_end=3e-200, h=1e-200, record_every=1), 7)
 # (case, error, stage): a positivity failure at stage t + stage * h of its step
 _FAILURES = [(_Y_POSITIVITY, "PositivityViolation", None),
              (_W_POSITIVITY, "PositivityViolation", 0.5),
@@ -174,7 +179,8 @@ _FAILURES = [(_Y_POSITIVITY, "PositivityViolation", None),
              (_Y_HALF, "PositivityViolation", 0.5), (_Y_END, "PositivityViolation", 1.0),
              (_W_END, "PositivityViolation", 1.0), (_W_START, "PositivityViolation", 0.0),
              (_PAIRS_ESCAPE, "Escape", None), (_PAIRS_POSITIVITY, "PositivityViolation", 0.5),
-             (_PAIRS_OVERFLOW, "NonFinite", None), (_PAIRS_NAN, "NonFinite", None)]
+             (_PAIRS_OVERFLOW, "NonFinite", None), (_PAIRS_J_NAN, "NonFinite", None),
+             (_PAIRS_P_NAN, "NonFinite", None)]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -497,7 +503,8 @@ def test_compiled_rows_land_at_the_table_stride():
     table = np.full((len(times), 1 + len(x0) + 2), -7.0)
     out = table[:, 1:1 + len(x0)]
     out[0] = x0
-    run = rk4.kernel("ermakov", (cfg.h, eps, omega), x0, out, cfg.escape_z, cfg.record_every)
+    run = rk4.kernel("ermakov", (cfg.h, eps, omega), x0, out, tubeint.integrate._ESCAPE_Z,
+                     cfg.record_every)
     n = cfg.plan()[0]
     status, _, _ = run(np.ascontiguousarray(coef(0.5 * cfg.h * np.arange(2 * n + 1))), 0, n)
     assert status == rk4.OK
@@ -576,7 +583,7 @@ def test_baseline_pair_pass_keeps_the_bits(baseline):
     pairs = [(0.2, 0.1), (-0.3, 0.0), (0.5, 0.2), (0.1, -0.2), (0.0, 0.3), (-0.1, -0.1),
              (0.25, -0.05), (-0.2, 0.2), (0.05, 0.15), (-0.4, 0.1), (0.3, -0.3)]
     cfg = IntegrationConfig(t_end=30.0, h=1e-2, record_every=7)  # 3,000 steps: six passes
-    system, a, failing, chunk = _PAIRS_NAN
+    system, a, failing, chunk = _PAIRS_P_NAN
 
     def outcomes():
         runs = [_coupled(params, pairs[:count], cfg, helpers=0) for count in (5, 8, 11)]

@@ -9,17 +9,21 @@ the kernel is called with a system's index.  Outside ``_rk4`` itself, the
 compiled library is loaded only where a path is chosen: the series sums of
 ``perturb._sum`` and the helper-thread count of ``integrate._table_helpers``,
 the one function that turns "the library loaded" into threads.  The threads
-themselves are started in one place, ``integrate._tables``.
+themselves are started in one place, ``integrate._tables``.  The public
+surface holds only what callers set: the run settings, no wrapper of tau*
+and no default Ermakov run.
 """
 
 import ast
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import tubeint
-from tubeint import _rk4, integrate, perturb
+from tubeint import _rk4, ermakov, integrate, perturb
 
 PACKAGE = Path(tubeint.__file__).parent
 ABOVE_SERIES = {"integrate", "invariant", "resonance", "ermakov", "cli"}
@@ -108,3 +112,13 @@ def test_only_the_table_pipeline_starts_threads():
 def test_the_series_block_is_one_chunks_half_step_grid():
     # the series layer may not import the driver, so its block size is typed twice
     assert perturb._BLOCK == 2 * integrate._CHUNK + 1
+
+
+def test_the_public_surface_holds_only_what_callers_set():
+    # the escape limit is integrate._ESCAPE_Z, tau* is a plain float and an
+    # Ermakov run states its own horizon
+    fields = tuple(field.name for field in dataclasses.fields(integrate.IntegrationConfig))
+    assert fields == ("t_end", "h", "record_every")
+    assert not hasattr(perturb, "ValidityWindow")
+    config = inspect.signature(ermakov.integrate_ermakov).parameters["config"]
+    assert config.default is inspect.Parameter.empty

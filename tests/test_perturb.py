@@ -127,15 +127,15 @@ def test_volterra_series_regression_probe():
 
 
 def test_validity_window_values():
-    assert validity(params(eps=0.1, y0=1.0)).tau_star == pytest.approx(1920.0, rel=1e-12)
-    assert validity(params(eps=0.1, y0=0.7)).tau_star == pytest.approx(96.0 * 0.7**6 / 0.05, rel=1e-12)
-    assert math.isinf(validity(params(eps=0.0)).tau_star)
-    assert math.isinf(validity(params(eps=1e-250)).tau_star)  # eps^2 underflows
+    assert validity(params(eps=0.1, y0=1.0)) == pytest.approx(1920.0, rel=1e-12)
+    assert validity(params(eps=0.1, y0=0.7)) == pytest.approx(96.0 * 0.7**6 / 0.05, rel=1e-12)
+    assert math.isinf(validity(params(eps=0.0)))
+    assert math.isinf(validity(params(eps=1e-250)))  # eps^2 underflows
     # a power that over- or underflows as a Python float: tau* from logarithms
-    assert validity(params(eps=1e150, y0=1e52)).tau_star == pytest.approx(1.92e13, rel=1e-12)
-    assert validity(params(eps=1e-170, y0=1e-10)).tau_star == pytest.approx(1.92e281, rel=1e-12)
-    assert validity(params(eps=1e200, y0=1e250)).tau_star == math.inf
-    assert validity(params(eps=1e200, y0=1e10)).tau_star == 0.0
+    assert validity(params(eps=1e150, y0=1e52)) == pytest.approx(1.92e13, rel=1e-12)
+    assert validity(params(eps=1e-170, y0=1e-10)) == pytest.approx(1.92e281, rel=1e-12)
+    assert validity(params(eps=1e200, y0=1e250)) == math.inf
+    assert validity(params(eps=1e200, y0=1e10)) == 0.0
 
 
 def test_equation_residual_is_order_eps4():
