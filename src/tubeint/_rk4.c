@@ -1,5 +1,6 @@
 /* Compiled RK4 for tubeint's three systems (z, coupled and Ermakov), the
- * series sums of ``perturb._sum`` and the CSV rows of the command-line tool.
+ * series sums of ``perturb._sum``, the exact invariant of ``invariant._exact``
+ * and the CSV rows of the command-line tool.
  *
  * Each system is written once, as a vector field evaluated in the same order
  * and association as the stages of its Python ``step``, and ``rk4`` combines
@@ -9,9 +10,10 @@
  *
  *     cc -O3 -shared -fPIC -ffp-contract=off -o _rk4.so _rk4.c -lm
  *
- * -O3 vectorises the block loops of ``tubeint_sum`` and the coupled system's
- * loops over its pairs.  That changes no result: each vector lane does one
- * point's or one pair's operations in their written order, and without
+ * -O3 vectorises the block loops of ``tubeint_sum``, the coupled system's
+ * loops over its pairs and the invariant's loop over a row's oscillators.
+ * That changes no result: each vector lane does one point's, one pair's or
+ * one oscillator's operations in their written order, and without
  * contraction or fast-math no operation is fused, reassociated or dropped.
  *
  * ``pow`` is the libm function that Python's float ``**`` calls.  Python raises
@@ -52,7 +54,11 @@
  * The pair pass and the series sums come in three clones, AVX-512, AVX2 and
  * baseline, and the CPU's best one runs; all three give the same bits.
  *
- * The third export, ``tubeint_csv`` (at the end of the file), writes a block
+ * The third export, ``tubeint_invariant``, forms the exact invariant at every
+ * oscillator of a strided table, with the time-only terms formed once per
+ * row, in the operations and order of the numpy loop.
+ *
+ * The fourth export, ``tubeint_csv`` (at the end of the file), writes a block
  * of rows as CSV text with each float exactly as Python's ``repr`` writes it,
  * so the CSV bytes are the same with and without this library.
  */
@@ -444,6 +450,58 @@ void tubeint_sum(int64_t n, const double *t, const double *c1, const double *s1,
     for (int64_t i = 0; i < n; i += SUM_BLOCK)
         sum_block(n - i < SUM_BLOCK ? n - i : SUM_BLOCK, t + i, c1 + i, s1 + i, pairs, top,
                   width, len, coef, out + i, stride);
+}
+
+/* The exact invariant of ``invariant._exact`` at every (row, column) of a
+ * rows x cols table of oscillators, into out (C-contiguous), in the
+ * operations and order of the numpy loop, so with its bits:
+ *
+ *     I = y p^2 - ((om y') z) p + alpha1 p + ((om^2 (y + y''/2)) z) z
+ *         - alpha1' z + ((z z) z) c3,
+ *
+ * each product formed as written and summed left to right.  x holds y, y',
+ * y'', alpha1, alpha1' and c3 = (2/3) y^(-3/2), the time-only terms, one
+ * value per row (the caller computes alpha1, alpha1' and c3, whose numpy
+ * bits depend on its CPU dispatch), then z and p.  Element (i, j) of x[k]
+ * is ld[2k] i + ld[2k + 1] j doubles after x[k]; the column strides of the
+ * six time-only terms are not read.  Formed once per row, the time-only
+ * terms stay in registers over the row's oscillators: twice as fast as
+ * reading them at every (row, column). */
+void tubeint_invariant(int64_t rows, int64_t cols, double om, const double *const *x,
+                       const int64_t *ld, double *out)
+{
+    const double om2 = om * om;
+    const int64_t zs = ld[13], ps = ld[15];
+
+    for (int64_t i = 0; i < rows; i++) {
+        const double y = x[0][i * ld[0]], wdy = om * x[1][i * ld[2]];
+        const double w2c = om2 * (y + 0.5 * x[2][i * ld[4]]);
+        const double a1 = x[3][i * ld[6]], da1 = x[4][i * ld[8]], c3 = x[5][i * ld[10]];
+        const double *z = x[6] + i * ld[12], *p = x[7] + i * ld[14];
+        double *o = out + i * cols;
+
+        for (int64_t j = 0; j < cols; j++) {
+            const double zj = z[j * zs], pj = p[j * ps];
+            double v = y * pj, term;
+
+            v *= pj;
+            term = wdy * zj;
+            term *= pj;
+            v -= term;
+            term = a1 * pj;
+            v += term;
+            term = w2c * zj;
+            term *= zj;
+            v += term;
+            term = da1 * zj;
+            v -= term;
+            term = zj * zj;
+            term *= zj;
+            term *= c3;
+            v += term;
+            o[j] = v;
+        }
+    }
 }
 
 /* CSV rows with floats written as Python's repr writes them.

@@ -1,5 +1,5 @@
 """Build and load the compiled library of ``_rk4.c``: the RK4 steps, the series
-sums and the CSV rows.
+sums, the exact invariant and the CSV rows.
 
 ``_rk4.c`` writes each of the three systems (z, coupled, Ermakov) once, as a
 vector field under one RK4 stage routine and one exported function,
@@ -14,9 +14,12 @@ omega = 1.  With N >= 2 the C steps the block and then the pairs, in two
 passes, with the bits and the first error of one step at a time.  Its second
 export, ``tubeint_sum``, runs the loops over the harmonics of ``perturb._sum``
 on one block of points, with the numpy loop's operations in its order.  The
-third, ``tubeint_csv``, writes a block of float64 rows as CSV lines, each
-float as ``repr`` writes it (``csv_rows``): Schubfach's shortest digits from
-128-bit products, written two at a time into their places.
+third, ``tubeint_invariant``, forms the exact invariant of ``invariant._exact``
+at every (row, oscillator) of a strided z/p table, with the forcing and
+y^(-3/2) that numpy computes per row, again with the numpy loop's operations
+in its order.  The fourth, ``tubeint_csv``, writes a block of float64 rows as CSV
+lines, each float as ``repr`` writes it (``csv_rows``): Schubfach's shortest
+digits from 128-bit products, written two at a time into their places.
 
 The bits are the same on both paths because ``FLAGS`` hold
 ``-ffp-contract=off`` and no fast-math flag: no multiply and add is fused and
@@ -40,8 +43,8 @@ The 128-bit products are the compiler's ``unsigned __int128`` (GCC, Clang),
 with no fallback in C: a compiler without it fails the build, which then
 counts as no compiler.  When there is no compiler, or the build or the load
 fails, ``library()`` is None, silently: the driver runs the Python RK4,
-``perturb._sum`` its numpy loop, and ``csv_rows`` encodes joined ``repr``
-strings.  Either way the bits and bytes are the same.
+``perturb._sum`` and ``invariant._exact`` their numpy loops, and ``csv_rows``
+encodes joined ``repr`` strings.  Either way the bits and bytes are the same.
 """
 
 from __future__ import annotations
@@ -107,6 +110,15 @@ _SUM_ARGTYPES = [
     ctypes.c_void_p,  # coefficients, (pairs, top + 1, 2, width)
     ctypes.c_void_p,  # out: pair p's sums at out + p stride, added to
     ctypes.c_int64,  # stride
+]
+
+_INVARIANT_ARGTYPES = [
+    ctypes.c_int64,  # rows
+    ctypes.c_int64,  # columns
+    ctypes.c_double,  # omega
+    ctypes.c_void_p,  # 8 pointers: y, y', y'', alpha1, alpha1', (2/3) y^(-3/2), z, p
+    ctypes.c_void_p,  # 16 int64 strides in doubles: each pointer's row, then column, stride
+    ctypes.c_void_p,  # out: C-contiguous float64, rows x columns
 ]
 
 _UNSET = object()
@@ -198,7 +210,7 @@ def _cached(cache: Path, key: str) -> Path | None:
 
 
 def _open(path: Path):
-    """The library at path with its entry point declared, or None if it does not load."""
+    """The library at path with its entry points declared, or None if it does not load."""
     try:
         lib = ctypes.CDLL(str(path))
         lib.tubeint_rk4.argtypes = _ARGTYPES
@@ -207,6 +219,8 @@ def _open(path: Path):
         lib.tubeint_csv.restype = ctypes.c_int64
         lib.tubeint_sum.argtypes = _SUM_ARGTYPES
         lib.tubeint_sum.restype = None
+        lib.tubeint_invariant.argtypes = _INVARIANT_ARGTYPES
+        lib.tubeint_invariant.restype = None
     except (OSError, AttributeError):
         return None
     return lib

@@ -18,7 +18,8 @@ coefficient tables and CSV blocks.  Each part is one lockstep run that
 evaluates the invariant once for all its filaments, with the time-only terms
 (the forcing's cos and sin, y^(-3/2) and the other coefficient products)
 computed once per part; each filament's values are the bits of its own
-single-trajectory evaluation.
+single-trajectory evaluation.  The filaments' z and p are the rows of one
+transposed copy of the part's table.
 """
 
 from __future__ import annotations
@@ -65,19 +66,40 @@ def _exact(params: SystemParams, t, y, dy, ddy, z, p) -> np.ndarray:
     gives alpha2'(t) = omega * y'(tau) and alpha2''(t) = omega^2 * y''(tau).
 
     I = y p^2 - omega y' z p + alpha1 p + omega^2 (y + y''/2) z^2 - alpha1' z
-    + (2/3) y^(-3/2) z^3, summed left to right into one array with one more
-    array for the term being added, so that a grid's evaluation holds two
-    arrays of its size.  Each product is formed in the order of the formula
-    as written; the bits are those of the plain expression.  The cube is
-    (z*z)*z: numpy's power drops to a scalar path for a negative base (about
-    60 ns a value against 1 ns for the two multiplies) and gives other bits
-    on other CPU dispatch paths, so the invariant depends on numpy's dispatch
-    only through the forcing's cos and sin, y^(-3/2) and, on the series, exp.
+    + (2/3) y^(-3/2) z^3, with each product formed in the order of the formula
+    as written and summed left to right: the bits of the plain expression.
+    numpy computes alpha1, alpha1' and (2/3) y^(-3/2), whose bits depend on
+    its CPU dispatch.  The rest runs in one compiled pass into the result
+    (``tubeint_invariant``) when the library loads and the time-only terms
+    hold one value per row of an at most 2-D result, and in numpy otherwise,
+    with one more array for the term being added; the compiled pass raises
+    no numpy floating-point warning.  The cube is (z*z)*z: numpy's power
+    drops to a scalar path for a negative base (about 60 ns a value against
+    1 ns for the two multiplies) and gives other bits on other CPU dispatch
+    paths, so the invariant depends on numpy's dispatch only through the
+    forcing's cos and sin, y^(-3/2) and, on the series, exp.
     """
+    from . import _rk4  # on first use: starting the command line does not need it
+
     if np.any(y <= 0.0):
         raise NonPositive("y", float(y.min()))
     om = params.omega
     alpha1, dalpha1 = _forcing(t, params)
+    c3 = (2.0 / 3.0) * y**-1.5
+    inputs = (y, dy, ddy, alpha1, dalpha1, c3, z, p)
+    shape = np.broadcast_shapes(*map(np.shape, inputs))
+    lib = _rk4.library()
+    if lib is not None and len(shape) <= 2:
+        table = (*shape, 1, 1)[:2]  # (rows, oscillators): a 1-D result is one column
+        arrays = [np.broadcast_to(np.asarray(a, dtype=np.float64), shape).reshape(table)
+                  for a in inputs]
+        if table[1] == 1 or not any(a.strides[1] for a in arrays[:6]):  # one term a row
+            out = np.empty(table)
+            pointers = np.array([a.ctypes.data for a in arrays], dtype=np.uintp)
+            strides = np.array([a.strides for a in arrays], dtype=np.int64) // 8
+            lib.tubeint_invariant(*table, om, pointers.ctypes.data, strides.ctypes.data,
+                                  out.ctypes.data)
+            return out.reshape(shape)
     out = y * p
     out *= p
     term = om * dy * z
@@ -92,7 +114,7 @@ def _exact(params: SystemParams, t, y, dy, ddy, z, p) -> np.ndarray:
     out -= term
     np.multiply(z, z, out=term)
     term *= z
-    term *= (2.0 / 3.0) * y**-1.5
+    term *= c3
     out += term
     return out
 
@@ -230,17 +252,17 @@ def _tube_part(params: SystemParams, pairs, cfg: IntegrationConfig) -> list[Tube
     """The filaments of pairs from one lockstep run and one broadcast invariant;
     the parts take a core each, so the run starts no table helper."""
     t, states, _ = _coupled(params, pairs, cfg, helpers=0)
-    z = states[:, 4::2]
-    p = states[:, 5::2]
-    values = _exact(params, t[:, None], states[:, 0:1], states[:, 1:2], states[:, 2:3], z, p)
+    values = _exact(params, t[:, None], states[:, 0:1], states[:, 1:2], states[:, 2:3],
+                    states[:, 4::2], states[:, 5::2])
     K = values[0].copy()
     values -= K
     deviation = np.abs(values, out=values).max(axis=0)
-    del values  # freed before the copies: a part holds its table and at most two more arrays
+    del values  # freed before the copy: a part holds its table and at most one more array
+    zp = np.ascontiguousarray(states[:, 4:].T)  # row 2j: filament j's z, row 2j + 1: its p
     return [
         TubeFilament(z0=z0, p0=p0, K=k, t=t, z=zj, p=pj, max_abs_deviation=dev)
-        for (z0, p0), k, dev, zj, pj in zip(pairs, K.tolist(), deviation.tolist(),
-                                             z.T.copy(), p.T.copy())
+        for (z0, p0), k, dev, zj, pj in zip(pairs, K.tolist(), deviation.tolist(), zp[0::2],
+                                             zp[1::2])
     ]
 
 

@@ -7,8 +7,9 @@ function.  The driver's systems, the compiled kernel's names for them and the
 system enum of ``_rk4.c`` must list the same systems in the same order, since
 the kernel is called with a system's index.  Outside ``_rk4`` itself, the
 compiled library is loaded only where a path is chosen: the series sums of
-``perturb._sum`` and the helper-thread count of ``integrate._table_helpers``,
-the one function that turns "the library loaded" into threads.  The threads
+``perturb._sum``, the exact invariant of ``invariant._exact`` and the
+helper-thread count of ``integrate._table_helpers``, the one function that
+turns "the library loaded" into threads.  The threads
 themselves are started in one place, ``integrate._tables``.  The public
 surface holds only what callers set: the run settings, no wrapper of tau*
 and no default Ermakov run.
@@ -97,10 +98,17 @@ def calls(name: str) -> set[tuple[str, str | None]]:
 
 
 def test_only_the_series_sums_and_the_helper_count_load_the_library():
+    # and the exact invariant, which chooses between its compiled pass and numpy
     outside = {call for call in calls("library") if call[0] != "_rk4"}
-    assert outside == {("perturb", "_sum"), ("integrate", "_table_helpers")}
+    assert outside == {("perturb", "_sum"), ("invariant", "_exact"),
+                       ("integrate", "_table_helpers")}
     assert ("_rk4", "kernel") in calls("library")  # the finder sees the module's own calls
-    assert "_rk4" not in relative_imports("invariant")
+
+
+def test_each_compiled_pass_has_one_caller():
+    # the series sums and the invariant each choose their path in one place
+    assert calls("tubeint_sum") == {("perturb", "_sum")}
+    assert calls("tubeint_invariant") == {("invariant", "_exact")}
 
 
 def test_only_the_table_pipeline_starts_threads():

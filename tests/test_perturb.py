@@ -8,6 +8,7 @@ import sympy as sp
 from tubeint.integrate import IntegrationConfig, integrate_y
 from tubeint.model import SystemParams, validate_params
 from tubeint.perturb import (
+    ORDER,
     alpha2_derivatives,
     equation_residual,
     g_of_t,
@@ -213,6 +214,34 @@ def test_generated_series_solves_the_recursion_exactly():
         assert sp.expand(coefficient.rewrite(sp.exp)) == 0
     for r in R:
         assert all(sp.expand(sp.diff(r, tau, j).subs(tau, 0)) == 0 for j in (0, 1, 2))
+
+
+def test_leading_secular_terms_are_the_taylor_coefficients_of_a_logarithm():
+    # 2 ln|1 - iX| = -2 Re sum_m (iX)^m / m with X = kappa s (1 + e^(2i tau)),
+    # kappa = 5/192 and s = delta^2 tau: its s^m coefficient is the tau^m part
+    # of R_2m, in exact rationals and without the generator's own operations.
+    # At ORDER = 3 that is R_2's (1, +-2) = (0, -+5/192), (5/96) tau sin 2 tau.
+    kappa = Fraction(5, 192)
+
+    def times(a, b):
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+    rho = _tables()["rho"]
+    for n in range(1, ORDER + 1):
+        assert max(m for m, _ in rho[n]) == n // 2  # the highest power of tau
+    for m in range(1, ORDER // 2 + 1):
+        ikm = (Fraction(1), Fraction(0))
+        for _ in range(m):
+            ikm = times(ikm, (Fraction(0), kappa))  # (i kappa)^m
+        # -(2/m) Re[(i kappa)^m sum_j C(m, j) e^(2ij tau)] as c_k e^(ik tau) terms
+        expected = {(m, 0): (-2 * ikm[0] / m, Fraction(0))}
+        for j in range(1, m + 1):
+            c = times(ikm, (Fraction(-math.comb(m, j), m), Fraction(0)))
+            expected[(m, 2 * j)], expected[(m, -2 * j)] = c, (c[0], -c[1])
+        expected = {key: c for key, c in expected.items() if c != (0, 0)}
+        assert {key: c for key, c in rho[2 * m].items() if key[0] == m} == expected
+    assert {key: c for key, c in rho[2].items() if key[0] == 1} == {
+        (1, -2): (0, Fraction(5, 192)), (1, 2): (0, Fraction(-5, 192))}
 
 
 def test_resonance_coefficients_are_exact():
